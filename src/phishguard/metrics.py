@@ -121,7 +121,9 @@ def roc_auc(labels, scores) -> tuple[RocCurve, float]:
 
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(ys, xs))
+    # the trapezoid rule as numpy's trapezoid computes it; that function
+    # is missing before numpy 2.0
+    auc = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
     return RocCurve(points, thresholds), auc
 
 
@@ -165,7 +167,10 @@ def cross_validate(trainer, ds: Dataset, metric, k: int = 5, seed: int = 0) -> C
             probs = model.predict_proba(ds.X[fold])
             scores.append(float(metric(ds.y[fold], probs)))
         except PhishguardError as exc:
-            raise type(exc)(f"fold {fold_no}: {exc}") from exc
+            # prefix the message in place: not every error class can be
+            # rebuilt from one message string
+            exc.args = (f"fold {fold_no}: {exc}",)
+            raise
     return CvResult(scores)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PhishguardError
+from ..errors import DimensionMismatch, PhishguardError
 
 
 @dataclass
@@ -74,8 +74,6 @@ def sigmoid(z):
 
 def as_matrix(x, n_features: int) -> tuple[np.ndarray, bool]:
     """Accept one vector or a matrix; return (2-D array, was_single)."""
-    from ..errors import DimensionMismatch
-
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
 from .common import as_matrix, sigmoid
-from .tree import DecisionTree, build_tree
+from .tree import DecisionTree, StackedTrees, build_tree
 
 
 @dataclass
@@ -31,22 +32,30 @@ class Ensemble:
     def n_features(self) -> int:
         return self.members[0].n_features
 
+    @cached_property
+    def _stack(self) -> StackedTrees:
+        return StackedTrees.of(self.members, self.weights)
+
+    def _logits(self, X: np.ndarray) -> np.ndarray:
+        # the base score, then each weighted tree in training order, one
+        # addition after another: cumsum is sequential where sum may add
+        # pairwise, so this is bit-identical to a loop over the trees
+        terms = self._stack.leaf_values(X)
+        terms[0] += self.base_score
+        return np.cumsum(terms, axis=0)[-1]
+
     def decision_function(self, x):
         """Logit for boosting; not defined for averaging modes."""
         X, single = as_matrix(x, self.n_features)
-        logits = np.full(len(X), self.base_score)
-        for tree, weight in zip(self.members, self.weights):
-            logits += weight * tree.predict_value(X)
+        logits = self._logits(X)
         return logits[0] if single else logits
 
     def predict_proba(self, x):
         X, single = as_matrix(x, self.n_features)
         if self.mode == "boosting":
-            probs = sigmoid(self.decision_function(X))
-        else:
-            stacked = np.stack([t.predict_proba(X) for t in self.members])
-            weights = np.asarray(self.weights)[:, None]
-            probs = (weights * stacked).sum(axis=0)
+            probs = sigmoid(self._logits(X))
+        else:  # the weighted mean: leaf values carry their tree's weight
+            probs = self._stack.leaf_values(X).sum(axis=0)
         return probs[0] if single else probs
 
     def predict(self, x):

@@ -1,4 +1,14 @@
-"""Versioned JSON serialization for every trained model kind."""
+"""Versioned JSON serialization for every trained model kind.
+
+Format 2 stores a tree as its parallel node arrays (see `models.tree`):
+
+    {"feature": [...], "threshold": [...], "left": [...], "right": [...],
+     "value": [...], "n_features": d, "max_depth": k, "task": "classify"}
+
+An ensemble stores a list of such trees under "members". Format 1
+nested each tree's nodes under "root"; it is still read and converted
+to node arrays at load.
+"""
 
 from __future__ import annotations
 
@@ -11,45 +21,45 @@ from ..errors import PhishguardError
 from .ensemble import Ensemble
 from .linear import LinearModel
 from .mlp import MlpModel
-from .tree import DecisionTree, TreeNode
+from .tree import LEAF, NODE_ARRAYS, DecisionTree
 
-FORMAT_VERSION = 1
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value.tolist()}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(data: dict) -> TreeNode:
-    if "value" in data:
-        return TreeNode(value=np.asarray(data["value"]))
-    return TreeNode(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
+FORMAT_VERSION = 2
 
 
 def _tree_to_dict(tree: DecisionTree) -> dict:
-    return {
-        "root": _node_to_dict(tree.root),
-        "n_features": tree.n_features,
-        "max_depth": tree.max_depth,
-        "task": tree.task,
-    }
+    doc = {name: getattr(tree, name).tolist() for name in NODE_ARRAYS}
+    doc.update(n_features=tree.n_features, max_depth=tree.max_depth, task=tree.task)
+    return doc
+
+
+def _v1_node_arrays(root: dict) -> dict:
+    """Preorder node arrays of a format-1 nested tree. A v1 leaf held
+    [p(legitimate), p(phishing)] or [fitted value]; its last entry is
+    the v2 leaf value."""
+    nodes = {name: [] for name in NODE_ARRAYS}
+
+    def add(node: dict) -> int:
+        i = len(nodes["feature"])
+        leaf = "value" in node
+        if leaf:
+            row = (LEAF, 0.0, i, i, node["value"][-1])
+        else:
+            row = (node["feature"], node["threshold"], i, i, 0.0)
+        for name, item in zip(NODE_ARRAYS, row):
+            nodes[name].append(item)
+        if not leaf:
+            nodes["left"][i] = add(node["left"])
+            nodes["right"][i] = add(node["right"])
+        return i
+
+    add(root)
+    return nodes
 
 
 def _tree_from_dict(data: dict, feature_names) -> DecisionTree:
+    nodes = _v1_node_arrays(data["root"]) if "root" in data else data
     return DecisionTree(
-        root=_node_from_dict(data["root"]),
+        **{name: np.asarray(nodes[name]) for name in NODE_ARRAYS},
         n_features=data["n_features"],
         max_depth=data["max_depth"],
         task=data["task"],
@@ -97,7 +107,7 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(doc: dict):
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") not in (1, FORMAT_VERSION):
         raise PhishguardError(f"unsupported model format version {doc.get('version')}")
     names = tuple(doc.get("feature_names", ()))
     kind = doc["kind"]

@@ -35,6 +35,8 @@ TOOLS = ("server_info", "extract_features", "classify_url", "explain_url")
 
 SERVER_VERSION = "phishguard/0.1.0"
 
+LABEL_NAMES = ("legitimate", "phishing")  # indexed by y_hat
+
 # Human-readable rationale strings for phishing-leaning feature values.
 FEATURE_DESCRIPTIONS = {
     "having_IP_Address": "IP address present in host",
@@ -74,6 +76,7 @@ class IsolatedContext:
     provenance: str = "Unknown"
     created_at: float = 0.0
     sealed: bool = False
+    rationale: tuple[str, ...] = ()
 
     def seal(self) -> "IsolatedContext":
         self.sealed = True
@@ -146,7 +149,7 @@ def classify_with_fusion(x, model, fusion: FusionWeights) -> dict:
         name = names[j]
         rationale.append(FEATURE_DESCRIPTIONS.get(name, name))
     return {
-        "label": "phishing" if label == 1 else "legitimate",
+        "label": LABEL_NAMES[label],
         "y_hat": label,
         "probability": probability,
         "rationale": rationale,
@@ -184,6 +187,7 @@ class PhishingServer:
             label=outcome["y_hat"],
             provenance=provenance,
             created_at=time.time(),
+            rationale=tuple(outcome["rationale"]),
         )
         context.seal()
         with self._log_lock:
@@ -208,15 +212,14 @@ class PhishingServer:
         url = _require_url(arguments)
         claimed = arguments.get("provenance", "Unknown")
         context = self.create_context(request_id, url, claimed)
-        outcome = classify_with_fusion(context.vector, self.model, self.fusion)
         if self.pcs is not None:
             pcs_value, flagged, _ = provenance_score(context.vector, self.pcs, claimed)
         else:
             pcs_value, flagged = 1.0, False
         return {
-            "label": outcome["label"],
-            "probability": f"{outcome['probability']:.6f}",
-            "rationale": outcome["rationale"],
+            "label": LABEL_NAMES[context.label],
+            "probability": f"{context.probability:.6f}",
+            "rationale": context.rationale,
             "pcs": f"{pcs_value:.6f}",
             "flagged": flagged,
         }
@@ -289,6 +292,10 @@ class PhishingServer:
         server = self
 
         class Handler(socketserver.StreamRequestHandler):
+            # send each reply at once instead of holding it for the
+            # client's ACK of the previous one (Nagle's algorithm)
+            disable_nagle_algorithm = True
+
             def handle(self):
                 for raw in self.rfile:
                     line = raw.decode("utf-8", "replace").strip()

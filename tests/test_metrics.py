@@ -7,6 +7,7 @@ from conftest import make_ternary_dataset
 from phishguard.errors import (
     EmptyInput,
     LengthMismatch,
+    ResolverFailure,
     SingleClassDataset,
     SingleClassInput,
 )
@@ -138,6 +139,17 @@ class TestCrossValidate:
         with pytest.raises(SingleClassDataset) as err:
             cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3)
         assert "fold 0" in str(err.value)
+
+    def test_fold_error_keeps_class_with_several_arguments(self):
+        # ResolverFailure's constructor takes (feature, message)
+        def trainer(train_ds):
+            raise ResolverFailure("DNSRecord", "lookup timed out")
+
+        ds = make_ternary_dataset(n=60, seed=3)
+        with pytest.raises(ResolverFailure) as err:
+            cross_validate(trainer, ds, auc_metric, k=3)
+        assert str(err.value) == "fold 0: DNSRecord: lookup timed out"
+        assert err.value.feature == "DNSRecord"
 
 
 def test_metrics_table_layout():

@@ -63,3 +63,38 @@ def test_unknown_kind_rejected():
     with pytest.raises(PhishguardError):
         model_from_dict({"version": 1, "kind": "mystery", "params": {},
                          "feature_names": []})
+
+
+def test_trees_are_stored_as_node_arrays():
+    _, models = fitted_models()
+    params = model_to_dict(models["tree"])["params"]
+    lengths = {len(params[name]) for name in ("feature", "threshold", "left", "right", "value")}
+    assert len(lengths) == 1
+    assert "root" not in params
+
+
+def _cycle(p):
+    p["left"][0] = 0
+
+
+def _feature_out_of_range(p):
+    p["feature"][0] = p["n_features"]
+
+
+def _short_value(p):
+    p["value"].pop()
+
+
+def _leaf_with_child(p):
+    leaf = p["feature"].index(-1)
+    p["right"][leaf] = 0
+
+
+@pytest.mark.parametrize("corrupt", [_cycle, _feature_out_of_range, _short_value,
+                                     _leaf_with_child])
+def test_malformed_node_arrays_rejected(corrupt):
+    _, models = fitted_models()
+    doc = model_to_dict(models["tree"])
+    corrupt(doc["params"])
+    with pytest.raises(PhishguardError):
+        model_from_dict(doc)

@@ -60,6 +60,24 @@ class TestProtocol:
         assert isinstance(result["rationale"], list)
         assert len(result["rationale"]) <= 3
 
+    def test_classify_reuses_the_context_outcome(self, monkeypatch):
+        import phishguard.server as server_module
+
+        outcomes = []
+
+        def recording(*args):
+            outcomes.append(classify_with_fusion(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(server_module, "classify_with_fusion", recording)
+        result = call(make_server(), "classify_url",
+                      {"url": "http://secure-paypal.bit.ly//redirect@evil"})["result"]
+        assert len(outcomes) == 1
+        (outcome,) = outcomes
+        assert result["label"] == outcome["label"]
+        assert result["probability"] == f"{outcome['probability']:.6f}"
+        assert result["rationale"] == outcome["rationale"]
+
     def test_explain_url_ranked_attributions(self):
         response = call(make_server(), "explain_url", {"url": "http://a.com/x"})
         attributions = response["result"]["attributions"]
@@ -133,6 +151,29 @@ class TestTcpTransport:
                 conn.sendall((json.dumps({"id": "1", "tool": "server_info"}) + "\n").encode())
                 response = json.loads(conn.makefile().readline())
             assert response["status"] == "ok"
+        finally:
+            tcp.shutdown()
+            tcp.server_close()
+
+    def test_nagle_disabled_on_accepted_connections(self):
+        tcp = make_server().serve_tcp(0)
+        nodelay = []
+
+        class Probe(tcp.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                                          socket.TCP_NODELAY))
+
+        tcp.RequestHandlerClass = Probe
+        thread = threading.Thread(target=tcp.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(("127.0.0.1", tcp.server_address[1]),
+                                          timeout=5) as conn:
+                conn.sendall((json.dumps({"id": "1", "tool": "server_info"}) + "\n").encode())
+                conn.makefile().readline()
+            assert len(nodelay) == 1 and nodelay[0] != 0
         finally:
             tcp.shutdown()
             tcp.server_close()

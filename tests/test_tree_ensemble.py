@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from phishguard.datasets import Dataset
 from phishguard.errors import EmptyDataset, PhishguardError
 from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
-from phishguard.models.tree import _best_threshold_gini, _best_threshold_sse
+from phishguard.models.tree import LEAF, _best_threshold_gini, _best_threshold_sse
 
 
 def xor_dataset():
@@ -78,13 +81,13 @@ class TestDecisionTree:
     def test_depth_zero_majority_leaf(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([1, 1, 0]), ("a",))
         tree = train_tree(ds, max_depth=0)
-        assert tree.root.is_leaf
+        assert tree.feature[0] == LEAF
         assert tree.predict_proba(np.array([5.0])) == pytest.approx(2 / 3)
 
     def test_pure_node_stops(self):
         ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, 1]), ("a",))
         tree = train_tree(ds, max_depth=8)
-        assert tree.root.is_leaf
+        assert tree.feature[0] == LEAF
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDataset):
@@ -95,7 +98,21 @@ class TestDecisionTree:
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
         tree = build_tree(X, y, max_depth=1)
-        assert tree.root.feature == 0
+        assert tree.feature[0] == 0
+
+    def test_training_data_freed_without_cycle_collector(self):
+        # a reference cycle would keep every fit's data alive until the
+        # cycle collector happens to run, raising peak memory in CV
+        ds = make_ternary_dataset(n=100, seed=1)
+        X = ds.X.copy()
+        alive = weakref.ref(X)
+        gc.disable()
+        try:
+            build_tree(X, ds.y, max_depth=3)
+            del X
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_determinism(self):
         ds = make_ternary_dataset(n=200, seed=2)
@@ -196,4 +213,6 @@ class TestGbt:
         for tree, weight in zip(model.members, model.weights):
             manual += weight * tree.predict_value(ds.X)
         assert np.allclose(model.decision_function(ds.X), manual)
+        # the vectorised walk adds the trees in the loop's order, bit for bit
+        assert np.array_equal(model.decision_function(ds.X), manual)
         assert np.allclose(model.predict_proba(ds.X), sigmoid(manual))
