@@ -53,8 +53,9 @@ trainers = {
 
 rows = {}
 for name, trainer in trainers.items():
-    acc = cross_validate(trainer, ds, accuracy_metric, k=5, seed=0)
-    auc = cross_validate(trainer, ds, auc_metric, k=5, seed=0)
+    cv = cross_validate(trainer, ds, {"accuracy": accuracy_metric, "auc": auc_metric},
+                        k=5, seed=0)
+    acc, auc = cv["accuracy"], cv["auc"]
     model = trainer(ds)
     stats = prf1(confusion(ds.y, model.predict(ds.X)))
     stats["accuracy"] = acc.mean  # report held-out, not resubstitution

@@ -144,8 +144,9 @@ def cmd_train(args) -> int:
     started = time.time()
     ds = load_csv(args.dataset)
     trainer = lambda d: _train_model(d, args.model, args.seed)
-    acc = cross_validate(trainer, ds, accuracy_metric, k=args.folds, seed=args.seed)
-    auc = cross_validate(trainer, ds, auc_metric, k=args.folds, seed=args.seed)
+    cv = cross_validate(trainer, ds, {"accuracy": accuracy_metric, "auc": auc_metric},
+                        k=args.folds, seed=args.seed)
+    acc, auc = cv["accuracy"], cv["auc"]
 
     model = _train_model(ds, args.model, args.seed)
     predictions = model.predict(ds.X)

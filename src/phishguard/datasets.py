@@ -120,15 +120,12 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
 
         rows, labels = [], []
         for row_idx, row in enumerate(reader):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            values = []
-            for col_idx, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericCell(row_idx, header[col_idx], cell)
-                values.append(value)
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                _raise_non_numeric(row_idx, row, header)
             label = values.pop(label_col)
             if label == -1:
                 label = 0
@@ -145,13 +142,22 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
     # dedup on (features, label), keeping first occurrence
     seen = set()
     keep = []
-    for i in range(len(y)):
-        key = (X[i].tobytes(), int(y[i]))
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, X), y.tolist())):
         if key not in seen:
             seen.add(key)
             keep.append(i)
     X, y = X[keep], y[keep]
     return Dataset(X, y, feature_names, (provenance,) * len(y))
+
+
+def _raise_non_numeric(row_idx: int, row: list[str], header: list[str]):
+    """Raise NonNumericCell for the first cell of `row` that is not a
+    number."""
+    for col_idx, cell in enumerate(row):
+        try:
+            float(cell)
+        except ValueError:
+            raise NonNumericCell(row_idx, header[col_idx], cell)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -160,12 +166,12 @@ def save_csv(ds: Dataset, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["label"])
-        for row, label in zip(ds.X, ds.y):
+        for row, label in zip(ds.X.tolist(), ds.y.tolist()):
             writer.writerow([_format_cell(v) for v in row] + [int(label)])
 
 
 def _format_cell(v: float):
-    return int(v) if float(v).is_integer() else v
+    return int(v) if v.is_integer() else v
 
 
 def class_distribution(ds: Dataset) -> tuple[int, int]:

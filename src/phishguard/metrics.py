@@ -103,24 +103,15 @@ def roc_auc(labels, scores) -> tuple[RocCurve, float]:
     sorted_scores = scores[order]
     sorted_labels = labels[order]
 
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    tp = fp = 0
-    i = 0
-    n = len(labels)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        block = sorted_labels[i:j]
-        tp += int(np.sum(block == 1))
-        fp += int(np.sum(block == 0))
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(sorted_scores[i]))
-        i = j
-
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    # one point per block of equal scores, after its last sample
+    ends = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]), len(labels) - 1)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tp = np.cumsum(sorted_labels == 1)[ends]
+    fp = np.cumsum(sorted_labels == 0)[ends]
+    xs = np.concatenate(([0.0], fp / n_neg))
+    ys = np.concatenate(([0.0], tp / n_pos))
+    points = list(zip(xs.tolist(), ys.tolist()))
+    thresholds = [float("inf")] + sorted_scores[starts].tolist()
     # the trapezoid rule as numpy's trapezoid computes it; that function
     # is missing before numpy 2.0
     auc = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
@@ -151,27 +142,33 @@ def auc_metric(labels, probabilities) -> float:
     return roc_auc(labels, probabilities)[1]
 
 
-def cross_validate(trainer, ds: Dataset, metric, k: int = 5, seed: int = 0) -> CvResult:
+def cross_validate(trainer, ds: Dataset, metric, k: int = 5,
+                   seed: int = 0) -> CvResult | dict[str, CvResult]:
     """Train on each fold complement, score the held-out fold.
 
     `trainer(train_ds)` returns a model with predict_proba;
-    `metric(labels, probabilities)` returns a scalar.
+    `metric(labels, probabilities)` returns a scalar. `metric` may also
+    be a dict of such functions: every one scores the same k fold
+    models, and the result is a dict of `CvResult` under the same keys.
     """
+    metrics = metric if isinstance(metric, dict) else {None: metric}
     folds = stratified_fold_indices(ds.y, k, seed)
     all_idx = np.arange(len(ds))
-    scores = []
+    scores = {name: [] for name in metrics}
     for fold_no, fold in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, fold)
         try:
             model = trainer(ds.subset(train_idx))
             probs = model.predict_proba(ds.X[fold])
-            scores.append(float(metric(ds.y[fold], probs)))
+            for name, score in metrics.items():
+                scores[name].append(float(score(ds.y[fold], probs)))
         except PhishguardError as exc:
             # prefix the message in place: not every error class can be
             # rebuilt from one message string
             exc.args = (f"fold {fold_no}: {exc}",)
             raise
-    return CvResult(scores)
+    results = {name: CvResult(values) for name, values in scores.items()}
+    return results if isinstance(metric, dict) else results[None]
 
 
 def metrics_table(rows: dict[str, dict]) -> str:

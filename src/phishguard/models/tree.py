@@ -4,6 +4,39 @@
 Tie-breaking is deterministic: among equally good splits the lowest
 feature index wins, then the lowest threshold.
 
+Split search bins the training matrix once per tree, at the root (the
+histogram method of LightGBM and of XGBoost's `hist`, with one bin per
+distinct value). Each column's distinct values, ascending, are its
+bins, and each cell becomes its bin's number within the column, a code
+in the smallest unsigned integer type that holds every column's codes.
+At a node, `np.bincount` over its rows' codes, each shifted past the
+bins of the columns before it, gives the histogram of every candidate
+feature at once, and prefix sums over the bins give every candidate
+split's left side. A candidate threshold is the midpoint of two
+adjacent levels present at the node.
+
+The splits are exactly those of sorting each column at each node and
+scanning its prefix sums, so seeded trees and model files do not depend
+on the method:
+- Gini, labels 0 and 1: per-bin counts are integers, so their prefix
+  sums equal the scan's cumulative sums, and each score is the same
+  floating-point expression of the same numbers.
+- Squared error (boosting residuals) and Gini for other labels: float
+  sums depend on the order of the additions, so each feature still adds
+  the node's targets one at a time in stable sorted order (a stable
+  argsort of the small codes) and reads the running sums at bin ends.
+- Ties: within a feature the first (lowest threshold) minimum; across
+  features, taken in ascending order, a later feature wins only with a
+  score lower by more than 1e-15.
+The scan itself is kept in tests/test_tree_ensemble.py as the oracle.
+A node with few rows against the matrix's bins (deep nodes over
+many-valued columns) sorts its codes instead of counting every bin, so
+its cost follows its rows. Per node, the temporaries are the node's
+codes, arrays over its present bins, and one feature's rows at a time,
+never a float matrix of rows by features. Extra-trees
+(`split_mode="random"`) draws one threshold per feature and scores it
+on the raw column.
+
 A tree is five parallel node arrays, in the order `build_tree` grows the
 nodes (preorder, node 0 is the root): `feature`, `threshold`, `left`,
 `right` and `value`. An internal node sends a row to `left` when
@@ -151,62 +184,200 @@ def _check_nodes(tree: DecisionTree) -> None:
         raise PhishguardError("malformed tree node arrays")
 
 
-def _best_threshold_gini(column, y, min_leaf):
-    order = np.argsort(column, kind="stable")
-    col = column[order]
-    ys = y[order]
-    n = len(ys)
-    ones = np.cumsum(ys)  # ones in the left block after position i (1-based)
-    total_ones = ones[-1]
-    sizes_left = np.arange(1, n)
-    boundaries = np.flatnonzero(col[1:] > col[:-1])  # split after index i
-    if len(boundaries) == 0:
-        return None
-    nl = sizes_left[boundaries]
-    nr = n - nl
-    valid = (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return None
-    boundaries = boundaries[valid]
-    nl, nr = nl[valid], nr[valid]
-    ones_l = ones[boundaries]
-    ones_r = total_ones - ones_l
-    gini_l = 1.0 - (ones_l / nl) ** 2 - ((nl - ones_l) / nl) ** 2
-    gini_r = 1.0 - (ones_r / nr) ** 2 - ((nr - ones_r) / nr) ** 2
-    score = (nl * gini_l + nr * gini_r) / n
-    best = int(np.argmin(score))  # argmin takes the first (lowest threshold)
-    i = boundaries[best]
-    threshold = 0.5 * (col[i] + col[i + 1])
-    return float(score[best]), threshold
+@dataclass(frozen=True, eq=False)
+class _Bins:
+    """Every column of a training matrix binned once, at the root.
+
+    Column j's distinct values, ascending (`np.unique`), are its bins:
+    `key[j]` holds each cell's bin number within the column or, when the
+    labels are all 0 or 1 (`width` 2), twice that plus the row's label.
+    Adding `offset[j]` places the column's bins after those of the
+    columns before it on one flat bin axis, so `np.bincount` over a
+    node's rows gives the histogram of every feature at once.
+    """
+
+    key: np.ndarray  # (features, rows), the smallest unsigned dtype that fits
+    offset: np.ndarray  # (features,) where each feature's keys start on the flat axis
+    width: int  # histogram columns per bin: 2 (zeros, ones) or 1 (count)
+    level: np.ndarray  # (bins,) the value of each bin on the flat axis
+    feature: np.ndarray  # (bins,) the feature each bin belongs to
+
+    @classmethod
+    def of(cls, X: np.ndarray, y: np.ndarray, task: str) -> "_Bins":
+        width = 2 if task == "classify" and np.all((y == 0) | (y == 1)) else 1
+        columns = []
+        for column in X.T:
+            levels, codes = np.unique(column, return_inverse=True)
+            columns.append((levels, codes.astype(np.min_scalar_type(width * len(levels)))))
+        sizes = [len(levels) for levels, _ in columns]
+        starts = np.cumsum([0] + sizes)[:-1]
+        key = np.empty(X.T.shape, dtype=np.min_scalar_type(width * max(sizes, default=0)))
+        for j, (_, codes) in enumerate(columns):
+            key[j] = codes
+        if width == 2:
+            key *= 2
+            key += y.astype(key.dtype)
+        return cls(
+            key=key,
+            offset=(width * starts).astype(np.min_scalar_type(width * sum(sizes))),
+            width=width,
+            level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
+            feature=np.repeat(np.arange(len(sizes)), sizes),
+        )
+
+    def best_split(self, indices, ys, features, task, min_leaf):
+        """(feature, threshold) of the best split of the node holding
+        rows `indices`, searched over `features` (ascending), or None."""
+        m = len(indices)
+        if len(features) == len(self.key):
+            rows, offset = self.key[:, indices], self.offset
+        else:
+            rows, offset = np.take(self.key[features], indices, axis=1), self.offset[features]
+        present, hist = self._histogram(rows, offset)
+        # cum[k]: per histogram column, the rows in present bins before k
+        cum = np.zeros((len(hist) + 1, self.width), dtype=np.intp)
+        np.cumsum(hist, axis=0, out=cum[1:])
+        # a candidate splits after present bin k, before the next present
+        # bin k + 1 of the same feature; `>` (not `!=`) never splits off
+        # a NaN level, as a scan of the sorted column would not
+        feature, level = self.feature[present], self.level[present]
+        at = np.flatnonzero((feature[1:] == feature[:-1]) & (level[1:] > level[:-1]))
+        if len(at) == 0:
+            return None
+        feature = feature[at]
+        # each selected feature's bins hold every row once, so the bins
+        # of the features before this one hold rank times the node's totals
+        node_totals = cum[-1] // len(features)
+        rank = np.searchsorted(features, feature)
+        left = cum[at + 1] - rank[:, None] * node_totals
+        nl = left.sum(axis=1)
+        # with min_leaf <= 1 every candidate is valid: the present levels
+        # on either side hold a row each
+        if min_leaf > 1:
+            valid = np.flatnonzero((nl >= min_leaf) & (nl <= m - min_leaf))
+            if len(valid) == 0:
+                return None
+            at, feature, rank, left, nl = (a[valid] for a in (at, feature, rank, left, nl))
+        # each feature's candidates are groups[g]:groups[g + 1]
+        cuts = np.flatnonzero(feature[1:] != feature[:-1]) + 1
+        groups = np.concatenate(([0], cuts, [len(feature)]))
+        if self.width == 2:
+            score = _gini(nl, left[:, 1].astype(float), float(node_totals[1]), m)
+        else:
+            sums, totals = _running_sums(rows, rank[groups[:-1]], ys, groups, nl)
+            if task == "classify":
+                score = _gini(nl, sums[:, 0], totals[:, 0], m)
+            else:
+                score = _sse(nl, sums, totals, m)
+        lowest = np.minimum.reduceat(score, groups[:-1])
+        _, g = _first_best(zip(lowest.tolist(), range(len(lowest))))
+        # within the feature, the first (lowest threshold) of equal scores
+        i = groups[g] + int(np.argmin(score[groups[g]:groups[g + 1]]))
+        return int(feature[i]), 0.5 * (level[at[i]] + level[at[i] + 1])
+
+    def _histogram(self, rows, offset):
+        """The bins present among a node's codes `rows` (one row per
+        feature, shifted by that feature's `offset`), ascending on the
+        flat axis, and their (bins, width) counts.
+
+        Counting passes over every bin a few times, sorting over every
+        code about log2(codes) times. A node counts unless the matrix has
+        more than 8 bins per code of the node, as deep nodes over
+        many-valued columns do; both give the same result.
+        """
+        w = self.width
+        if len(self.level) <= 8 * rows.size:
+            hist = np.zeros(w * len(self.level), dtype=np.intp)
+            # bincount copies its input as intp: count runs of features of
+            # at most one matrix column's cells, each over its own stretch
+            # of the flat axis, to keep that copy and its output small
+            step = max(1, self.key.shape[1] // rows.shape[1])
+            for start in range(0, len(rows), step):
+                base = offset[start]
+                keys = rows[start:start + step] + (offset[start:start + step] - base)[:, None]
+                counts = np.bincount(keys.ravel())
+                hist[base:base + len(counts)] = counts
+            hist = hist.reshape(-1, w)
+            present = np.flatnonzero(hist.any(axis=1))
+            return present, hist[present]
+        keys, counts = np.unique(rows + offset[:, None], return_counts=True)
+        present, at = np.unique(keys // w, return_inverse=True)
+        hist = np.zeros((len(present), w), dtype=np.intp)
+        hist[at, keys % w] = counts
+        return present, hist
 
 
-def _best_threshold_sse(column, y, min_leaf):
-    order = np.argsort(column, kind="stable")
-    col = column[order]
-    ys = y[order]
-    n = len(ys)
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys ** 2)
-    total_sum, total_sq = csum[-1], csq[-1]
-    boundaries = np.flatnonzero(col[1:] > col[:-1])
-    if len(boundaries) == 0:
-        return None
-    nl = boundaries + 1
+def _running_sums(rows, columns, ys, groups, nl):
+    """Running sums of ys and ys**2 after the first `nl` rows of each
+    candidate, and their totals, as (candidates, 2) arrays.
+
+    Float sums depend on the order of the additions, so each feature
+    adds its rows one at a time in stable sorted order, as a scan of the
+    sorted column does; only the reads are per bin. `rows[columns[g]]`
+    holds the node's bin numbers of the feature whose candidates are
+    `groups[g]:groups[g + 1]`.
+    """
+    squares = ys ** 2
+    sums = np.empty((len(nl), 2))
+    totals = np.empty((len(nl), 2))
+    for column, start, stop in zip(columns, groups[:-1], groups[1:]):
+        order = np.argsort(rows[column], kind="stable")
+        read = nl[start:stop] - 1
+        for k, values in enumerate((ys, squares)):
+            running = np.cumsum(values[order])
+            sums[start:stop, k] = running[read]
+            totals[start:stop, k] = running[-1]
+    return sums, totals
+
+
+def _gini(nl, ones_l, ones, n):
+    """Weighted Gini impurity of splits with `nl` of `n` rows, `ones_l`
+    of `ones` positives, on the left."""
+    # the left sides, then the right; row counts are exact as floats
+    size = np.concatenate((nl, n - nl)).astype(float)
+    pos = np.concatenate((ones_l, ones - ones_l))
+    p = pos / size
+    q = (size - pos) / size
+    weighted = size * (1.0 - p * p - q * q)
+    return (weighted[:len(nl)] + weighted[len(nl):]) / n
+
+
+def _sse(nl, sums, totals, n):
+    """Squared error of splits with `nl` of `n` rows on the left; `sums`
+    and `totals` hold (sum, sum of squares) of the left side and of all
+    rows."""
     nr = n - nl
-    valid = (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
-        return None
-    boundaries = boundaries[valid]
-    nl, nr = nl[valid], nr[valid]
-    sum_l = csum[boundaries]
-    sq_l = csq[boundaries]
+    sum_l, sq_l = sums[:, 0], sums[:, 1]
+    total_sum, total_sq = totals[:, 0], totals[:, 1]
     sse_l = sq_l - sum_l ** 2 / nl
     sse_r = (total_sq - sq_l) - (total_sum - sum_l) ** 2 / nr
-    score = sse_l + sse_r
-    best = int(np.argmin(score))
-    i = boundaries[best]
-    threshold = 0.5 * (col[i] + col[i + 1])
-    return float(score[best]), threshold
+    return sse_l + sse_r
+
+
+def _first_best(candidates):
+    """The best of the (score, ...) `candidates`, or None if there are
+    none. Taken in order, a candidate replaces the best so far only when
+    its score is lower by more than 1e-15, so near-ties go to the
+    earliest: the lowest feature."""
+    best = None
+    for candidate in candidates:
+        if best is None or candidate[0] < best[0] - 1e-15:
+            best = candidate
+    return best
+
+
+def _random_candidates(X, indices, ys, features, rng, min_leaf, task):
+    """(score, feature, threshold) of one uniformly drawn threshold per
+    non-constant feature, in feature order (extra-trees)."""
+    for j in features:
+        column = X[indices, j]
+        lo, hi = column.min(), column.max()
+        if lo == hi:
+            continue
+        threshold = float(rng.uniform(lo, hi))
+        score = _score_random_threshold(column, ys, threshold, min_leaf, task)
+        if score is not None:
+            yield score, int(j), threshold
 
 
 def _score_random_threshold(column, y, threshold, min_leaf, task):
@@ -250,6 +421,8 @@ def build_tree(
     if split_mode == "random" and rng is None:
         rng = np.random.default_rng(0)
     d = X.shape[1]
+    if split_mode != "random":
+        bins = _Bins.of(X, y, task)
     nodes = {name: [] for name in NODE_ARRAYS}
 
     def choose_features(generator):
@@ -266,25 +439,11 @@ def build_tree(
             features = choose_features(rng)
         else:
             features = np.arange(d)
-        best = None  # (score, feature, threshold)
-        for j in features:
-            column = X[indices, j]
-            if split_mode == "random":
-                lo, hi = column.min(), column.max()
-                if lo == hi:
-                    continue
-                threshold = float(rng.uniform(lo, hi))
-                score = _score_random_threshold(column, ys, threshold, min_samples_leaf, task)
-                found = (score, threshold) if score is not None else None
-            else:
-                scan = _best_threshold_gini if task == "classify" else _best_threshold_sse
-                found = scan(column, ys, min_samples_leaf)
-            if found is None:
-                continue
-            score, threshold = found
-            if best is None or score < best[0] - 1e-15:
-                best = (score, int(j), threshold)
-        return None if best is None else best[1:]
+        if split_mode == "random":
+            best = _first_best(_random_candidates(X, indices, ys, features, rng,
+                                                  min_samples_leaf, task))
+            return None if best is None else best[1:]
+        return bins.best_split(indices, ys, features, task, min_samples_leaf)
 
     # Depth first, left subtree before right: nodes are numbered, and rng
     # draws made, in preorder. An entry is (indices, depth, parent, side).

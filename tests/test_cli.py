@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import make_ternary_dataset
-from phishguard.cli import main
+from phishguard import cli
+from phishguard.cli import _train_model, main
 from phishguard.datasets import load_csv, save_csv
-from phishguard.models import load_model
+from phishguard.models import load_model, save_model
 
 
 @pytest.fixture
@@ -103,6 +105,42 @@ class TestTrain:
         ds = load_csv(csv_path)
         assert np.mean(model.predict(ds.X) == ds.y) > 0.6
         assert (tmp_path / "train.manifest.json").exists()
+
+    # Recorded when cross-validation fitted every fold once per metric
+    # (2k + 1 fits), to show that one pass over the folds prints the same.
+    TRAIN_STDOUT = {
+        "tree": ("Model    Accuracy   Precision      Recall          F1     ROC AUC\n"
+                 "tree      0.5650      1.0000      1.0000      1.0000      0.5636\n"
+                 "cv accuracy 0.5650 +- 0.0325, cv auc 0.5636\n"),
+        "logistic": ("Model       Accuracy   Precision      Recall          F1     ROC AUC\n"
+                     "logistic      0.6698      0.7692      0.7216      0.7447      0.7281\n"
+                     "cv accuracy 0.6698 +- 0.0624, cv auc 0.7281\n"),
+    }
+    TREE_MODEL_SHA256 = "a1a96d08114e17ea684e325176e7815124b6e1baf6c35f9f0e323ee1b3ca4e4f"
+
+    @pytest.mark.parametrize("kind", ["tree", "logistic"])
+    def test_one_cv_pass_prints_and_saves_the_same(self, csv_path, tmp_path, capsys, kind):
+        out = tmp_path / "model.json"
+        assert main(["train", str(csv_path), "--model", kind, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == self.TRAIN_STDOUT[kind]
+        direct = tmp_path / "direct.json"
+        save_model(_train_model(load_csv(csv_path), kind, 0), direct)
+        assert out.read_bytes() == direct.read_bytes()
+        if kind == "tree":
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TREE_MODEL_SHA256
+
+    def test_fits_one_model_per_fold_plus_final(self, csv_path, tmp_path, monkeypatch):
+        fits = []
+
+        def counting(ds, kind, seed):
+            fits.append(len(ds))
+            return _train_model(ds, kind, seed)
+
+        monkeypatch.setattr(cli, "_train_model", counting)
+        assert main(["train", str(csv_path), "--model", "logistic", "--folds", "4",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert len(fits) == 4 + 1
+        assert fits[-1] == len(load_csv(csv_path))
 
     def test_model_files_byte_identical_across_runs(self, csv_path, tmp_path):
         a = tmp_path / "a.json"

@@ -60,6 +60,29 @@ class TestLoadCsv:
             load_csv(path)
         assert err.value.column == "f1"
 
+    def test_non_numeric_cell_reports_its_row_and_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["f1", "f2", "f3", "label"],
+                  [[1, 2, 3, 0], [4, "5", "x", 1], [7, "y", 9, 1]])
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(path)
+        assert (err.value.row, err.value.column) == (1, "f3")
+        assert "'x'" in str(err.value)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f1,label\n1,0\n\n , \n\t\n2,1\n")
+        ds = load_csv(path)
+        assert ds.X[:, 0].tolist() == [1.0, 2.0]
+        assert ds.y.tolist() == [0, 1]
+
+    def test_save_csv_text(self, tmp_path):
+        ds = Dataset(np.array([[1.0, -0.0, 0.5], [-1.0, 2.5e-300, 3.0]]),
+                     np.array([1, 0]), ("a", "b", "c"))
+        path = tmp_path / "out.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == b"a,b,c,label\r\n1,0,0.5,1\r\n-1,2.5e-300,3,0\r\n"
+
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["f1", "label"], [])

@@ -68,6 +68,37 @@ class TestPrf1:
         assert stats["accuracy"] == stats["f1"] == 1.0
 
 
+def roc_by_blocks(labels, scores):
+    """The per-block loop that roc_auc's vectorised block ends replaced:
+    the reference for its curve points, thresholds and area."""
+    labels = np.asarray(labels, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = len(labels) - n_pos
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    points = [(0.0, 0.0)]
+    thresholds = [float("inf")]
+    tp = fp = 0
+    i = 0
+    n = len(labels)
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        block = sorted_labels[i:j]
+        tp += int(np.sum(block == 1))
+        fp += int(np.sum(block == 0))
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(float(sorted_scores[i]))
+        i = j
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    auc = float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
+    return points, thresholds, auc
+
+
 class TestRocAuc:
     def test_known_auc(self):
         # scores .9,.8 positive, .7,.4 negative except one inversion:
@@ -103,6 +134,22 @@ class TestRocAuc:
         with pytest.raises(SingleClassInput):
             roc_auc([1, 1], [0.2, 0.4])
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1),
+                              st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, 1e-300,
+                                               float("inf"), float("-inf")])),
+                    min_size=2, max_size=40))
+    def test_bit_identical_to_block_loop(self, pairs):
+        labels = [p[0] for p in pairs]
+        scores = [p[1] for p in pairs]
+        if len(set(labels)) < 2:
+            return
+        curve, auc = roc_auc(labels, scores)
+        points, thresholds, loop_auc = roc_by_blocks(labels, scores)
+        assert curve.points == points
+        assert [repr(t) for t in curve.thresholds] == [repr(t) for t in thresholds]
+        assert repr(auc) == repr(loop_auc)
+
     @settings(max_examples=1000, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 1),
                               st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 0.9, 1.0])),
@@ -131,6 +178,22 @@ class TestCrossValidate:
         a = cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3, seed=7)
         b = cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3, seed=7)
         assert a.scores == b.scores
+
+    def test_metrics_share_one_model_per_fold(self):
+        ds = make_ternary_dataset(n=200, seed=2)
+        fits = []
+
+        def trainer(train_ds):
+            fits.append(len(train_ds))
+            return train_linear(train_ds)
+
+        both = cross_validate(trainer, ds, {"accuracy": accuracy_metric, "auc": auc_metric},
+                              k=4, seed=7)
+        assert len(fits) == 4
+        assert list(both) == ["accuracy", "auc"]
+        for name, metric in (("accuracy", accuracy_metric), ("auc", auc_metric)):
+            alone = cross_validate(lambda d: train_linear(d), ds, metric, k=4, seed=7)
+            assert both[name].scores == alone.scores
 
     def test_fold_error_annotated(self):
         # all-positive labels make every fold single-class

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ from phishguard.datasets import Dataset
 from phishguard.errors import EmptyDataset, PhishguardError
 from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
-from phishguard.models.tree import LEAF, _best_threshold_gini, _best_threshold_sse
+from phishguard.models.serialize import model_to_dict
+from phishguard.models.tree import LEAF, NODE_ARRAYS, DecisionTree
 
 
 def xor_dataset():
@@ -39,6 +41,182 @@ def brute_force_gini(column, y, min_leaf=1):
         if best is None or score < best[0] - 1e-15:
             best = (score, t)
     return best
+
+
+# The per-column split scans that the binned search in build_tree
+# replaced. Each sorts one column at one node and scans its prefix sums;
+# they are the oracle for the binned search, which must pick the same
+# splits bit for bit.
+
+
+def _best_threshold_gini(column, y, min_leaf):
+    order = np.argsort(column, kind="stable")
+    col = column[order]
+    ys = y[order]
+    n = len(ys)
+    ones = np.cumsum(ys)  # ones in the left block after position i (1-based)
+    total_ones = ones[-1]
+    sizes_left = np.arange(1, n)
+    boundaries = np.flatnonzero(col[1:] > col[:-1])  # split after index i
+    if len(boundaries) == 0:
+        return None
+    nl = sizes_left[boundaries]
+    nr = n - nl
+    valid = (nl >= min_leaf) & (nr >= min_leaf)
+    if not valid.any():
+        return None
+    boundaries = boundaries[valid]
+    nl, nr = nl[valid], nr[valid]
+    ones_l = ones[boundaries]
+    ones_r = total_ones - ones_l
+    gini_l = 1.0 - (ones_l / nl) ** 2 - ((nl - ones_l) / nl) ** 2
+    gini_r = 1.0 - (ones_r / nr) ** 2 - ((nr - ones_r) / nr) ** 2
+    score = (nl * gini_l + nr * gini_r) / n
+    best = int(np.argmin(score))  # argmin takes the first (lowest threshold)
+    i = boundaries[best]
+    threshold = 0.5 * (col[i] + col[i + 1])
+    return float(score[best]), threshold
+
+
+def _best_threshold_sse(column, y, min_leaf):
+    order = np.argsort(column, kind="stable")
+    col = column[order]
+    ys = y[order]
+    n = len(ys)
+    csum = np.cumsum(ys)
+    csq = np.cumsum(ys ** 2)
+    total_sum, total_sq = csum[-1], csq[-1]
+    boundaries = np.flatnonzero(col[1:] > col[:-1])
+    if len(boundaries) == 0:
+        return None
+    nl = boundaries + 1
+    nr = n - nl
+    valid = (nl >= min_leaf) & (nr >= min_leaf)
+    if not valid.any():
+        return None
+    boundaries = boundaries[valid]
+    nl, nr = nl[valid], nr[valid]
+    sum_l = csum[boundaries]
+    sq_l = csq[boundaries]
+    sse_l = sq_l - sum_l ** 2 / nl
+    sse_r = (total_sq - sq_l) - (total_sum - sum_l) ** 2 / nr
+    score = sse_l + sse_r
+    best = int(np.argmin(score))
+    i = boundaries[best]
+    threshold = 0.5 * (col[i] + col[i + 1])
+    return float(score[best]), threshold
+
+
+def reference_tree(X, y, *, task="classify", max_depth=8, min_samples_leaf=1,
+                   rng=None, n_feature_subset=None):
+    """build_tree as it was before binning: every candidate column of
+    every node is sorted and scanned on its own, nodes are numbered in
+    preorder and the feature subsets are drawn in preorder."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    d = X.shape[1]
+    scan = _best_threshold_gini if task == "classify" else _best_threshold_sse
+    nodes = {name: [] for name in NODE_ARRAYS}
+
+    def grow(indices, depth):
+        node = len(nodes["feature"])
+        for name in NODE_ARRAYS:
+            nodes[name].append(None)
+        ys = y[indices]
+        best = None
+        if depth < max_depth and len(indices) >= 2 * min_samples_leaf and not np.all(ys == ys[0]):
+            features = np.arange(d)
+            if rng is not None and n_feature_subset is not None and n_feature_subset < d:
+                features = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
+            for j in features:
+                found = scan(X[indices, j], ys, min_samples_leaf)
+                if found is not None and (best is None or found[0] < best[0] - 1e-15):
+                    best = (found[0], int(j), found[1])
+        if best is None:
+            row = (LEAF, 0.0, node, node, float(ys.mean()))
+        else:
+            _, j, threshold = best
+            go_left = X[indices, j] <= threshold
+            left = grow(indices[go_left], depth + 1)
+            right = grow(indices[~go_left], depth + 1)
+            row = (j, threshold, left, right, 0.0)
+        for name, item in zip(NODE_ARRAYS, row):
+            nodes[name][node] = item
+        return node
+
+    grow(np.arange(len(X)), 0)
+    return DecisionTree(**nodes, n_features=d, max_depth=max_depth, task=task)
+
+
+def random_split_problem(rng):
+    """Columns of mixed kinds and a target for one task, with tree
+    settings, drawn from `rng`."""
+    n = int(rng.integers(2, 250))
+    kinds = rng.choice(["ternary", "many", "signed_zero", "binary", "constant", "nan"],
+                       size=int(rng.integers(1, 7)))
+    columns = []
+    for kind in kinds:
+        if kind == "ternary":
+            column = rng.choice([-1.0, 0.0, 1.0], size=n)
+        elif kind == "many":  # more levels than a uint8 code holds
+            column = rng.integers(0, 400, size=n).astype(float)
+        elif kind == "signed_zero":
+            column = rng.choice([-0.0, 0.0, 0.5, -1.5], size=n)
+        elif kind == "binary":
+            column = rng.choice([0.0, 1.0], size=n)
+        elif kind == "constant":
+            column = np.full(n, 2.0)
+        else:
+            column = rng.choice([np.nan, -1.0, 0.0, 3.0], size=n)
+        columns.append(column)
+    X = np.column_stack(columns)
+    target = rng.choice(["labels", "wide_labels", "regress", "cancelling"])
+    if target == "labels":
+        task, y = "classify", (X[:, 0] + rng.normal(0, 1, n) > 0).astype(float)
+    elif target == "wide_labels":  # classify labels outside {0, 1}
+        task, y = "classify", rng.integers(0, 3, size=n).astype(float)
+    elif target == "regress":
+        task, y = "regress", rng.normal(0, 1, n).round(int(rng.integers(0, 4)))
+    else:  # float sums that depend on the order of the additions
+        task, y = "regress", rng.choice([1e16, -1e16, 1.0, 3.0, 0.5], size=n)
+    settings = {
+        "task": task,
+        "max_depth": int(rng.integers(0, 9)),
+        "min_samples_leaf": int(rng.choice([1, 1, 2, 5])),
+        "n_feature_subset": int(rng.integers(1, X.shape[1] + 1)) if rng.random() < 0.4 else None,
+    }
+    return X, y, settings
+
+
+def document(tree):
+    """The model file text of `tree`; unlike ==, it tells -0.0 from 0.0."""
+    return json.dumps(model_to_dict(tree))
+
+
+class TestBinnedSplitSearch:
+    def test_matches_per_column_oracle(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(150):
+            X, y, settings = random_split_problem(rng)
+            seed = int(rng.integers(2 ** 32))
+            subset = settings["n_feature_subset"] is not None
+            binned = build_tree(X, y, **settings,
+                                rng=np.random.default_rng(seed) if subset else None)
+            oracle = reference_tree(X, y, **settings,
+                                    rng=np.random.default_rng(seed) if subset else None)
+            assert document(binned) == document(oracle), (trial, settings)
+
+    def test_no_features_gives_one_leaf(self):
+        X, y = np.zeros((5, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+        assert document(build_tree(X, y)) == document(reference_tree(X, y))
+
+    def test_matches_oracle_on_uci_shaped_data(self):
+        ds = make_ternary_dataset(n=2000, seed=13)
+        assert document(build_tree(ds.X, ds.y, max_depth=10)) == \
+            document(reference_tree(ds.X, ds.y, max_depth=10))
+        residual = ds.y - np.random.default_rng(0).random(len(ds))
+        assert document(build_tree(ds.X, residual, task="regress", max_depth=4)) == \
+            document(reference_tree(ds.X, residual, task="regress", max_depth=4))
 
 
 class TestSplitScan:
