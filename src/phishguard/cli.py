@@ -211,13 +211,12 @@ def _build_fusion_and_pcs(args, model):
         if isinstance(model, LinearModel):
             rng = np.random.default_rng(args.seed)
             sample = ds.X[rng.choice(len(ds), size=min(50, len(ds)), replace=False)]
-            importance = {
-                name: float(np.mean([
-                    abs(shap_linear(model, row, background).attributions[j])
-                    for row in sample
-                ]))
-                for j, name in enumerate(ds.feature_names)
-            }
+            magnitudes = np.abs([shap_linear(model, row, background).attributions
+                                 for row in sample])
+            # one 1-D mean per feature: the same sum, in the same order, as
+            # a mean over a list of the feature's magnitudes
+            importance = {name: float(np.mean(column))
+                          for name, column in zip(ds.feature_names, magnitudes.T)}
         else:
             importance = {name: 1.0 for name in ds.feature_names}
         fusion = fuse_weights(ig, importance, alpha=args.alpha)

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..datasets import Dataset
 from ..errors import DegeneratePerturbations
+from .shapley import _as_scorer
 
 
 @dataclass
@@ -22,12 +23,6 @@ class LimeExplanation:
     def ranking(self) -> list[int]:
         """Feature indices sorted by |weight| descending."""
         return sorted(range(len(self.weights)), key=lambda j: -abs(self.weights[j]))
-
-
-def _as_scorer(scorer):
-    if callable(scorer):
-        return scorer
-    return lambda X: np.asarray(scorer.predict_proba(X))
 
 
 def lime_explain(

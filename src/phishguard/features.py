@@ -220,7 +220,6 @@ class OfflineResolver:
     Stateless, safe to share across threads.
     """
 
-    shareable = True
     source = "offline_default"
 
     def resolve(self, feature: str, parts: UrlParts) -> ResolverAnswer:
@@ -230,7 +229,6 @@ class OfflineResolver:
 class PrecomputedResolver:
     """Serves feature values from a fixed mapping; unknowns fall back to 0."""
 
-    shareable = True
     source = "precomputed"
 
     def __init__(self, values: dict[str, int]):

@@ -35,10 +35,4 @@ __all__ = [
     "DecisionTree",
     "build_tree",
     "train_tree",
-    "predict_proba",
 ]
-
-
-def predict_proba(model, x):
-    """Probability of the phishing class for any trained model kind."""
-    return model.predict_proba(x)

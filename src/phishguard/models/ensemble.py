@@ -10,7 +10,7 @@ import numpy as np
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
 from .common import as_matrix, sigmoid
-from .tree import DecisionTree, StackedTrees, build_tree
+from .tree import DecisionTree, StackedTrees, _Bins, build_tree
 
 
 @dataclass
@@ -130,6 +130,8 @@ def train_gbt(
     base_rate = np.clip(y.mean(), 1e-9, 1 - 1e-9)
     base_score = float(np.log(base_rate / (1.0 - base_rate)))
     logits = np.full(len(y), base_score)
+    # regression trees bin by the matrix alone, not by the residuals
+    bins = _Bins.of(ds.X, y, "regress")
 
     members = []
     for _ in range(n_rounds):
@@ -148,6 +150,7 @@ def train_gbt(
             min_samples_leaf=min_samples_leaf,
             leaf_value_fn=newton_leaf,
             feature_names=ds.feature_names,
+            _bins=bins,
         )
         update = tree.predict_value(ds.X)
         logits = logits + learning_rate * update

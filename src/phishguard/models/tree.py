@@ -408,11 +408,13 @@ def build_tree(
     n_feature_subset: int | None = None,
     leaf_value_fn=None,
     feature_names: tuple[str, ...] = (),
+    _bins: _Bins | None = None,
 ) -> DecisionTree:
     """Greedy top-down tree induction.
 
     leaf_value_fn(indices) may override the leaf value, the mean of y;
-    boosting uses this for Newton leaf estimates.
+    boosting uses this for Newton leaf estimates. `_bins`, the binning of
+    X from `_Bins.of`, lets boosting bin its matrix once for every round.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -422,7 +424,7 @@ def build_tree(
         rng = np.random.default_rng(0)
     d = X.shape[1]
     if split_mode != "random":
-        bins = _Bins.of(X, y, task)
+        bins = _bins if _bins is not None else _Bins.of(X, y, task)
     nodes = {name: [] for name in NODE_ARRAYS}
 
     def choose_features(generator):

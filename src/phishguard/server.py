@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .features import (
     extract_features,
     to_canonical_vector,
 )
+from .models.common import Standardizer
 from .models.linear import LinearModel
 
 TOOLS = ("server_info", "extract_features", "classify_url", "explain_url")
@@ -107,21 +109,48 @@ class PcsConfig:
             raise EmptyReferenceSet("PCS reference set is empty")
         if not 1 <= self.k <= len(self.reference):
             raise PhishguardError("k must be in [1, reference size]")
-        mean = self.reference.X.mean(axis=0)
-        std = self.reference.X.std(axis=0)
-        self._mean = mean
-        self._scale = np.where(std > 0, std, 1.0)
-        self._Z = (self.reference.X - mean) / self._scale
+        self._standardizer = Standardizer().fit(self.reference.X)
+        self._held = Counter(self.reference.provenance)  # rows per provenance
+        # with one provenance every claim scores 0 or 1 without a scan,
+        # so only a mixed reference keeps its standardised rows
+        if len(self._held) > 1:
+            self._Z = self._standardizer.transform(self.reference.X)
+            self._code_of = {name: code for code, name in enumerate(self._held)}
+            provenance = self.reference.provenance
+            self._codes = np.fromiter(map(self._code_of.__getitem__, provenance),
+                                      dtype=np.intp, count=len(provenance))
 
 
 def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float, bool, str]:
     """Fraction of the k nearest reference samples sharing the claimed
-    provenance; flagged when below the threshold."""
-    z = (np.asarray(x, dtype=float) - pcs._mean) / pcs._scale
-    distances = np.sqrt(((pcs._Z - z) ** 2).sum(axis=1))
-    nearest = np.argsort(distances, kind="stable")[: pcs.k]
-    matches = sum(1 for i in nearest if pcs.reference.provenance[i] == claimed)
-    score = matches / pcs.k
+    provenance; flagged when below the threshold.
+
+    Nearness is the Euclidean distance between standardised vectors. The
+    k nearest are the first k of a stable sort of the distances: rows
+    closer than the k-th distance, then rows tied with it, lowest index
+    first; NaN distances rank last, in index order. A claim held by no
+    reference row scores 0 and one held by every row scores 1, so those
+    cost no scan of the reference.
+    """
+    # standardising the query keeps the error of a wrong-width vector
+    z = pcs._standardizer.transform(x)
+    try:
+        held = pcs._held.get(claimed, 0)
+    except TypeError:  # an unhashable claim equals no provenance
+        held = 0
+    if held in (0, len(pcs.reference)):
+        score = 1.0 if held else 0.0
+    else:
+        distances = np.sqrt(((pcs._Z - z) ** 2).sum(axis=1))
+        kth = np.partition(distances, pcs.k - 1)[pcs.k - 1]
+        if np.isnan(kth):  # fewer than k distances are numbers
+            last = np.isnan(distances)
+            closer, tied = np.flatnonzero(~last), np.flatnonzero(last)
+        else:
+            closer, tied = np.flatnonzero(distances < kth), np.flatnonzero(distances == kth)
+        nearest = np.concatenate([closer, tied[: pcs.k - len(closer)]])
+        matches = np.count_nonzero(pcs._codes[nearest] == pcs._code_of[claimed])
+        score = matches / pcs.k
     return score, score < pcs.threshold, claimed
 
 

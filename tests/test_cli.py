@@ -204,6 +204,41 @@ class TestServeStdio:
         assert second["result"]["label"] in ("phishing", "legitimate")
 
 
+class TestServeSetup:
+    def test_importance_takes_one_attribution_per_sampled_row(self, csv_path, monkeypatch):
+        ds = load_csv(csv_path, provenance="UCI")
+        model = _train_model(ds, "logistic", 0)
+        shap_linear, fuse_weights = cli.shap_linear, cli.fuse_weights
+        calls, importances = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return shap_linear(*args)
+
+        def recording(ig, importance, alpha):
+            importances.append(importance)
+            return fuse_weights(ig, importance, alpha=alpha)
+
+        monkeypatch.setattr(cli, "shap_linear", counting)
+        monkeypatch.setattr(cli, "fuse_weights", recording)
+        args = cli.build_parser().parse_args(
+            ["serve", "--model", "m.json", "--dataset", str(csv_path), "--seed", "3"])
+        cli._build_fusion_and_pcs(args, model)
+        assert len(calls) == 50
+        # the mean of one feature's magnitudes at a time, one call per cell
+        rng = np.random.default_rng(3)
+        sample = ds.X[rng.choice(len(ds), size=50, replace=False)]
+        background = ds.X.mean(axis=0)
+        expected = {
+            name: float(np.mean([
+                abs(shap_linear(model, row, background).attributions[j])
+                for row in sample
+            ]))
+            for j, name in enumerate(ds.feature_names)
+        }
+        assert importances == [expected]
+
+
 class TestRobustnessCommand:
     def test_table_and_json(self, csv_path, tmp_path, capsys):
         model_path = tmp_path / "m.json"

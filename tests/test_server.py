@@ -116,6 +116,16 @@ class TestProtocol:
         response = call(server, "classify_url", {"url": "http://a.com"})
         assert response["error"]["code"] == "INTERNAL"
 
+    def test_claims_that_are_not_strings_score_zero(self):
+        reference = make_ternary_dataset(n=50, seed=1, provenance=("UCI",))
+        server = make_server(PcsConfig(reference))
+        for claimed in (["x"], {"a": 1}, None, 5):
+            response = call(server, "classify_url",
+                            {"url": "http://a.com", "provenance": claimed})
+            assert response["status"] == "ok"
+            assert response["result"]["pcs"] == "0.000000"
+            assert response["result"]["flagged"] is True
+
     def test_responses_are_single_lines(self):
         server = make_server()
         out = server.handle_line(json.dumps({"id": "x", "tool": "server_info"}))
@@ -232,6 +242,21 @@ class TestIsolatedContext:
         assert self.make(0.9).seal_digest() != self.make(0.1).seal_digest()
 
 
+def scan_score(x, pcs, claimed):
+    """The reference rule: standardise, measure every distance, and keep
+    the first k of a stable sort of all of them."""
+    X = pcs.reference.X
+    std = X.std(axis=0)
+    mean, scale = X.mean(axis=0), np.where(std > 0, std, 1.0)
+    Z = (X - mean) / scale
+    z = (np.asarray(x, dtype=float) - mean) / scale
+    distances = np.sqrt(((Z - z) ** 2).sum(axis=1))
+    nearest = np.argsort(distances, kind="stable")[: pcs.k]
+    matches = sum(1 for i in nearest if pcs.reference.provenance[i] == claimed)
+    score = matches / pcs.k
+    return score, score < pcs.threshold, claimed
+
+
 class TestProvenanceScore:
     def reference(self):
         X = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1],
@@ -256,6 +281,43 @@ class TestProvenanceScore:
         score, flagged, _ = provenance_score([0.0, 0.0], pcs, "UCI")
         assert score == pytest.approx(3 / 5)
         assert flagged  # 0.6 < 0.7
+
+    def test_nan_cell_ranks_every_row_by_index(self):
+        # a NaN cell makes every distance NaN, so the k nearest are the
+        # first k rows
+        X = np.array([[0.0], [np.nan], [0.0], [0.0]])
+        ref = Dataset(X, np.zeros(4, dtype=int), ("a",), ("A", "B", "A", "B"))
+        pcs = PcsConfig(ref, k=2)
+        assert provenance_score([0.0], pcs, "A") == (0.5, False, "A")
+        assert provenance_score([0.0], pcs, "A") == scan_score([0.0], pcs, "A")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing cells
+    def test_matches_full_scan_on_random_references(self):
+        rng = np.random.default_rng(2024)
+        kinds = ("ternary", "normal", "huge")
+        for _ in range(1500):
+            n, d = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+            columns = []
+            for kind in rng.choice(kinds, size=d, p=(0.4, 0.4, 0.2)):
+                if kind == "ternary":  # heavy distance ties
+                    columns.append(rng.choice([-1.0, 0.0, 1.0], size=n))
+                elif kind == "normal":
+                    columns.append(np.round(rng.normal(size=n), 1))
+                else:  # overflows give NaN distances to some rows only
+                    columns.append(rng.choice([-1.7e308, 1.7e308, 0.0], size=n))
+            X = np.stack(columns, axis=1)
+            if rng.random() < 0.3:
+                X[rng.random(X.shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+            names = ("A", "B", "C")[: int(rng.integers(1, 4))]
+            prov = tuple(rng.choice(names, size=n).tolist())
+            ref = Dataset(X, np.zeros(n, dtype=int), tuple(f"f{j}" for j in range(d)), prov)
+            pcs = PcsConfig(ref, k=int(rng.integers(1, n + 1)),
+                            threshold=float(rng.choice([0.3, 0.5, 0.8])))
+            x = X[rng.integers(n)].copy() if rng.random() < 0.5 else \
+                rng.choice([-1.0, 0.0, 1.0], size=d)
+            x[rng.random(d) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+            for claimed in names + ("Absent",):
+                assert provenance_score(x, pcs, claimed) == scan_score(x, pcs, claimed)
 
     def test_empty_reference_rejected(self):
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ("a", "b"))
