@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import Dataset, class_distribution, load_csv, save_csv
-from .errors import PhishguardError, UnmappableFeature
+from .errors import NonFiniteReference, PhishguardError, UnmappableFeature
 from .explain import (
     fuse_weights,
     identity_fusion,
@@ -202,10 +202,21 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _load_reference(path, provenance: str) -> Dataset:
+    """The PCS reference set. A NaN cell would make its column's mean NaN,
+    and PCS would then score the first k rows whatever the query."""
+    ds = load_csv(path, provenance=provenance)
+    finite = np.isfinite(ds.X)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise NonFiniteReference(int(row), ds.feature_names[column], ds.X[row, column])
+    return ds
+
+
 def _build_fusion_and_pcs(args, model):
     fusion, pcs = None, None
     if args.dataset:
-        ds = load_csv(args.dataset, provenance=args.provenance)
+        ds = _load_reference(args.dataset, args.provenance)
         ig = information_gain_all(ds)
         background = ds.X.mean(axis=0)
         if isinstance(model, LinearModel):
@@ -233,7 +244,7 @@ def cmd_serve(args) -> int:
 
 def cmd_robustness(args) -> int:
     started = time.time()
-    ds = load_csv(args.dataset, provenance=args.provenance)
+    ds = _load_reference(args.dataset, args.provenance)
     model = load_model(args.model)
     spec = AttackSpec(contamination_rate=args.rate, delta=args.delta, seed=args.seed)
     pcs = PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)

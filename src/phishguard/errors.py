@@ -36,6 +36,17 @@ class NonNumericCell(PhishguardError):
         self.column = column
 
 
+class NonFiniteReference(PhishguardError):
+    """A provenance reference set holds NaN or infinity. `row` counts the
+    loaded rows, after duplicate removal."""
+
+    def __init__(self, row: int, column: str, value: float):
+        super().__init__(f"non-finite value {value} at reference row {row} "
+                         f"(after duplicate removal), column {column!r}")
+        self.row = row
+        self.column = column
+
+
 class EmptyDataset(PhishguardError):
     pass
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +27,55 @@ class LimeExplanation:
         return sorted(range(len(self.weights)), key=lambda j: -abs(self.weights[j]))
 
 
+@lru_cache(maxsize=16)
+def _perturbation_plan(seed, n_perturb: int, d: int, n_background: int):
+    """Which cells each perturbation resamples, and from which background
+    row: read-only, since every call with the same key shares them."""
+    rng = np.random.default_rng(seed)
+    flips = rng.random((n_perturb, d)) < 0.5
+    rows = rng.integers(0, n_background, size=(n_perturb, d))
+    flips.flags.writeable = rows.flags.writeable = False
+    return flips, rows
+
+
+def _scores_rows_independently(scorer) -> bool:
+    """Whether the scorer gives a row the same bits in any batch of two or
+    more rows. Tree models declare it; matrix-vector products (linear,
+    MLP) round a row differently by its place in the batch, and a plain
+    callable is not assumed to."""
+    model = getattr(scorer, "__self__", scorer)
+    return getattr(model, "scores_rows_independently", False)
+
+
+@lru_cache(maxsize=16)
+def _key_multipliers(d: int) -> np.ndarray:
+    # any values are correct, since keys only order rows and every merge
+    # is checked bit for bit; random odd ones make unequal rows collide
+    # (and so possibly miss a merge) about never
+    multipliers = np.random.default_rng(d).integers(
+        1, 2 ** 63, size=d, dtype=np.uint64) | np.uint64(1)
+    multipliers.flags.writeable = False
+    return multipliers
+
+
+def _distinct_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): the index of one row per bit-distinct row of Z,
+    and each row's place in `first`, so Z[first][inverse] is Z bit for
+    bit."""
+    bits = np.ascontiguousarray(Z).view(np.uint64)
+    # fold the high half down (small floats such as -1.0 and 1.0 differ
+    # only there), then a key in wrapping uint64 arithmetic, so
+    # bit-equal rows get equal keys
+    keys = (bits ^ (bits >> np.uint64(32))) @ _key_multipliers(bits.shape[1])
+    order = np.argsort(keys, kind="stable")
+    ordered = bits[order]
+    starts = np.ones(len(Z), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(Z), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def lime_explain(
     scorer,
     x,
@@ -38,7 +89,10 @@ def lime_explain(
 
     Perturbations resample each feature from its background marginal with
     probability 1/2; proximity is a Gaussian kernel on the Euclidean
-    distance between standardized vectors.
+    distance between standardized vectors. The perturbation plan is drawn
+    once per (seed, n_perturb, d, background rows); a scorer that scores
+    rows independently (tree models) sees each bit-distinct perturbation
+    once, with the same result as scoring them all.
     """
     if n_perturb < 50:
         raise ValueError("n_perturb must be >= 50")
@@ -51,9 +105,11 @@ def lime_explain(
     if kernel_width is None:
         kernel_width = 0.75 * np.sqrt(d)
 
-    rng = np.random.default_rng(seed)
-    flips = rng.random((n_perturb, d)) < 0.5
-    draws = B[rng.integers(0, len(B), size=(n_perturb, d)), np.arange(d)]
+    plan = _perturbation_plan
+    if not isinstance(seed, Integral):
+        plan = plan.__wrapped__  # None or a Generator draws afresh each call
+    flips, rows = plan(seed, n_perturb, d, len(B))
+    draws = B[rows, np.arange(d)]
     Z = np.where(flips, draws, x)
     if np.all(Z == Z[0]):
         raise DegeneratePerturbations("all perturbations are identical")
@@ -66,7 +122,15 @@ def lime_explain(
     dist_sq = ((Zs - xs) ** 2).sum(axis=1)
     proximity = np.exp(-dist_sq / kernel_width ** 2)
 
-    targets = np.asarray(f(Z), dtype=float)
+    if _scores_rows_independently(scorer):
+        first, inverse = _distinct_rows(Z)
+        if len(first) == 1:
+            # a one-row batch can take another path in the model (a
+            # pairwise sum over a forest's trees), so score two copies
+            first = first.repeat(2)
+        targets = np.asarray(f(Z[first]), dtype=float)[inverse]
+    else:
+        targets = np.asarray(f(Z), dtype=float)
     # weighted ridge on [Zs | 1]; the intercept column is not penalized
     design = np.hstack([Zs, np.ones((n_perturb, 1))])
     W = proximity[:, None]

@@ -23,6 +23,9 @@ class Ensemble:
     feature_names: tuple[str, ...] = ()
 
     kind = "ensemble"
+    # each row's trees are summed in training order, whatever else is in
+    # a batch of two or more rows
+    scores_rows_independently = True
 
     def __post_init__(self):
         if not self.members:

@@ -134,6 +134,8 @@ class DecisionTree:
     feature_names: tuple[str, ...] = ()
 
     kind = "tree"
+    # the walk gives each row the same bits whatever else is in the batch
+    scores_rows_independently = True
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.intp)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_ternary_dataset
+import phishguard
 from phishguard import cli
 from phishguard.cli import _train_model, main
 from phishguard.datasets import load_csv, save_csv
@@ -190,10 +193,14 @@ class TestServeStdio:
             json.dumps({"id": "2", "tool": "classify_url",
                         "arguments": {"url": "http://bit.ly/x@y"}}),
         ]) + "\n"
+        # the child imports phishguard from where this process found it
+        src = str(Path(phishguard.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "phishguard.cli", "serve",
              "--model", str(model_path), "--transport", "stdio"],
             input=requests, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
@@ -258,3 +265,22 @@ class TestRobustnessCommand:
         assert set(payload) == {"isolation", "validation", "hybrid"}
         assert payload["isolation"]["mre"] is None
         assert payload["validation"]["cis"] == 1.0
+
+
+class TestNonFiniteReference:
+    @pytest.mark.parametrize("subcommand", ["serve", "robustness"])
+    def test_nan_cell_refused_with_row_and_column(self, csv_path, tmp_path, capsys,
+                                                  subcommand):
+        model_path = tmp_path / "m.json"
+        save_model(_train_model(load_csv(csv_path), "logistic", 0), model_path)
+        reference = tmp_path / "ref.csv"
+        reference.write_text("a,b,label\n1,0,1\n-1,nan,0\n")
+        argv = {"serve": ["serve", "--model", str(model_path),
+                          "--dataset", str(reference)],
+                "robustness": ["robustness", str(reference),
+                               "--model", str(model_path),
+                               "--out-dir", str(tmp_path)]}[subcommand]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "non-finite value nan at reference row 1" in err
+        assert "column 'b'" in err

@@ -22,7 +22,19 @@ from phishguard.explain import (
     shap_linear,
     shap_sampled,
 )
-from phishguard.models import LinearModel, train_linear
+from phishguard.explain.lime import LimeExplanation, _perturbation_plan
+from phishguard.explain.shapley import _as_scorer
+from phishguard.features import extract_features, to_canonical_vector
+from phishguard.generate import GenerationConfig, generate_synthetic_urls
+from phishguard.models import (
+    LinearModel,
+    TrainConfig,
+    train_forest,
+    train_gbt,
+    train_linear,
+    train_mlp,
+    train_tree,
+)
 from phishguard.models.common import sigmoid
 
 
@@ -230,6 +242,176 @@ class TestLime:
         with pytest.raises(ValueError):
             lime_explain(lambda X: np.zeros(len(X)), np.zeros(3),
                          np.zeros((5, 3)), n_perturb=10)
+
+
+def perturbations(x, B, n_perturb, seed):
+    """The perturbation matrix both LIME versions fit to."""
+    d = len(x)
+    rng = np.random.default_rng(seed)
+    flips = rng.random((n_perturb, d)) < 0.5
+    draws = B[rng.integers(0, len(B), size=(n_perturb, d)), np.arange(d)]
+    return np.where(flips, draws, x)
+
+
+def lime_reference(scorer, x, background, n_perturb=500, kernel_width=None,
+                   penalty=1e-3, seed=0):
+    """LIME as first written: every perturbation goes to the scorer in one
+    batch. `lime_explain` must reproduce it bit for bit."""
+    if n_perturb < 50:
+        raise ValueError("n_perturb must be >= 50")
+    f = _as_scorer(scorer)
+    x = np.asarray(x, dtype=float)
+    B = background.X if isinstance(background, Dataset) else np.asarray(background, dtype=float)
+    if B.ndim == 1:
+        B = B[None, :]
+    d = len(x)
+    if kernel_width is None:
+        kernel_width = 0.75 * np.sqrt(d)
+
+    Z = perturbations(x, B, n_perturb, seed)
+    if np.all(Z == Z[0]):
+        raise DegeneratePerturbations("all perturbations are identical")
+
+    mean = B.mean(axis=0)
+    std = B.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    Zs = (Z - mean) / std
+    xs = (x - mean) / std
+    dist_sq = ((Zs - xs) ** 2).sum(axis=1)
+    proximity = np.exp(-dist_sq / kernel_width ** 2)
+
+    targets = np.asarray(f(Z), dtype=float)
+    design = np.hstack([Zs, np.ones((n_perturb, 1))])
+    W = proximity[:, None]
+    gram = design.T @ (W * design)
+    reg = penalty * np.eye(d + 1)
+    reg[d, d] = 0.0
+    coef = np.linalg.solve(gram + reg, design.T @ (proximity * targets))
+    return LimeExplanation(
+        weights=coef[:d],
+        intercept=float(coef[d]),
+        kernel_width=float(kernel_width),
+        n_perturbations=n_perturb,
+        penalty=penalty,
+        seed=seed,
+    )
+
+
+@pytest.fixture(scope="module")
+def lime_scorers():
+    ds = make_ternary_dataset(n=200, seed=8)
+    return {
+        "gbt": train_gbt(ds, n_rounds=15, max_depth=3),
+        "forest": train_forest(ds, n_trees=12, max_depth=5, seed=1),
+        "tree": train_tree(ds, max_depth=6),
+        # the CLI's MLP shape: over 32 hidden units BLAS rounds a row's
+        # output by its place in the batch, which 8 units rarely show
+        "mlp": train_mlp(ds, [32, 1], TrainConfig(seed=2, max_epochs=20)),
+        "linear": train_linear(ds),
+        "lambda": lambda X: np.tanh(np.asarray(X)).sum(axis=1),
+    }
+
+
+SPECIAL_CELLS = np.array([-1.0, 0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 29.0])
+
+
+def outcome(explain, *args, **kwargs):
+    """An explanation's (weights, intercept), or the error it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            exp = explain(*args, **kwargs)
+        except (np.linalg.LinAlgError, DegeneratePerturbations) as exc:
+            return type(exc)
+    return exp.weights, np.array([exp.intercept])
+
+
+class TestLimeMatchesFullBatch:
+    @pytest.mark.parametrize("name", ["gbt", "forest", "tree", "mlp", "linear", "lambda"])
+    @pytest.mark.parametrize("n_background", [1, 2, 40])
+    @pytest.mark.parametrize("n_perturb", [50, 137, 500, 1000])
+    def test_bit_identical_to_reference(self, lime_scorers, name, n_background,
+                                        n_perturb):
+        model = lime_scorers[name]
+        scorer = model if name == "lambda" else model.predict_proba
+        rng = np.random.default_rng([n_background, n_perturb])
+        for trial in range(4):
+            # ternary cells mostly, specials in some: each case hits both
+            pool = SPECIAL_CELLS[:3] if trial == 0 else SPECIAL_CELLS
+            x = rng.choice(pool, size=23)
+            if n_background == 2:
+                B = np.vstack([np.zeros(23), x])  # what the server passes
+            else:
+                B = rng.choice(pool, size=(n_background, 23))
+            got = outcome(lime_explain, scorer, x, B, n_perturb=n_perturb, seed=trial)
+            want = outcome(lime_reference, scorer, x, B, n_perturb=n_perturb, seed=trial)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert np.array_equal(got[0], want[0], equal_nan=True)
+                assert np.array_equal(got[1], want[1], equal_nan=True)
+
+    def test_model_passed_directly(self, lime_scorers):
+        model = lime_scorers["forest"]
+        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=23)
+        B = np.vstack([np.zeros(23), x])
+        got = lime_explain(model, x, B)
+        want = lime_reference(model, x, B)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.intercept == want.intercept
+
+
+class CountingScorer:
+    """A tree model that records the size of every batch it scores."""
+
+    scores_rows_independently = True
+
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+
+    def predict_proba(self, X):
+        self.batches.append(len(X))
+        return self.model.predict_proba(X)
+
+
+class TestLimeScoresDistinctRows:
+    def test_each_distinct_perturbation_scored_once(self, lime_scorers):
+        cfg = GenerationConfig(legit_urls=["https://example.com/login"],
+                               target_count=5, seed=3)
+        for url in generate_synthetic_urls(cfg):
+            x = to_canonical_vector(extract_features(url))
+            B = np.vstack([np.zeros(len(x)), x])
+            scorer = CountingScorer(lime_scorers["gbt"])
+            exp = lime_explain(scorer, x, B, seed=0)
+            distinct = np.unique(perturbations(x, B, 500, 0).view(np.uint64), axis=0)
+            assert scorer.batches == [len(distinct)]
+            assert len(distinct) < 500
+            assert np.array_equal(exp.weights,
+                                  lime_reference(scorer.model, x, B, seed=0).weights)
+
+    def test_lone_distinct_row_scored_as_two(self):
+        # NaN != NaN keeps these bit-equal rows from counting as degenerate
+        x = np.array([np.nan, 1.0, 0.0])
+        scorer = CountingScorer(train_tree(make_ternary_dataset(n=50, n_features=3,
+                                                             informative=3)))
+        lime_explain(scorer, x, x[None, :], seed=0)
+        assert scorer.batches == [2]
+
+    def test_plan_cached_and_read_only(self):
+        flips, rows = _perturbation_plan(0, 500, 23, 2)
+        assert _perturbation_plan(0, 500, 23, 2)[0] is flips
+        for array in (flips, rows):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
+    def test_unseeded_plan_drawn_per_call(self):
+        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=23)
+        B = np.random.default_rng(1).choice([-1.0, 0.0, 1.0], size=(30, 23))
+        scorer = lambda X: np.tanh(np.asarray(X)).sum(axis=1)
+        a = lime_explain(scorer, x, B, seed=None)
+        b = lime_explain(scorer, x, B, seed=None)
+        assert not np.array_equal(a.weights, b.weights)
 
 
 class TestFusion:
