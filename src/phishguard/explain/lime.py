@@ -39,8 +39,8 @@ def _perturbation_plan(seed, n_perturb: int, d: int, n_background: int):
 
 
 def _scores_rows_independently(scorer) -> bool:
-    """Whether the scorer gives a row the same bits in any batch of two or
-    more rows. Tree models declare it; matrix-vector products (linear,
+    """Whether the scorer gives a row the same bits in any batch, one row
+    included. Tree models declare it; matrix-vector products (linear,
     MLP) round a row differently by its place in the batch, and a plain
     callable is not assumed to."""
     model = getattr(scorer, "__self__", scorer)
@@ -124,10 +124,6 @@ def lime_explain(
 
     if _scores_rows_independently(scorer):
         first, inverse = _distinct_rows(Z)
-        if len(first) == 1:
-            # a one-row batch can take another path in the model (a
-            # pairwise sum over a forest's trees), so score two copies
-            first = first.repeat(2)
         targets = np.asarray(f(Z[first]), dtype=float)[inverse]
     else:
         targets = np.asarray(f(Z), dtype=float)

@@ -10,7 +10,9 @@ import numpy as np
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
 from .common import as_matrix, sigmoid
-from .tree import DecisionTree, StackedTrees, _Bins, build_tree
+from .growth import grow_trees
+from .splits import _Bins
+from .tree import DecisionTree, StackedTrees, build_tree
 
 
 @dataclass
@@ -24,7 +26,7 @@ class Ensemble:
 
     kind = "ensemble"
     # each row's trees are summed in training order, whatever else is in
-    # a batch of two or more rows
+    # the batch
     scores_rows_independently = True
 
     def __post_init__(self):
@@ -57,8 +59,10 @@ class Ensemble:
         X, single = as_matrix(x, self.n_features)
         if self.mode == "boosting":
             probs = sigmoid(self._logits(X))
-        else:  # the weighted mean: leaf values carry their tree's weight
-            probs = self._stack.leaf_values(X).sum(axis=0)
+        else:  # the weighted mean: leaf values carry their tree's weight;
+            # cumsum adds them in order for one row as for many, where sum
+            # would add a single row's trees pairwise
+            probs = np.cumsum(self._stack.leaf_values(X), axis=0)[-1]
         return probs[0] if single else probs
 
     def predict(self, x):
@@ -84,28 +88,23 @@ def train_forest(
         bootstrap = mode == "bagging"
     rng = np.random.default_rng(seed)
     n, d = ds.X.shape
-    subset = max(1, int(np.sqrt(d))) if mode == "bagging" else None
-    members = []
-    for _ in range(n_trees):
-        tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        if bootstrap:
-            sample = tree_rng.integers(0, n, size=n)
-            Xs, ys = ds.X[sample], ds.y[sample]
-        else:
-            Xs, ys = ds.X, ds.y
-        members.append(
-            build_tree(
-                Xs,
-                ys,
-                task="classify",
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                split_mode="best" if mode == "bagging" else "random",
-                rng=tree_rng,
-                n_feature_subset=subset,
-                feature_names=ds.feature_names,
-            )
-        )
+    # each tree draws its bootstrap sample, then its splits, from its own rng
+    rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in range(n_trees)]
+    # the trees grow in lockstep and share one binning of the whole
+    # matrix, which holds every level of any sample's columns
+    trees = grow_trees(
+        np.asarray(ds.X, dtype=float),
+        ds.y.astype(float),
+        rngs,
+        samples=[r.integers(0, n, size=n) for r in rngs] if bootstrap else None,
+        task="classify",
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        split_mode="best" if mode == "bagging" else "random",
+        n_feature_subset=max(1, int(np.sqrt(d))) if mode == "bagging" else None,
+    )
+    members = [DecisionTree(**nodes, n_features=d, max_depth=max_depth,
+                            feature_names=ds.feature_names) for nodes in trees]
     return Ensemble(
         members=members,
         weights=[1.0 / n_trees] * n_trees,

@@ -389,13 +389,17 @@ class TestLimeScoresDistinctRows:
             assert np.array_equal(exp.weights,
                                   lime_reference(scorer.model, x, B, seed=0).weights)
 
-    def test_lone_distinct_row_scored_as_two(self):
+    def test_lone_distinct_row_scored_once(self):
         # NaN != NaN keeps these bit-equal rows from counting as degenerate
         x = np.array([np.nan, 1.0, 0.0])
-        scorer = CountingScorer(train_tree(make_ternary_dataset(n=50, n_features=3,
-                                                             informative=3)))
-        lime_explain(scorer, x, x[None, :], seed=0)
-        assert scorer.batches == [2]
+        ds = make_ternary_dataset(n=50, n_features=3, informative=3)
+        for model in (train_tree(ds), train_forest(ds, n_trees=15)):
+            scorer = CountingScorer(model)
+            exp = lime_explain(scorer, x, x[None, :], seed=0)
+            assert scorer.batches == [1]
+            want = lime_reference(model, x, x[None, :], seed=0)
+            assert np.array_equal(exp.weights, want.weights, equal_nan=True)
+            assert np.array_equal(exp.intercept, want.intercept, equal_nan=True)
 
     def test_plan_cached_and_read_only(self):
         flips, rows = _perturbation_plan(0, 500, 23, 2)
