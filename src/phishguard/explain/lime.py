@@ -10,6 +10,7 @@ import numpy as np
 
 from ..datasets import Dataset
 from ..errors import DegeneratePerturbations
+from ..models.common import Standardizer
 from .shapley import _as_scorer
 
 
@@ -114,11 +115,9 @@ def lime_explain(
     if np.all(Z == Z[0]):
         raise DegeneratePerturbations("all perturbations are identical")
 
-    mean = B.mean(axis=0)
-    std = B.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    Zs = (Z - mean) / std
-    xs = (x - mean) / std
+    scaler = Standardizer().fit(B)
+    Zs = scaler.transform(Z)
+    xs = scaler.transform(x)
     dist_sq = ((Zs - xs) ** 2).sum(axis=1)
     proximity = np.exp(-dist_sq / kernel_width ** 2)
 

@@ -110,12 +110,10 @@ def shap_sampled(scorer, x, background, n_samples: int = 1000, seed: int = 0) ->
     while done < n_samples:
         b = min(batch, n_samples - done)
         perms = np.stack([rng.permutation(n) for _ in range(b)])
-        # rows: for each permutation, n+1 prefix states from empty to full
-        rows = np.tile(mu, (b, n + 1, 1))
-        for step in range(n):
-            js = perms[:, step]
-            for k in range(step + 1, n + 1):
-                rows[np.arange(b), k, js] = x[js]
+        # rows: for each permutation, n+1 prefix states from empty to
+        # full; state k takes x on the features of rank below k
+        ranks = np.argsort(perms, axis=1)
+        rows = np.where(ranks[:, None, :] < np.arange(n + 1)[None, :, None], x, mu)
         values = np.asarray(f(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
         deltas = np.diff(values, axis=1)  # contribution of perms[:, step]
         for step in range(n):

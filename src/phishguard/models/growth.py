@@ -24,8 +24,8 @@ from collections import deque
 
 import numpy as np
 
-from ..errors import EmptyDataset
-from .splits import _Bins, _first_best, _random_candidates, _starts
+from ..errors import EmptyDataset, PhishguardError
+from .splits import _Bins, _starts
 
 LEAF = -1  # a leaf's `feature`
 
@@ -130,13 +130,13 @@ def grow_trees(
     if n_rows == 0:
         raise EmptyDataset("cannot grow a tree on no samples")
     random = split_mode == "random"
+    if random and task != "classify":
+        raise PhishguardError("split_mode='random' (extra-trees) supports task='classify' only")
     subsets = rngs[0] is not None and n_feature_subset is not None and n_feature_subset < d
     one_at_a_time = random or subsets
-    if not random and bins is None:
+    if bins is None:
         bins = _Bins.of(X, y, task)
     two = task == "classify" and bool(np.all((y == 0) | (y == 1)))
-    # the search reads the targets of counted 0/1 labels from the bins
-    search_ys = random or not two
     # per tree, groups of nodes still to split, (rows, nodes, sizes,
     # depth), the last one taken first
     pending = [[] for _ in rngs]
@@ -211,25 +211,15 @@ def grow_trees(
         del groups
         n = len(sizes)
         starts = _starts(sizes)
-        ys = y[rows] if search_ys else None
+        # the search reads the targets of counted 0/1 labels from the bins
+        ys = None if two else y[rows]
         features = None
         if subsets:
             features = np.sort([rngs[t].choice(d, size=n_feature_subset, replace=False)
                                 for t in owner.tolist()], axis=1)
-        if random:
-            split = np.zeros(n, dtype=bool)
-            feature = np.zeros(n, dtype=np.intp)
-            threshold = np.zeros(n)
-            for i, t in enumerate(owner.tolist()):
-                a, b = starts[i], starts[i + 1]
-                best = _first_best(_random_candidates(
-                    X, rows[a:b], ys[a:b], range(d) if features is None else features[i],
-                    rngs[t], min_samples_leaf, task))
-                if best is not None:
-                    split[i], feature[i], threshold[i] = True, best[1], best[2]
-        else:
-            split, feature, threshold = bins.best_splits(rows, starts, features, ys, task,
-                                                         min_samples_leaf)
+        split, feature, threshold = bins.best_splits(
+            rows, starts, features, ys, task, min_samples_leaf,
+            [rngs[t] for t in owner.tolist()] if random else None)
         del ys
         at = np.flatnonzero(split)
         if len(at) < n:

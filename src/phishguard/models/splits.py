@@ -38,8 +38,10 @@ on the method:
   features, taken in ascending order, a later feature wins only with a
   score lower by more than 1e-15.
 The scan itself is kept in tests/test_tree_ensemble.py as the oracle.
-Extra-trees (`split_mode="random"`) draws one threshold per feature and
-scores it on the raw column.
+Extra-trees (`split_mode="random"`, classification only) draw one
+threshold per feature from the node's rng, uniformly between its least
+and greatest present non-NaN level, and score it with the mean-label
+Gini of the raw-column scorer they used before.
 """
 
 from __future__ import annotations
@@ -87,13 +89,15 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, cells, starts, features, ys, task, min_leaf):
+    def best_splits(self, cells, starts, features, ys, task, min_leaf, rngs):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
         with targets `ys[starts[i]:starts[i + 1]]` (read only for `width`
         1), and is searched over `features[i]` (ascending), or over every
         feature if `features` is None. `split[i]` is False where no
-        feature splits node i.
+        feature splits node i. `rngs` is None, or one generator per node:
+        then each feature offers one threshold drawn from the node's
+        generator (extra-trees) instead of every midpoint.
 
         Nodes are searched in runs: a node with more cells (rows times
         features) than the matrix has rows is a run of its own, counted a
@@ -121,11 +125,12 @@ class _Bins:
             a, b = starts[i], starts[j]
             split[i:j], feature[i:j], threshold[i:j] = self._search(
                 cells[a:b], sizes[i:j], None if features is None else features[i:j],
-                None if ys is None else ys[a:b], task, min_leaf, step)
+                None if ys is None else ys[a:b], task, min_leaf, step,
+                None if rngs is None else rngs[i:j])
             i = j
         return split, feature, threshold
 
-    def _search(self, rows, sizes, features, ys, task, min_leaf, step):
+    def _search(self, rows, sizes, features, ys, task, min_leaf, step, rngs):
         """best_splits of a run of nodes: node i holds the next `sizes[i]`
         of `rows`. Segment s is node s // k on its feature s % k, of k;
         histograms are counted `step` features at a time."""
@@ -178,19 +183,35 @@ class _Bins:
         segment = np.searchsorted(bounds, present, side="right") - 1
         level = self.level[(self.start[feature] - bounds[:-1])[segment] + present]
         del present
-        # a candidate splits after present bin p, before the next present
-        # bin of the same segment; `>` (not `!=`) never splits off a NaN
-        # level, as a scan of the sorted column would not
-        at = np.flatnonzero((segment[1:] == segment[:-1]) & (level[1:] > level[:-1]))
+        # every segment holds each row of its node once, so it has a
+        # present bin; segment s's are first[s]:first[s + 1]
+        first = np.searchsorted(segment, np.arange(len(feature) + 1))
+        if rngs is None:
+            # a candidate splits after present bin p, before the next
+            # present bin of the same segment; `>` (not `!=`) never splits
+            # off a NaN level, as a scan of the sorted column would not
+            at = np.flatnonzero((segment[1:] == segment[:-1]) & (level[1:] > level[:-1]))
+        else:
+            # one draw per segment whose present levels differ, node by
+            # node, features in order: one uniform call per node draws what
+            # a call per feature would. The candidate splits after the last
+            # present bin at or below the draw (a NaN level never is one).
+            lo = np.fmin.reduceat(level, first[:-1])
+            hi = np.fmax.reduceat(level, first[:-1])
+            drawn = np.full(len(feature), np.nan)
+            draw = (lo < hi).reshape(nn, k)
+            for i, rng in enumerate(rngs):
+                s = np.flatnonzero(draw[i]) + i * k
+                drawn[s] = rng.uniform(lo[s], hi[s])
+            below = np.add.reduceat(level <= drawn[segment], first[:-1])
+            at = (first[:-1] + below - 1)[draw.ravel()]
         split = np.zeros(nn, dtype=bool)
         if len(at) == 0:
             return split, 0, 0.0
-        # running counts over the run's present bins; a segment holds every
-        # row of its node once, from its first present bin on, so the
-        # counts before segment s, edges[s], are those of the segments
-        # before it
+        # running counts over the run's present bins; the counts before
+        # segment s, edges[s], are those of the segments before it
         cum = np.cumsum(hist, axis=0, out=hist)
-        edges = cum[np.searchsorted(segment, np.arange(len(feature) + 1)) - 1]
+        edges = cum[first - 1]
         edges[0] = 0
         owner = segment[at]
         del segment
@@ -199,22 +220,23 @@ class _Bins:
         left -= edges[owner]
         nl = left[:, 0] + left[:, 1] if w == 2 else left[:, 0]
         m = sizes[owner // k]
-        # with min_leaf <= 1 every candidate is valid: the present levels
-        # on either side hold a row each
-        if min_leaf > 1:
+        # with min_leaf <= 1 every midpoint is valid: the present levels on
+        # either side hold a row each; a draw may leave the right empty
+        if min_leaf > 1 or rngs is not None:
             valid = np.flatnonzero((nl >= min_leaf) & (nl <= m - min_leaf))
             if len(valid) == 0:
                 return split, 0, 0.0
             at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))
+        gini = _gini if rngs is None else _mean_gini
         if w == 2:
-            score = _gini(nl, left[:, 1], np.diff(edges[:, 1])[owner], m)
+            score = gini(nl, left[:, 1], np.diff(edges[:, 1])[owner], m)
         else:
             # each segment's candidates are groups[g]:groups[g + 1]
             groups = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1], [True])))
             sums, totals = self._running_sums(rows, _starts(sizes), feature, owner, groups, ys,
                                               nl, k)
             if task == "classify":
-                score = _gini(nl, sums[:, 0], totals[:, 0], m)
+                score = gini(nl, sums[:, 0], totals[:, 0], m)
             else:
                 score = _sse(nl, sums, totals, m)
             del sums, totals, groups
@@ -249,10 +271,13 @@ class _Bins:
         for i in np.flatnonzero(unsure.any(axis=1)).tolist():
             column[i] = _first_best((low[i, c], c) for c in np.flatnonzero(found[i]).tolist())[1]
         split = found.any(axis=1)
-        # the winning segments' first best candidates
-        pick = at[pick.reshape(nn, k)[np.arange(nn), column][split]]
         threshold = np.zeros(nn)
-        threshold[split] = 0.5 * (level[pick] + level[pick + 1])
+        if rngs is None:
+            # the winning segments' first best candidates
+            pick = at[pick.reshape(nn, k)[np.arange(nn), column][split]]
+            threshold[split] = 0.5 * (level[pick] + level[pick + 1])
+        else:
+            threshold[split] = drawn.reshape(nn, k)[np.arange(nn), column][split]
         return split, column if features is None else features[np.arange(nn), column], threshold
 
     def _running_sums(self, rows, node_rows, feature, owner, groups, ys, nl, k):
@@ -310,6 +335,18 @@ def _gini(nl, ones_l, ones, n):
     return score
 
 
+def _mean_gini(nl, ones_l, ones, n):
+    """_gini as extra-trees' raw-column scorer wrote it, from each side's
+    mean label p: (nl * g(pl) + nr * g(pr)) / n, g(p) = 1 - p² - (1 - p)².
+    It squared float64 scalars with C pow, as float_power does; `** 2` on
+    an array multiplies, which rounds differently now and then."""
+
+    def g(p):
+        return 1.0 - np.float_power(p, 2) - np.float_power(1 - p, 2)
+
+    return (nl * g(ones_l / nl) + (n - nl) * g((ones - ones_l) / (n - nl))) / n
+
+
 def _sse(nl, sums, totals, n):
     """Squared error of splits with `nl` of `n` rows on the left; `sums`
     and `totals` hold (sum, sum of squares) of the left side and of all
@@ -332,33 +369,3 @@ def _first_best(candidates):
         if best is None or candidate[0] < best[0] - 1e-15:
             best = candidate
     return best
-
-
-def _random_candidates(X, indices, ys, features, rng, min_leaf, task):
-    """(score, feature, threshold) of one uniformly drawn threshold per
-    non-constant feature, in feature order (extra-trees)."""
-    for j in features:
-        column = X[indices, j]
-        lo, hi = column.min(), column.max()
-        if lo == hi:
-            continue
-        threshold = float(rng.uniform(lo, hi))
-        score = _score_random_threshold(column, ys, threshold, min_leaf, task)
-        if score is not None:
-            yield score, int(j), threshold
-
-
-def _score_random_threshold(column, y, threshold, min_leaf, task):
-    left = column <= threshold
-    nl = int(left.sum())
-    nr = len(y) - nl
-    if nl < min_leaf or nr < min_leaf:
-        return None
-    yl, yr = y[left], y[~left]
-    if task == "classify":
-        def gini(v):
-            p = v.mean()
-            return 1.0 - p ** 2 - (1 - p) ** 2
-
-        return (nl * gini(yl) + nr * gini(yr)) / len(y)
-    return float(((yl - yl.mean()) ** 2).sum() + ((yr - yr.mean()) ** 2).sum())

@@ -1,9 +1,10 @@
 """CART decision trees with Gini (classification) or squared-error
-(regression) splits, plus the random-threshold mode used by extra-trees.
+(regression) splits, plus the random-threshold mode of extra-trees
+(classification only).
 
 Trees are grown in `growth` (`grow_trees`), a frontier of nodes at a
-time, with splits found by `splits` from histograms of the matrix
-binned once.
+time. Every tree, extra-trees included, finds its splits in `splits`
+from histograms of the matrix binned once.
 
 A tree is five parallel node arrays, in preorder (node 0 is the root):
 `feature`, `threshold`, `left`, `right` and `value`. An internal node

@@ -145,6 +145,19 @@ class TestTrain:
         assert len(fits) == 4 + 1
         assert fits[-1] == len(load_csv(csv_path))
 
+    def test_extra_trees_train_on_a_nan_cell(self, csv_path, tmp_path):
+        lines = csv_path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = "nan"
+        lines[5] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "extra.json"
+        assert main(["train", str(csv_path), "--model", "extra", "--folds", "2",
+                     "--out", str(out)]) == 0
+        ds = load_csv(csv_path)
+        assert np.isnan(ds.X).sum() == 1
+        assert np.all(np.isfinite(load_model(out).predict_proba(ds.X)))
+
     def test_model_files_byte_identical_across_runs(self, csv_path, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

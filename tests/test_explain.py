@@ -23,7 +23,7 @@ from phishguard.explain import (
     shap_sampled,
 )
 from phishguard.explain.lime import LimeExplanation, _perturbation_plan
-from phishguard.explain.shapley import _as_scorer
+from phishguard.explain.shapley import _as_scorer, _background_mean
 from phishguard.features import extract_features, to_canonical_vector
 from phishguard.generate import GenerationConfig, generate_synthetic_urls
 from phishguard.models import (
@@ -158,7 +158,53 @@ class TestShapLinear:
             )
 
 
+def shap_sampled_reference(scorer, x, background, n_samples, seed):
+    """shap_sampled as it built each permutation's prefix states, one
+    feature and one state at a time; it must match bit for bit."""
+    f = _as_scorer(scorer)
+    x = np.asarray(x, dtype=float)
+    mu = _background_mean(background)
+    n = len(x)
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(n)
+    sq_sums = np.zeros(n)
+    done = 0
+    while done < n_samples:
+        b = min(512, n_samples - done)
+        perms = np.stack([rng.permutation(n) for _ in range(b)])
+        rows = np.tile(mu, (b, n + 1, 1))
+        for step in range(n):
+            js = perms[:, step]
+            for k in range(step + 1, n + 1):
+                rows[np.arange(b), k, js] = x[js]
+        values = np.asarray(f(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
+        deltas = np.diff(values, axis=1)
+        for step in range(n):
+            js = perms[:, step]
+            np.add.at(sums, js, deltas[:, step])
+            np.add.at(sq_sums, js, deltas[:, step] ** 2)
+        done += b
+    phis = sums / n_samples
+    variance = np.maximum(sq_sums / n_samples - phis ** 2, 0.0)
+    return phis, np.sqrt(variance / n_samples)
+
+
 class TestShapSampled:
+    @pytest.mark.parametrize("n, n_samples", [(1, 100), (2, 513), (5, 1000), (12, 700)])
+    def test_bit_identical_to_prefix_loop(self, n, n_samples):
+        rng = np.random.default_rng(n)
+        B = rng.normal(size=(25, n))
+        x = rng.normal(size=n)
+
+        def scorer(X):
+            X = np.asarray(X)
+            return np.tanh(X[:, 0]) * X[:, -1] + np.sin(X).sum(axis=1)
+
+        exp = shap_sampled(scorer, x, B, n_samples=n_samples, seed=3)
+        phis, se = shap_sampled_reference(scorer, x, B, n_samples, 3)
+        assert np.array_equal(exp.attributions, phis)
+        assert np.array_equal(exp.standard_errors, se)
+
     def test_converges_to_exact(self):
         rng = np.random.default_rng(5)
         B = rng.normal(size=(30, 5))

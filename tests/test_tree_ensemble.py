@@ -13,6 +13,7 @@ from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
 from phishguard.models.serialize import model_to_dict
+from phishguard.models.splits import _mean_gini
 from phishguard.models.tree import LEAF, NODE_ARRAYS, DecisionTree
 
 
@@ -109,15 +110,54 @@ def _best_threshold_sse(column, y, min_leaf):
     return float(score[best]), threshold
 
 
+def _score_random_threshold(column, y, threshold, min_leaf):
+    """Gini of splitting the raw `column` at `threshold`, from each side's
+    mean label, as extra-trees scored a drawn threshold before they
+    searched histograms; None if a side has fewer than min_leaf rows."""
+    left = column <= threshold
+    nl = int(left.sum())
+    nr = len(y) - nl
+    if nl < min_leaf or nr < min_leaf:
+        return None
+
+    def gini(v):
+        p = v.mean()
+        return 1.0 - p ** 2 - (1 - p) ** 2
+
+    return (nl * gini(y[left]) + nr * gini(y[~left])) / len(y)
+
+
+def _random_threshold(rng):
+    """Extra-trees' scan of one raw column: a threshold drawn uniformly
+    between its least and greatest non-NaN value, if they differ."""
+
+    def scan(column, y, min_leaf):
+        if np.isnan(column).all():
+            return None
+        lo, hi = np.nanmin(column), np.nanmax(column)
+        if lo == hi:
+            return None
+        threshold = float(rng.uniform(lo, hi))
+        score = _score_random_threshold(column, y, threshold, min_leaf)
+        return None if score is None else (score, threshold)
+
+    return scan
+
+
 def reference_tree(X, y, *, task="classify", max_depth=8, min_samples_leaf=1,
-                   rng=None, n_feature_subset=None):
+                   rng=None, n_feature_subset=None, split_mode="best"):
     """build_tree as it was before binning: every candidate column of
-    every node is sorted and scanned on its own, nodes are numbered in
-    preorder and the feature subsets are drawn in preorder."""
+    every node is sorted and scanned on its own (or, with
+    split_mode="random", offers one threshold drawn from `rng`), nodes
+    are numbered in preorder and the feature subsets and thresholds are
+    drawn in preorder."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
-    scan = _best_threshold_gini if task == "classify" else _best_threshold_sse
+    if split_mode == "random":
+        scan = _random_threshold(rng)
+    else:
+        scan = _best_threshold_gini if task == "classify" else _best_threshold_sse
     nodes = {name: [] for name in NODE_ARRAYS}
 
     def grow(indices, depth):
@@ -195,21 +235,28 @@ def document(tree):
     return json.dumps(model_to_dict(tree))
 
 
-def reference_forest(ds, *, n_trees, max_depth, min_samples_leaf, seed):
-    """train_forest(mode="bagging") with its trees built one at a time:
-    each tree draws its bootstrap sample from its own seeded rng, and
-    reference_tree grows it on that sample, drawing feature subsets from
-    the same rng."""
+def reference_forest(ds, *, n_trees, max_depth, min_samples_leaf, seed, mode="bagging",
+                     bootstrap=None):
+    """train_forest with its trees built one at a time: each tree draws its
+    bootstrap sample (if any) from its own seeded rng, and reference_tree
+    grows it on that sample, drawing feature subsets (bagging) or
+    thresholds (extra) from the same rng."""
+    if bootstrap is None:
+        bootstrap = mode == "bagging"
     rng = np.random.default_rng(seed)
     n, d = ds.X.shape
+    if mode == "bagging":
+        draws = {"n_feature_subset": max(1, int(np.sqrt(d)))}
+    else:
+        draws = {"split_mode": "random"}
     members = []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        sample = tree_rng.integers(0, n, size=n)
+        sample = tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         members.append(reference_tree(ds.X[sample], ds.y[sample], max_depth=max_depth,
                                       min_samples_leaf=min_samples_leaf, rng=tree_rng,
-                                      n_feature_subset=max(1, int(np.sqrt(d)))))
-    return Ensemble(members=members, weights=[1.0 / n_trees] * n_trees, mode="bagging",
+                                      **draws))
+    return Ensemble(members=members, weights=[1.0 / n_trees] * n_trees, mode=mode,
                     feature_names=ds.feature_names)
 
 
@@ -246,6 +293,44 @@ class TestBinnedSplitSearch:
             settings = dict(task="regress", max_depth=int(rng.integers(1, 5)))
             assert document(build_tree(X, y, **settings)) == \
                 document(reference_tree(X, y, **settings)), trial
+
+    def test_random_mode_matches_raw_column_oracle(self):
+        rng = np.random.default_rng(2025)
+        seen = set()
+        for trial in range(300):
+            X, y, settings = random_split_problem(rng)
+            seed = int(rng.integers(2 ** 32))
+            if settings["task"] != "classify":
+                continue
+            seen.add((bool(np.all((y == 0) | (y == 1))), settings["n_feature_subset"] is None))
+            binned = build_tree(X, y, **settings, split_mode="random",
+                                rng=np.random.default_rng(seed))
+            oracle = reference_tree(X, y, **settings, split_mode="random",
+                                    rng=np.random.default_rng(seed))
+            assert document(binned) == document(oracle), (trial, settings)
+        # 0/1 and wide labels, each with and without feature subsets
+        assert len(seen) == 4
+
+    def test_drawn_split_scores_as_the_raw_column_scorer(self):
+        # the scalar scorer's `p ** 2` is C pow, which rounds differently
+        # from p * p for some means, such as 8 / 41
+        rng = np.random.default_rng(41)
+        nl, nr = rng.integers(1, 120, size=(2, 3000))
+        ones_l, ones_r = rng.integers(0, nl + 1), rng.integers(0, nr + 1)
+        nl[0], ones_l[0] = 41, 8
+        want = []
+        for a, b, c, d in zip(nl.tolist(), ones_l.tolist(), nr.tolist(), ones_r.tolist()):
+            column = np.repeat([0.0, 1.0], [a, c])
+            y = np.concatenate([np.arange(a) < b, np.arange(c) < d]).astype(float)
+            want.append(_score_random_threshold(column, y, 0.5, 1))
+        got = _mean_gini(nl, ones_l, ones_l + ones_r, nl + nr)
+        assert np.array_equal(got, want)
+
+    def test_random_mode_refuses_regression(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(PhishguardError):
+            build_tree(X, np.array([0.5, 1.5, 2.5, 4.0]), task="regress", split_mode="random",
+                       rng=np.random.default_rng(0))
 
     def test_no_features_gives_one_leaf(self):
         X, y = np.zeros((5, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0])
@@ -379,6 +464,40 @@ class TestForest:
             assert document(train_forest(ds, mode="bagging", **settings)) == \
                 document(reference_forest(ds, **settings)), seed
 
+    @pytest.mark.parametrize("n_trees", [1, 3, 7])
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_extra_matches_trees_built_one_by_one(self, n_trees, bootstrap):
+        for seed in (0, 1, 2):
+            ds = forest_problem(seed)
+            X = ds.X.copy()
+            X[np.random.default_rng(seed).random(len(X)) < 0.1, 3] = np.nan
+            ds = Dataset(X, ds.y, ds.feature_names)
+            settings = dict(n_trees=n_trees, max_depth=12, min_samples_leaf=1 + 2 * seed,
+                            seed=seed + 10, bootstrap=bootstrap)
+            assert document(train_forest(ds, mode="extra", **settings)) == \
+                document(reference_forest(ds, mode="extra", **settings)), seed
+
+    def test_extra_trees_fit_nan_cells(self):
+        ds = make_ternary_dataset(n=300, seed=3)
+        X = ds.X.copy()
+        X[::7, 0] = np.nan
+        X[:, 5] = np.nan
+        forest = train_forest(Dataset(X, ds.y, ds.feature_names), n_trees=5, mode="extra",
+                              seed=0)
+        assert np.all(np.isfinite(forest.predict_proba(X)))
+        for tree in forest.members:
+            inner = np.flatnonzero(tree.feature != LEAF)
+            assert 0 in tree.feature[inner] and 5 not in tree.feature[inner]
+            for node in inner.tolist():
+                column = X[:, tree.feature[node]]
+                assert np.nanmin(column) <= tree.threshold[node] <= np.nanmax(column)
+            # each leaf holds the training rows that the predict walk,
+            # sending NaN right, brings to it
+            reached = [_leaf_of(tree, row) for row in X]
+            for leaf in np.flatnonzero(tree.feature == LEAF).tolist():
+                rows = [i for i, r in enumerate(reached) if r == leaf]
+                assert tree.value[leaf] == ds.y[rows].sum() / len(rows)
+
     def test_single_row_scores_as_in_a_batch(self):
         ds = make_ternary_dataset(n=2000, seed=13)
         forest = train_forest(ds, n_trees=15, seed=0)
@@ -402,6 +521,15 @@ class TestForest:
             train_forest(ds, n_trees=0)
         with pytest.raises(PhishguardError):
             train_forest(ds, mode="boosted")
+
+
+def _leaf_of(tree, x):
+    """The leaf of `tree` that the row x reaches, one node at a time."""
+    node = 0
+    while tree.feature[node] != LEAF:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return node
 
 
 class TestGbt:
@@ -454,15 +582,20 @@ class TestGbt:
         assert np.allclose(model.predict_proba(ds.X), sigmoid(manual))
 
 
-# Peak tracemalloc memory of each fit on 11,055 UCI-shaped rows, in MB,
-# measured (numpy 2.4) with trees grown one node at a time: growing a
-# frontier of nodes at once must keep its temporaries as small.
-NODE_AT_A_TIME_PEAK_MB = {"tree": 0.88, "forest": 4.90, "gbt": 1.72}
+# Bounds on the peak tracemalloc memory of each fit on 11,055 UCI-shaped
+# rows, in MB, from peaks measured (numpy 2.4) with trees grown one node
+# at a time: growing a frontier of nodes at once must keep its
+# temporaries as small. Extra-trees were measured when they scored
+# drawn thresholds on the raw columns (1.68 MB); searching histograms
+# adds the binning of the matrix.
+PEAK_BOUND_MB = {"tree": 1.1 * 0.88, "forest": 1.1 * 4.90, "gbt": 1.1 * 1.72,
+                 "extra": 1.25 * 1.68}
 
 
 @pytest.mark.parametrize("kind, fit", [
     ("tree", lambda ds: train_tree(ds, max_depth=12)),
     ("forest", lambda ds: train_forest(ds, n_trees=5)),
+    ("extra", lambda ds: train_forest(ds, n_trees=5, mode="extra")),
     ("gbt", lambda ds: train_gbt(ds, n_rounds=10)),
 ])
 def test_fit_peak_memory(kind, fit):
@@ -473,4 +606,4 @@ def test_fit_peak_memory(kind, fit):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * NODE_AT_A_TIME_PEAK_MB[kind] * 1e6
+    assert peak <= PEAK_BOUND_MB[kind] * 1e6
