@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .context import PcsConfig
 from .datasets import Dataset, class_distribution, load_csv, save_csv
 from .errors import NonFiniteReference, PhishguardError, UnmappableFeature
 from .explain import (
@@ -45,7 +46,7 @@ from .models import (
 )
 from .models.linear import LinearModel
 from .robustness import STRATEGIES, AttackSpec, report_table, run_strategy
-from .server import PcsConfig, PhishingServer, serve
+from .server import serve
 
 MODEL_KINDS = ("logistic", "ridge", "sgd", "elastic", "svm", "tree",
                "forest", "extra", "gbt", "mlp")

@@ -51,6 +51,17 @@ class EmptyDataset(PhishguardError):
     pass
 
 
+class InfiniteCell(PhishguardError):
+    """A tree's training matrix holds +inf or -inf, which no split
+    threshold (a midpoint of two levels) can separate."""
+
+    def __init__(self, row: int, column: int, value: float):
+        super().__init__(f"infinite value {value} at row {row} of the training "
+                         f"matrix, column {column}: trees cannot split on it")
+        self.row = row
+        self.column = column
+
+
 class UnmappableFeature(PhishguardError):
     def __init__(self, dataset: str, feature: str):
         super().__init__(f"feature {feature!r} not found in dataset {dataset!r}")

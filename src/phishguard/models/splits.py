@@ -50,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InfiniteCell
+
 
 @dataclass(frozen=True, eq=False)
 class _Bins:
@@ -71,8 +73,13 @@ class _Bins:
     def of(cls, X: np.ndarray, y: np.ndarray, task: str) -> "_Bins":
         width = 2 if task == "classify" and np.all((y == 0) | (y == 1)) else 1
         columns = []
-        for column in X.T:
+        for j, column in enumerate(X.T):
             levels, codes = np.unique(column, return_inverse=True)
+            # the midpoint of a finite level and inf is inf, which cannot
+            # send the inf rows to the other side
+            if np.isinf(levels).any():
+                row = int(np.flatnonzero(np.isinf(column))[0])
+                raise InfiniteCell(row, j, float(column[row]))
             columns.append((levels, codes.astype(np.min_scalar_type(width * len(levels)))))
         size = np.array([len(levels) for levels, _ in columns], dtype=np.intp)
         key = np.empty(X.T.shape, dtype=np.min_scalar_type(width * max(size, default=0)))

@@ -14,17 +14,16 @@ noise on ternary features. Mitigation strategies:
 
 from __future__ import annotations
 
-import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .datasets import Dataset
 from .errors import IdMismatch, PhishguardError, ZeroBaseline
 from .explain import FusionWeights, identity_fusion
-from .features import CANONICAL_FEATURES, TERNARY_VALUES
-from .server import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
+from .features import TERNARY_VALUES
 
 
 @dataclass
@@ -67,7 +66,7 @@ class RobustnessRow:
 
 def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
                    n: int = 200, seed: int = 0) -> ContextSet:
-    """Seeded sample of dataset rows turned into sealed contexts."""
+    """Seeded sample of dataset rows turned into contexts."""
     fusion = fusion or identity_fusion(ds.feature_names)
     rng = np.random.default_rng(seed)
     take = min(n, len(ds))
@@ -76,66 +75,54 @@ def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
     for i, row in enumerate(rows):
         vector = ds.X[row]
         outcome = classify_with_fusion(vector, model, fusion)
-        context = IsolatedContext(
-            context_id=f"ctx-{i:04d}",
-            request_ref=f"row-{int(row)}",
-            features={name: float(v) for name, v in zip(ds.feature_names, vector)},
-            vector=vector.copy(),
-            probability=outcome["probability"],
-            label=outcome["y_hat"],
-            provenance=ds.provenance[row],
-        ).seal()
-        contexts.append(context)
+        contexts.append(IsolatedContext.from_outcome(
+            outcome, context_id=f"ctx-{i:04d}", request_ref=f"row-{int(row)}",
+            names=ds.feature_names, vector=vector, provenance=ds.provenance[row],
+        ))
     return ContextSet(contexts, "pre_attack")
 
 
 def inject_attack(pre: ContextSet, spec: AttackSpec, model,
                   fusion: FusionWeights | None = None,
                   block_cross_copies: bool = False) -> ContextSet:
-    """Contaminate a seeded subset of contexts; re-runs inference so that
-    probability and label reflect the tampered features."""
+    """Contaminate a seeded subset of contexts, each into a new context
+    (the others are shared with `pre`); re-runs inference on the victims."""
     if not pre.contexts:
         raise PhishguardError("pre-attack set is empty")
-    names = tuple(pre.contexts[0].features)
+    names = pre.contexts[0].names
     fusion = fusion or identity_fusion(names)
     rng = np.random.default_rng(spec.seed)
     n = len(pre.contexts)
     n_attacked = int(np.ceil(spec.contamination_rate * n))
     victims = rng.choice(n, size=n_attacked, replace=False) if n_attacked else np.array([], dtype=int)
 
-    post_contexts = [copy.deepcopy(c) for c in pre.contexts]
+    post_contexts = list(pre.contexts)
     links = []
     ternary = [i for i, name in enumerate(names) if name != "URL_Length"]
     for v in victims:
-        ctx = post_contexts[v]
-        touched = False
-        # cross-context field copies
+        ctx = pre.contexts[v]
+        vector = ctx.vector.copy()
+        # cross-context field copies, which isolation refuses outright
         source = int(rng.integers(n - 1))
         source = source if source < v else source + 1
         copy_mask = rng.random(len(names)) < 0.5
-        if block_cross_copies:
-            pass  # isolation refuses foreign state outright
-        else:
+        if not block_cross_copies:
             src = pre.contexts[source]
-            for i, name in enumerate(names):
-                if copy_mask[i]:
-                    ctx.features[name] = src.features[name]
-                    ctx.vector[i] = src.vector[i]
+            vector[copy_mask] = src.vector[copy_mask]
             links.append((ctx.context_id, src.context_id))
-            touched = True
         # bounded noise on ternary features, re-clamped to the nearest value
         if spec.delta > 0:
             noise = rng.uniform(-spec.delta, spec.delta, size=len(ternary))
             for offset, i in enumerate(ternary):
-                noisy = ctx.vector[i] + noise[offset]
-                nearest = min(TERNARY_VALUES, key=lambda t: abs(t - noisy))
-                ctx.vector[i] = float(nearest)
-                ctx.features[names[i]] = float(nearest)
-            touched = True
-        if touched:
-            outcome = classify_with_fusion(ctx.vector, model, fusion)
-            ctx.probability = outcome["probability"]
-            ctx.label = outcome["y_hat"]
+                noisy = vector[i] + noise[offset]
+                vector[i] = min(TERNARY_VALUES, key=lambda t: abs(t - noisy))
+        if not block_cross_copies or spec.delta > 0:
+            outcome = classify_with_fusion(vector, model, fusion)
+            post_contexts[v] = IsolatedContext.from_outcome(
+                outcome, context_id=ctx.context_id, request_ref=ctx.request_ref,
+                names=names, vector=vector, provenance=ctx.provenance,
+                created_at=ctx.created_at,
+            )
     return ContextSet(post_contexts, "post_attack", tuple(links))
 
 
@@ -166,9 +153,7 @@ def cis(pre: ContextSet, post: ContextSet) -> float:
 
 
 def _context_item_set(ctx: IsolatedContext) -> set:
-    items = {(name, value) for name, value in ctx.features.items()}
-    items.add(("__label__", ctx.label))
-    return items
+    return set(ctx.features.items()) | {("__label__", ctx.label)}
 
 
 def apf(pre: ContextSet, post: ContextSet) -> float:
@@ -196,7 +181,7 @@ def csi(model, contexts: ContextSet, fusion: FusionWeights,
         raise PhishguardError("n_trials must be >= 1")
     if not contexts.contexts:
         raise PhishguardError("no contexts")
-    names = tuple(contexts.contexts[0].features)
+    names = contexts.contexts[0].names
     fused = np.array([name in fusion.f_final for name in names])
     rng = np.random.default_rng(seed)
     diffs = []
@@ -231,9 +216,8 @@ def mitigate(pre: ContextSet, post: ContextSet, pcs: PcsConfig | None) -> Contex
         snapshot = pre_map[ctx.context_id]
         flagged = ctx.seal_digest() != snapshot.seal_digest()
         if not flagged and pcs is not None:
-            score, low, _ = provenance_score(ctx.vector, pcs, ctx.provenance)
-            flagged = low
-        restored.append(copy.deepcopy(snapshot) if flagged else copy.deepcopy(ctx))
+            _, flagged, _ = provenance_score(ctx.vector, pcs, ctx.provenance)
+        restored.append(snapshot if flagged else ctx)
     return ContextSet(restored, "post_mitigation")
 
 

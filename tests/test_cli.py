@@ -31,6 +31,19 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["tree", "extra", "gbt"])
+    def test_infinite_cell_is_input_error(self, tmp_path, capsys, kind):
+        ds = make_ternary_dataset(n=40, seed=1)
+        ds.X[3, 2] = np.inf
+        path = tmp_path / "inf.csv"
+        save_csv(ds, path)
+        code = main(["train", str(path), "--model", kind, "--folds", "2",
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        # the row counts within the matrix of the fit that met it (a CV fold's)
+        assert "infinite value inf at row" in err and "column 2" in err
+
     def test_bad_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

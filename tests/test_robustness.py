@@ -20,7 +20,7 @@ from phishguard.robustness import (
     report_table,
     run_strategy,
 )
-from phishguard.server import IsolatedContext, PcsConfig
+from phishguard.context import IsolatedContext, PcsConfig
 
 
 def fixed_model(n_features=23):
@@ -39,10 +39,9 @@ def small_world(n=60, seed=0):
 def make_ctx(cid, features, prob, label, provenance="UCI"):
     names = sorted(features)
     vector = np.array([float(features[k]) for k in names])
-    return IsolatedContext(
-        context_id=cid, request_ref=cid, features=dict(features),
-        vector=vector, probability=prob, label=label, provenance=provenance,
-    ).seal()
+    outcome = {"probability": prob, "y_hat": label, "rationale": []}
+    return IsolatedContext.from_outcome(outcome, context_id=cid, request_ref=cid,
+                                        names=names, vector=vector, provenance=provenance)
 
 
 class TestAttackSpec:

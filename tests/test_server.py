@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import socket
@@ -12,15 +13,14 @@ from phishguard.errors import EmptyReferenceSet, PhishguardError
 from phishguard.explain import fuse_weights, identity_fusion
 from phishguard.features import CANONICAL_FEATURES
 from phishguard.models import LinearModel, train_linear
-from phishguard.server import (
+from phishguard.context import (
     FEATURE_DESCRIPTIONS,
-    TOOLS,
     IsolatedContext,
     PcsConfig,
-    PhishingServer,
     classify_with_fusion,
     provenance_score,
 )
+from phishguard.server import TOOLS, PhishingServer
 
 
 def trained_model():
@@ -216,27 +216,29 @@ class TestConcurrency:
         for i in range(5):
             call(server, "classify_url", {"url": f"http://a{i}.com"}, f"r{i}")
         assert len(server.audit_log) == 5
-        assert all(ctx.sealed for ctx in server.audit_log)
+        for ctx in server.audit_log:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                ctx.probability = 0.0
+            with pytest.raises(ValueError):
+                ctx.vector[0] = 1.0
         refs = [ctx.request_ref for ctx in server.audit_log]
         assert refs == [f"r{i}" for i in range(5)]
 
 
 class TestIsolatedContext:
     def make(self, prob=0.9):
-        return IsolatedContext(
-            context_id="c1", request_ref="r1",
-            features={"URL_Length": 20.0}, vector=np.zeros(1),
-            probability=prob, label=1, provenance="UCI",
-        ).seal()
+        outcome = {"probability": prob, "y_hat": 1, "rationale": []}
+        return IsolatedContext.from_outcome(outcome, context_id="c1", request_ref="r1",
+                                            names=("URL_Length",), vector=[20.0],
+                                            provenance="UCI")
 
     def test_digest_stable(self):
         assert self.make().seal_digest() == self.make().seal_digest()
 
     def test_digest_detects_tamper(self):
         ctx = self.make()
-        before = ctx.seal_digest()
-        ctx.features["URL_Length"] = 999.0
-        assert ctx.seal_digest() != before
+        tampered = dataclasses.replace(ctx, vector=np.array([999.0]))
+        assert tampered.seal_digest() != ctx.seal_digest()
 
     def test_digest_sensitive_to_probability(self):
         assert self.make(0.9).seal_digest() != self.make(0.1).seal_digest()

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
-from phishguard.errors import EmptyDataset, PhishguardError
+from phishguard.errors import EmptyDataset, InfiniteCell, PhishguardError
 from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
@@ -580,6 +580,22 @@ class TestGbt:
         # the vectorised walk adds the trees in the loop's order, bit for bit
         assert np.array_equal(model.decision_function(ds.X), manual)
         assert np.allclose(model.predict_proba(ds.X), sigmoid(manual))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda ds: train_tree(ds),
+    lambda ds: train_forest(ds, n_trees=3),
+    lambda ds: train_forest(ds, n_trees=3, mode="extra"),
+    lambda ds: train_gbt(ds, n_rounds=3),
+], ids=["tree", "bagging", "extra", "gbt"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_cell_is_refused(fit, value):
+    ds = make_ternary_dataset(n=200, seed=1)
+    X = ds.X.copy()
+    X[[3, 9], 2] = value
+    with pytest.raises(InfiniteCell, match=f"{value} at row 3 of the training matrix, column 2") as raised:
+        fit(Dataset(X, ds.y, ds.feature_names))
+    assert (raised.value.row, raised.value.column) == (3, 2)
 
 
 # Bounds on the peak tracemalloc memory of each fit on 11,055 UCI-shaped
