@@ -151,8 +151,9 @@ def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float
             closer, tied = np.flatnonzero(distances < kth), np.flatnonzero(distances == kth)
         nearest = np.concatenate([closer, tied[: pcs.k - len(closer)]])
         matches = np.count_nonzero(pcs._codes[nearest] == pcs._code_of[claimed])
-        score = matches / pcs.k
-    return score, score < pcs.threshold, claimed
+        score = float(matches / pcs.k)
+    # Python scalars, so that a reply carrying them encodes as JSON
+    return score, bool(score < pcs.threshold), claimed
 
 
 def classify_with_fusion(x, model, fusion: FusionWeights) -> dict:

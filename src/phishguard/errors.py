@@ -55,11 +55,13 @@ class InfiniteCell(PhishguardError):
     """A tree's training matrix holds +inf or -inf, which no split
     threshold (a midpoint of two levels) can separate."""
 
-    def __init__(self, row: int, column: int, value: float):
-        super().__init__(f"infinite value {value} at row {row} of the training "
-                         f"matrix, column {column}: trees cannot split on it")
+    def __init__(self, row: int, column: int, value: float,
+                 matrix: str = "the training matrix"):
+        super().__init__(f"infinite value {value} at row {row} of {matrix}, "
+                         f"column {column}: trees cannot split on it")
         self.row = row
         self.column = column
+        self.value = value
 
 
 class UnmappableFeature(PhishguardError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .errors import EmptyInput, LengthMismatch, PhishguardError, SingleClassInput
+from .errors import EmptyInput, InfiniteCell, LengthMismatch, PhishguardError, SingleClassInput
 from .models.common import stratified_fold_indices
 
 
@@ -163,10 +163,13 @@ def cross_validate(trainer, ds: Dataset, metric, k: int = 5,
             for name, score in metrics.items():
                 scores[name].append(float(score(ds.y[fold], probs)))
         except PhishguardError as exc:
+            if isinstance(exc, InfiniteCell):  # name the dataset's row
+                exc = InfiniteCell(int(train_idx[exc.row]), exc.column, exc.value,
+                                   "the dataset")
             # prefix the message in place: not every error class can be
             # rebuilt from one message string
             exc.args = (f"fold {fold_no}: {exc}",)
-            raise
+            raise exc
     results = {name: CvResult(values) for name, values in scores.items()}
     return results if isinstance(metric, dict) else results[None]
 

@@ -3,11 +3,14 @@
 Each request is processed in an immutable context (`phishguard.context`)
 holding the extracted features, model output and predicted label for
 that request only. Contexts are appended to an audit log and are never
-read by other requests' inference paths. Transports: stdio and TCP.
+read by other requests' inference paths. `explain_url` attributions,
+which depend on nothing but the feature vector, are computed once per
+distinct vector. Transports: stdio and TCP.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import socketserver
 import sys
@@ -32,6 +35,9 @@ TOOLS = ("server_info", "extract_features", "classify_url", "explain_url")
 
 SERVER_VERSION = "phishguard/0.1.0"
 
+# distinct vectors whose explain_url attributions a server keeps
+EXPLAIN_MEMO_SIZE = 1024
+
 
 class PhishingServer:
     """Tool dispatch plus context bookkeeping; transport-agnostic."""
@@ -46,6 +52,10 @@ class PhishingServer:
         self.resolver = resolver or OfflineResolver()
         self.audit_log: list[IsolatedContext] = []
         self._log_lock = threading.Lock()
+        # an explanation is a pure function of the vector's bits: the
+        # model is fixed and LIME's seed and background are too
+        self._attributions = functools.lru_cache(maxsize=EXPLAIN_MEMO_SIZE)(
+            self._fit_attributions)
 
     # -- context lifecycle -------------------------------------------------
 
@@ -94,21 +104,9 @@ class PhishingServer:
 
     def _tool_explain_url(self, arguments, request_id):
         url = _require_url(arguments)
-        features = extract_features(url, self.resolver)
-        vector = to_canonical_vector(features)
+        vector = to_canonical_vector(extract_features(url, self.resolver))
         names = self.model.feature_names or CANONICAL_FEATURES
-        background = np.zeros(len(vector))
-        if isinstance(self.model, LinearModel):
-            explanation = shap_linear(self.model, vector, background)
-            method = "shap_linear"
-            attributions = explanation.attributions
-        else:
-            explanation = lime_explain(
-                self.model.predict_proba, vector,
-                np.vstack([background, vector]), seed=0,
-            )
-            method = "lime"
-            attributions = explanation.weights
+        method, attributions = self._attributions(vector.tobytes())
         ranked = sorted(
             zip(names, vector, attributions), key=lambda t: -abs(t[2])
         )
@@ -119,6 +117,22 @@ class PhishingServer:
                 for n, v, a in ranked
             ],
         }
+
+    def _fit_attributions(self, key: bytes) -> tuple[str, np.ndarray]:
+        """(method, read-only attributions) of the float64 vector `key`."""
+        vector = np.frombuffer(key)
+        background = np.zeros(len(vector))
+        if isinstance(self.model, LinearModel):
+            method = "shap_linear"
+            attributions = shap_linear(self.model, vector, background).attributions
+        else:
+            method = "lime"
+            attributions = lime_explain(
+                self.model.predict_proba, vector,
+                np.vstack([background, vector]), seed=0,
+            ).weights
+        attributions.flags.writeable = False
+        return method, attributions
 
     # -- protocol -----------------------------------------------------------
 
@@ -136,13 +150,13 @@ class PhishingServer:
             return _error_line(request_id, "TOOL_NOT_FOUND", f"unknown tool {tool!r}")
         try:
             result = handler(request.get("arguments") or {}, request_id)
+            return json.dumps(
+                {"id": request_id, "status": "ok", "result": result}, sort_keys=True
+            )
         except MalformedUrl as exc:
             return _error_line(request_id, "MALFORMED_URL", str(exc))
         except Exception as exc:  # noqa: BLE001 - protocol totality
             return _error_line(request_id, "INTERNAL", str(exc))
-        return json.dumps(
-            {"id": request_id, "status": "ok", "result": result}, sort_keys=True
-        )
 
     # -- transports ----------------------------------------------------------
 

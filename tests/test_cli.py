@@ -41,8 +41,8 @@ class TestExitCodes:
                      "--out", str(tmp_path / "model.json")])
         assert code == 2
         err = capsys.readouterr().err
-        # the row counts within the matrix of the fit that met it (a CV fold's)
-        assert "infinite value inf at row" in err and "column 2" in err
+        # a CV fold's fit met it; the row is still the dataset's
+        assert "infinite value inf at row 3 of the dataset, column 2" in err
 
     def test_bad_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_ternary_dataset
 from phishguard.errors import (
     EmptyInput,
+    InfiniteCell,
     LengthMismatch,
     ResolverFailure,
     SingleClassDataset,
@@ -22,7 +23,7 @@ from phishguard.metrics import (
     prf1,
     roc_auc,
 )
-from phishguard.models import train_linear
+from phishguard.models import train_linear, train_tree
 
 
 class TestConfusion:
@@ -213,6 +214,15 @@ class TestCrossValidate:
             cross_validate(trainer, ds, auc_metric, k=3)
         assert str(err.value) == "fold 0: DNSRecord: lookup timed out"
         assert err.value.feature == "DNSRecord"
+
+    @pytest.mark.parametrize("row", [0, 3, 59])
+    def test_infinite_cell_names_the_dataset_row(self, row):
+        ds = make_ternary_dataset(n=60, seed=3)
+        ds.X[row, 2] = -np.inf
+        with pytest.raises(InfiniteCell) as err:
+            cross_validate(train_tree, ds, auc_metric, k=3)
+        assert (err.value.row, err.value.column) == (row, 2)
+        assert f"-inf at row {row} of the dataset, column 2" in str(err.value)
 
 
 def test_metrics_table_layout():

@@ -1,18 +1,31 @@
 import dataclasses
+import functools
 import io
 import json
 import socket
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
 from phishguard.errors import EmptyReferenceSet, PhishguardError
-from phishguard.explain import fuse_weights, identity_fusion
-from phishguard.features import CANONICAL_FEATURES
-from phishguard.models import LinearModel, train_linear
+from phishguard.explain import fuse_weights, identity_fusion, shap_linear
+from phishguard.features import CANONICAL_FEATURES, extract_features, to_canonical_vector
+from phishguard.models import (
+    LinearModel,
+    TrainConfig,
+    load_model,
+    train_forest,
+    train_gbt,
+    train_linear,
+    train_mlp,
+    train_tree,
+)
 from phishguard.context import (
     FEATURE_DESCRIPTIONS,
     IsolatedContext,
@@ -20,7 +33,9 @@ from phishguard.context import (
     classify_with_fusion,
     provenance_score,
 )
-from phishguard.server import TOOLS, PhishingServer
+from phishguard.server import EXPLAIN_MEMO_SIZE, TOOLS, PhishingServer
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def trained_model():
@@ -35,6 +50,12 @@ def make_server(pcs=None):
 def call(server, tool, arguments=None, request_id="r1"):
     request = {"id": request_id, "tool": tool, "arguments": arguments or {}}
     return json.loads(server.handle_line(json.dumps(request)))
+
+
+def mixed_pcs():
+    """A reference where "UCI" is held by some rows but not all, so a
+    claim of it scans for the nearest rows."""
+    return PcsConfig(make_ternary_dataset(n=50, seed=1, provenance=("UCI", "Mendeley")))
 
 
 class TestProtocol:
@@ -131,6 +152,66 @@ class TestProtocol:
         out = server.handle_line(json.dumps({"id": "x", "tool": "server_info"}))
         assert "\n" not in out
 
+    def test_classify_with_a_scanned_claim_replies(self):
+        response = call(make_server(mixed_pcs()), "classify_url",
+                        {"url": "http://a.com", "provenance": "UCI"})
+        assert response["status"] == "ok"
+        assert response["result"]["pcs"] == "0.800000"
+        assert response["result"]["flagged"] is False
+
+    def test_unencodable_result_is_internal(self, monkeypatch):
+        server = make_server()
+        monkeypatch.setattr(server, "_tool_server_info", lambda *args: {"x": object()})
+        response = call(server, "server_info")
+        assert response["status"] == "error"
+        assert response["error"]["code"] == "INTERNAL"
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False), st.text(max_size=20))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+URLS = st.one_of(
+    st.text(max_size=60),
+    st.builds(lambda host, path: f"http://{host}/{path}",
+              st.from_regex(r"[a-z0-9@.\-]{1,20}", fullmatch=True), st.text(max_size=20)),
+)
+ARGUMENTS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries({}, optional={"url": st.one_of(URLS, JSON_VALUES),
+                                        "provenance": st.one_of(st.sampled_from(["UCI", "Mendeley"]),
+                                                                JSON_VALUES)}),
+)
+REQUESTS = st.fixed_dictionaries({}, optional={
+    "id": JSON_VALUES,
+    "tool": st.one_of(st.sampled_from(TOOLS), JSON_VALUES),
+    "arguments": ARGUMENTS,
+})
+
+
+class TestProtocolTotality:
+    """Any line gets exactly one JSON reply, "ok" or "error"."""
+
+    server = make_server(mixed_pcs())
+
+    def assert_one_reply(self, line):
+        reply = self.server.handle_line(line)
+        assert "\n" not in reply
+        assert json.loads(reply)["status"] in ("ok", "error")
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.text(max_size=200))
+    def test_any_text_line(self, line):
+        self.assert_one_reply(line)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(REQUESTS)
+    def test_any_json_request(self, request):
+        self.assert_one_reply(json.dumps(request))
+
 
 class TestStdioTransport:
     def test_pipe_round_trip(self):
@@ -223,6 +304,116 @@ class TestConcurrency:
                 ctx.vector[0] = 1.0
         refs = [ctx.request_ref for ctx in server.audit_log]
         assert refs == [f"r{i}" for i in range(5)]
+
+
+def explain_line(url, request_id="e"):
+    return json.dumps({"id": request_id, "tool": "explain_url", "arguments": {"url": url}})
+
+
+@functools.cache
+def served_model(kind):
+    ds = make_ternary_dataset(n=200, seed=5)
+    return {
+        "logistic": train_linear,
+        "tree": train_tree,
+        "forest": lambda ds: train_forest(ds, n_trees=5),
+        "gbt": lambda ds: train_gbt(ds, n_rounds=10),
+        "mlp": lambda ds: train_mlp(ds, [8, 1], TrainConfig(seed=1, max_epochs=20)),
+    }[kind](ds)
+
+
+EXPLAIN_URLS = [
+    "https://www.paypal.com/signin",
+    "http://192.168.1.1/login",
+    "http://secure-paypal.bit.ly//redirect@evil",
+    "https://www.paypal.com/signin",
+    "https://www.paypel.com/signin",  # same vector as the paypal.com URL
+    "http://a-b.c.d.example.com/x",
+]
+
+
+class TestExplainMemo:
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "gbt", "mlp"])
+    def test_warm_server_replies_as_a_fresh_one(self, kind):
+        model = served_model(kind)
+        warm = PhishingServer(model)
+        for url in EXPLAIN_URLS:
+            warm.handle_line(explain_line(url))
+        for url in EXPLAIN_URLS:
+            fresh = PhishingServer(model).handle_line(explain_line(url))
+            assert warm.handle_line(explain_line(url)) == fresh
+        info = warm._attributions.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        assert info.hits == 2 * len(EXPLAIN_URLS) - 4
+
+    def test_golden_replies_on_a_warm_server(self):
+        recorded = json.loads((DATA / "explain_replies.json").read_text())
+        server = PhishingServer(load_model(DATA / recorded["model"]))
+        for _ in range(2):
+            for case in recorded["cases"]:
+                assert server.handle_line(case["request"]) == case["reply"]
+
+    def test_one_fit_per_distinct_vector(self, monkeypatch):
+        import phishguard.server as server_module
+
+        fits = []
+
+        def counting(model, x, background):
+            fits.append(x.tobytes())
+            return shap_linear(model, x, background)
+
+        monkeypatch.setattr(server_module, "shap_linear", counting)
+        server = make_server()
+        for url in EXPLAIN_URLS * 2:
+            assert json.loads(server.handle_line(explain_line(url)))["status"] == "ok"
+        assert len(fits) == len(set(fits)) == 4
+
+    def test_bounded_to_the_most_recent_vectors(self):
+        assert EXPLAIN_MEMO_SIZE == 1024
+        server = make_server()
+        # each length of URL is a distinct URL_Length, so a distinct vector
+        for i in range(EXPLAIN_MEMO_SIZE + 5):
+            server.handle_line(explain_line("http://a.com/" + "x" * i))
+        info = server._attributions.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
+
+    def test_cached_attributions_are_read_only(self):
+        server = make_server()
+        server.handle_line(explain_line("http://a.com/x"))
+        vector = to_canonical_vector(extract_features("http://a.com/x", server.resolver))
+        method, attributions = server._attributions(vector.tobytes())
+        assert method == "shap_linear"
+        assert server._attributions.cache_info().hits == 1
+        with pytest.raises(ValueError):
+            attributions[0] = 1.0
+
+    def test_32_threads_match_serial(self):
+        model = served_model("gbt")
+        urls = [f"http://site{i}.example.com/" + "p" * i for i in range(8)]
+        lines = [explain_line(urls[i % 8], f"e{i}") for i in range(32)]
+        serial_server = PhishingServer(model)
+        serial = [serial_server.handle_line(line) for line in lines]
+        server = PhishingServer(model)
+        results = [None] * 32
+        start = threading.Barrier(32, timeout=30)
+
+        def worker(i):
+            start.wait()
+            results[i] = server.handle_line(lines[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's miss path
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+        assert server._attributions.cache_info().currsize == 8
 
 
 class TestIsolatedContext:
