@@ -184,6 +184,11 @@ def cmd_explain(args) -> int:
         _write_manifest(Path(args.out_dir), "explain", args, started)
         return 0
 
+    if args.model is None:
+        raise PhishguardError(f"explain --method {args.method} needs --model")
+    if not -len(ds) <= args.index < len(ds):
+        raise PhishguardError(f"--index {args.index} is outside the {len(ds)} "
+                              "rows left after duplicate removal")
     model = load_model(args.model)
     x = ds.X[args.index]
     background = ds.X.mean(axis=0)

@@ -13,6 +13,7 @@ from .errors import (
     MissingLabelColumn,
     NonNumericCell,
     PhishguardError,
+    RaggedRow,
     UnmappableFeature,
 )
 
@@ -122,6 +123,8 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
         for row_idx, row in enumerate(reader):
             if not "".join(row).strip():
                 continue
+            if len(row) != len(header):
+                raise RaggedRow(row_idx, len(row), len(header))
             try:
                 values = list(map(float, row))
             except ValueError:

@@ -36,6 +36,14 @@ class NonNumericCell(PhishguardError):
         self.column = column
 
 
+class RaggedRow(PhishguardError):
+    """A CSV data row whose cell count differs from the header's."""
+
+    def __init__(self, row: int, cells: int, header_cells: int):
+        super().__init__(f"row {row} has {cells} cells but the header has {header_cells}")
+        self.row = row
+
+
 class NonFiniteReference(PhishguardError):
     """A provenance reference set holds NaN or infinity. `row` counts the
     loaded rows, after duplicate removal."""

@@ -1,10 +1,11 @@
 """URL parsing and the 23-feature canonical vector.
 
 Lexical features are computed from the URL string alone. Content and
-reputation features (DNS, page content, traffic rank, ...) go through a
-pluggable resolver; the offline default answers 0 ("unknown") for all of
-them so that training on precomputed CSVs and live serving share one code
-path.
+reputation features (DNS, page content, traffic rank, ...) come from a
+pluggable resolver, asked once per URL: `resolver.resolve(parts)` returns
+a mapping that answers every name in RESOLVED_FEATURES with -1, 0 or 1.
+The offline default answers 0 ("unknown") for all of them so that
+training on precomputed CSVs and live serving share one code path.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -84,13 +86,6 @@ class UrlParts:
     query: str
     fragment: str
     raw: str
-
-
-@dataclass(frozen=True)
-class ResolverAnswer:
-    feature: str
-    value: int
-    source: str  # offline_default | precomputed | external
 
 
 def parse_url(raw: str) -> UrlParts:
@@ -214,43 +209,45 @@ def extract_lexical(parts: UrlParts) -> dict[str, int]:
     }
 
 
+# every resolved feature unknown; read-only, so one mapping serves all URLs
+OFFLINE_ANSWER = MappingProxyType(dict.fromkeys(RESOLVED_FEATURES, 0))
+
+
 class OfflineResolver:
     """Default resolver: every non-lexical feature is unknown (0).
 
     Stateless, safe to share across threads.
     """
 
-    source = "offline_default"
-
-    def resolve(self, feature: str, parts: UrlParts) -> ResolverAnswer:
-        return ResolverAnswer(feature, 0, self.source)
+    def resolve(self, parts: UrlParts) -> MappingProxyType:
+        return OFFLINE_ANSWER
 
 
 class PrecomputedResolver:
-    """Serves feature values from a fixed mapping; unknowns fall back to 0."""
-
-    source = "precomputed"
+    """Serves feature values from a fixed mapping; unknowns fall back to 0.
+    Keys outside RESOLVED_FEATURES are ignored."""
 
     def __init__(self, values: dict[str, int]):
-        self.values = dict(values)
+        self.answer = MappingProxyType({n: values.get(n, 0) for n in RESOLVED_FEATURES})
 
-    def resolve(self, feature: str, parts: UrlParts) -> ResolverAnswer:
-        if feature in self.values:
-            return ResolverAnswer(feature, self.values[feature], self.source)
-        return ResolverAnswer(feature, 0, "offline_default")
+    def resolve(self, parts: UrlParts) -> MappingProxyType:
+        return self.answer
 
 
-def resolve_remaining(parts: UrlParts, resolver=None,
-                      lexical: dict[str, int] | None = None) -> dict[str, int]:
-    """Complete a feature vector with resolver answers for the 15
-    non-lexical features. Returns the full 23-entry mapping."""
-    resolver = resolver or OfflineResolver()
-    values = dict(lexical) if lexical is not None else extract_lexical(parts)
+def resolve_remaining(parts: UrlParts, resolver=None) -> dict[str, int]:
+    """Complete a feature vector with one resolver call answering the 15
+    non-lexical features. Returns the full 23-entry mapping. An answer that
+    lacks a feature or gives a value outside {-1, 0, 1} raises
+    ResolverFailure naming it: a resolver is input from outside."""
+    answer = OFFLINE_ANSWER if resolver is None else resolver.resolve(parts)
+    values = extract_lexical(parts)
     for name in RESOLVED_FEATURES:
-        answer = resolver.resolve(name, parts)
-        if answer.value not in TERNARY_VALUES:
-            raise ResolverFailure(name, f"value {answer.value!r} outside {{-1,0,1}}")
-        values[name] = answer.value
+        if name not in answer:
+            raise ResolverFailure(name, "missing from the resolver's answer")
+        value = answer[name]
+        if value not in TERNARY_VALUES:
+            raise ResolverFailure(name, f"value {value!r} outside {{-1,0,1}}")
+        values[name] = value
     return values
 
 

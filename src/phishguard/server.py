@@ -25,7 +25,6 @@ from .errors import MalformedUrl, PhishguardError
 from .explain import FusionWeights, identity_fusion, lime_explain, shap_linear
 from .features import (
     CANONICAL_FEATURES,
-    OfflineResolver,
     extract_features,
     to_canonical_vector,
 )
@@ -49,7 +48,7 @@ class PhishingServer:
             model.feature_names or CANONICAL_FEATURES
         )
         self.pcs = pcs
-        self.resolver = resolver or OfflineResolver()
+        self.resolver = resolver  # None: the offline resolver
         self.audit_log: list[IsolatedContext] = []
         self._log_lock = threading.Lock()
         # an explanation is a pure function of the vector's bits: the
@@ -83,8 +82,7 @@ class PhishingServer:
 
     def _tool_extract_features(self, arguments, request_id):
         url = _require_url(arguments)
-        features = extract_features(url, self.resolver)
-        return {name: features[name] for name in CANONICAL_FEATURES}
+        return extract_features(url, self.resolver)
 
     def _tool_classify_url(self, arguments, request_id):
         url = _require_url(arguments)
@@ -148,8 +146,13 @@ class PhishingServer:
         handler = getattr(self, f"_tool_{tool}", None)
         if tool not in TOOLS or handler is None:
             return _error_line(request_id, "TOOL_NOT_FOUND", f"unknown tool {tool!r}")
+        arguments = request.get("arguments")
+        if arguments is None:
+            arguments = {}
+        elif not isinstance(arguments, dict):
+            return _error_line(request_id, "PARSE_ERROR", "arguments must be a JSON object")
         try:
-            result = handler(request.get("arguments") or {}, request_id)
+            result = handler(arguments, request_id)
             return json.dumps(
                 {"id": request_id, "status": "ok", "result": result}, sort_keys=True
             )

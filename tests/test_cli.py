@@ -44,6 +44,15 @@ class TestExitCodes:
         # a CV fold's fit met it; the row is still the dataset's
         assert "infinite value inf at row 3 of the dataset, column 2" in err
 
+    @pytest.mark.parametrize("subcommand", [["ingest"], ["train", "--model", "logistic"]])
+    def test_ragged_row_is_input_error(self, tmp_path, capsys, subcommand):
+        path = tmp_path / "ragged.csv"
+        path.write_text("f1,f2,label\n1,2,0\n3,1\n")
+        code = main([subcommand[0], str(path), *subcommand[1:],
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "row 1 has 2 cells but the header has 3" in capsys.readouterr().err
+
     def test_bad_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -207,6 +216,23 @@ class TestExplain:
                      "--model", str(model_path), "--seed", "0",
                      "--out-dir", str(tmp_path)]) == 0
         assert "#" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("method", ["shap", "lime"])
+    def test_model_required_for_shap_and_lime(self, csv_path, tmp_path, capsys, method):
+        assert main(["explain", str(csv_path), "--method", method,
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"explain --method {method} needs --model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index, code", [(-1, 0), (-10**6, 2), (10**6, 2)])
+    def test_index_inside_the_dataset(self, csv_path, tmp_path, capsys, index, code):
+        model_path = tmp_path / "m.json"
+        save_model(_train_model(load_csv(csv_path), "logistic", 0), model_path)
+        assert main(["explain", str(csv_path), "--method", "shap",
+                     "--model", str(model_path), "--index", str(index),
+                     "--out-dir", str(tmp_path)]) == code
+        if code == 2:
+            assert f"--index {index} is outside" in capsys.readouterr().err
 
 
 class TestServeStdio:

@@ -15,6 +15,7 @@ from phishguard.errors import (
     EmptyDataset,
     MissingLabelColumn,
     NonNumericCell,
+    RaggedRow,
     UnmappableFeature,
 )
 
@@ -68,6 +69,16 @@ class TestLoadCsv:
             load_csv(path)
         assert (err.value.row, err.value.column) == (1, "f3")
         assert "'x'" in str(err.value)
+
+    @pytest.mark.parametrize("ragged", [[5, 0], [5, 6, 7, 0, 8], [5, 6, 7, 0, "x"]],
+                             ids=["short", "long", "long_non_numeric"])
+    def test_ragged_row_reports_its_row_and_cell_counts(self, tmp_path, ragged):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["f1", "f2", "f3", "label"], [[1, 2, 3, 0], ragged, [4, 5, 6, 1]])
+        with pytest.raises(RaggedRow) as err:
+            load_csv(path)
+        assert err.value.row == 1
+        assert str(err.value) == f"row 1 has {len(ragged)} cells but the header has 4"
 
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "d.csv"

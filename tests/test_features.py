@@ -133,6 +133,38 @@ class TestResolvers:
         with pytest.raises(ResolverFailure):
             extract_features("https://a.com/x", resolver)
 
+    def test_one_call_per_url(self):
+        class Counting(OfflineResolver):
+            calls = 0
+
+            def resolve(self, *args):  # count calls whatever the signature
+                self.calls += 1
+                return super().resolve(*args)
+
+        resolver = Counting()
+        extract_features("https://a.com/x", resolver)
+        assert resolver.calls == 1
+
+    @pytest.mark.parametrize("answer", [
+        {name: 0 for name in RESOLVED_FEATURES if name != "SFH"},
+        {**{name: 0 for name in RESOLVED_FEATURES}, "SFH": 2},
+    ], ids=["missing", "out_of_domain"])
+    def test_bad_answer_names_the_feature(self, answer):
+        class Fixed:
+            def resolve(self, parts):
+                return answer
+
+        with pytest.raises(ResolverFailure) as err:
+            extract_features("https://a.com/x", Fixed())
+        assert err.value.feature == "SFH"
+        assert str(err.value).startswith("SFH: ")
+
+    def test_precomputed_ignores_non_resolved_keys(self):
+        raw = "https://a.com/x"
+        resolver = PrecomputedResolver({"URL_Length": 0, "unknown": 5, "SFH": 1})
+        fv = extract_features(raw, resolver)
+        assert fv == {**extract_features(raw), "SFH": 1}
+
 
 class TestCanonicalVector:
     def test_shape_and_order(self):

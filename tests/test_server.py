@@ -15,7 +15,12 @@ from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
 from phishguard.errors import EmptyReferenceSet, PhishguardError
 from phishguard.explain import fuse_weights, identity_fusion, shap_linear
-from phishguard.features import CANONICAL_FEATURES, extract_features, to_canonical_vector
+from phishguard.features import (
+    CANONICAL_FEATURES,
+    PrecomputedResolver,
+    extract_features,
+    to_canonical_vector,
+)
 from phishguard.models import (
     LinearModel,
     TrainConfig,
@@ -158,6 +163,31 @@ class TestProtocol:
         assert response["status"] == "ok"
         assert response["result"]["pcs"] == "0.800000"
         assert response["result"]["flagged"] is False
+
+    @pytest.mark.parametrize("arguments", ["[1]", "[]", '""', '"x"', "0", "1", "false", "true"])
+    @pytest.mark.parametrize("tool", TOOLS)
+    def test_non_object_arguments_are_parse_errors(self, tool, arguments):
+        line = '{"id": "r1", "tool": "%s", "arguments": %s}' % (tool, arguments)
+        response = json.loads(make_server().handle_line(line))
+        assert response["id"] == "r1"
+        assert response["error"] == {"code": "PARSE_ERROR",
+                                     "message": "arguments must be a JSON object"}
+
+    @pytest.mark.parametrize("arguments", [', "arguments": null', ""])
+    def test_absent_or_null_arguments_are_empty(self, arguments):
+        server = make_server()
+        info = server.handle_line('{"id": "r1", "tool": "server_info"%s}' % arguments)
+        assert json.loads(info)["status"] == "ok"
+        extract = server.handle_line('{"id": "r1", "tool": "extract_features"%s}' % arguments)
+        assert json.loads(extract)["error"]["code"] == "MALFORMED_URL"
+
+    def test_extract_features_golden_replies(self):
+        recorded = json.loads((DATA / "extract_replies.json").read_text())
+        model = load_model(DATA / "gbt_v1.json")
+        for case in recorded["cases"]:
+            resolver = case["resolver"] and PrecomputedResolver(case["resolver"])
+            server = PhishingServer(model, resolver=resolver)
+            assert server.handle_line(case["request"]) == case["reply"]
 
     def test_unencodable_result_is_internal(self, monkeypatch):
         server = make_server()
