@@ -17,10 +17,9 @@ import numpy as np
 from . import __version__
 from .context import PcsConfig
 from .datasets import Dataset, class_distribution, load_csv, save_csv
-from .errors import NonFiniteReference, PhishguardError, UnmappableFeature
+from .errors import NonFiniteReference, PhishguardError, TooManyFeatures, UnmappableFeature
 from .explain import (
     fuse_weights,
-    identity_fusion,
     information_gain_all,
     lime_explain,
     shap_exact,
@@ -196,7 +195,10 @@ def cmd_explain(args) -> int:
         if isinstance(model, LinearModel):
             explanation = shap_linear(model, x, background)
         else:
-            explanation = shap_exact(model, x, background, max_features=len(x))
+            try:
+                explanation = shap_exact(model, x, background)
+            except TooManyFeatures as exc:
+                raise TooManyFeatures(f"{exc}; use --method lime") from exc
         values = explanation.attributions
     else:  # lime
         explanation = lime_explain(model.predict_proba, x, ds.X,

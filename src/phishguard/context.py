@@ -4,9 +4,9 @@ A context holds one request's feature vector, the model's outcome for
 it and the claimed provenance. It is immutable: a frozen record over a
 read-only copy of the vector, so the audit log and the robustness
 harness can share contexts and an attack must build new ones. This
-module also holds the fused classification that produces an outcome
-and the provenance confidence score (PCS) checked against a reference
-set; it imports no transport.
+module also holds the classification that produces an outcome and the
+provenance confidence score (PCS) checked against a reference set; it
+imports no transport.
 """
 
 from __future__ import annotations
@@ -156,21 +156,17 @@ def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float
     return score, bool(score < pcs.threshold), claimed
 
 
-def classify_with_fusion(x, model, fusion: FusionWeights) -> dict:
-    """Score the weighted embedding x * w and assemble the rationale."""
+def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
+    """Score the raw vector x, as the model was trained; the fusion weights
+    w (all 1 for None) only rank the rationale, by |w * x| times a linear
+    model's coefficients."""
     x = np.asarray(x, dtype=float)
-    names = model.feature_names or CANONICAL_FEATURES
-    w = fusion.vector(names)
-    if len(w) != len(x):
-        raise PhishguardError("fusion weights do not cover the model features")
-    weighted = x * w
-    probability = float(model.predict_proba(weighted))
+    probability = float(model.predict_proba(x))
     label = 1 if probability >= 0.5 else 0
 
-    if isinstance(model, LinearModel):
-        contributions = model.weights / model.scale
-    else:
-        contributions = np.ones(len(x))
+    names = model.feature_names or CANONICAL_FEATURES
+    w = 1.0 if fusion is None else fusion.vector(names)
+    contributions = model.weights / model.scale if isinstance(model, LinearModel) else 1.0
     scores = np.abs(w * x * contributions)
     order = sorted(range(len(x)), key=lambda j: (-scores[j], j))
     rationale = []

@@ -1,6 +1,6 @@
 """Attribution methods: information gain, Shapley values, LIME, fusion."""
 
-from .fusion import FusionWeights, fuse_weights, identity_fusion
+from .fusion import FusionWeights, fuse_weights
 from .infogain import entropy, information_gain, information_gain_all
 from .lime import LimeExplanation, lime_explain
 from .shapley import ShapExplanation, shap_exact, shap_linear, shap_sampled
@@ -8,7 +8,6 @@ from .shapley import ShapExplanation, shap_exact, shap_linear, shap_sampled
 __all__ = [
     "FusionWeights",
     "fuse_weights",
-    "identity_fusion",
     "entropy",
     "information_gain",
     "information_gain_all",

@@ -20,10 +20,10 @@ class FusionWeights:
     weights: dict[str, float]
 
     def vector(self, feature_names) -> np.ndarray:
-        """Per-feature multipliers in the given order; features outside
-        F_final pass through with weight 1."""
+        """Per-feature weights in the given order; a feature outside
+        F_final weighs 0, so a ranking by weight never leads with it."""
         return np.array(
-            [self.weights.get(name, 1.0) for name in feature_names]
+            [self.weights.get(name, 0.0) for name in feature_names]
         )
 
 
@@ -76,17 +76,4 @@ def fuse_weights(
         f_xai=f_xai,
         f_final=f_final,
         weights=weights,
-    )
-
-
-def identity_fusion(feature_names) -> FusionWeights:
-    """All-ones fusion; classification reduces to the plain model."""
-    names = frozenset(feature_names)
-    return FusionWeights(
-        alpha=0.5,
-        beta=0.5,
-        f_ig=names,
-        f_xai=names,
-        f_final=names,
-        weights={name: 1.0 for name in feature_names},
     )

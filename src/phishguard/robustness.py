@@ -22,7 +22,7 @@ import numpy as np
 from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .datasets import Dataset
 from .errors import IdMismatch, PhishguardError, ZeroBaseline
-from .explain import FusionWeights, identity_fusion
+from .explain import FusionWeights
 from .features import TERNARY_VALUES
 
 
@@ -67,7 +67,6 @@ class RobustnessRow:
 def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
                    n: int = 200, seed: int = 0) -> ContextSet:
     """Seeded sample of dataset rows turned into contexts."""
-    fusion = fusion or identity_fusion(ds.feature_names)
     rng = np.random.default_rng(seed)
     take = min(n, len(ds))
     rows = rng.choice(len(ds), size=take, replace=False)
@@ -90,7 +89,6 @@ def inject_attack(pre: ContextSet, spec: AttackSpec, model,
     if not pre.contexts:
         raise PhishguardError("pre-attack set is empty")
     names = pre.contexts[0].names
-    fusion = fusion or identity_fusion(names)
     rng = np.random.default_rng(spec.seed)
     n = len(pre.contexts)
     n_attacked = int(np.ceil(spec.contamination_rate * n))
@@ -173,25 +171,25 @@ def apf(pre: ContextSet, post: ContextSet) -> float:
     return total / n
 
 
-def csi(model, contexts: ContextSet, fusion: FusionWeights,
+def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
         delta: float, n_trials: int = 5, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo |p(x) - p(x + delta*u)| over the fused feature set;
-    returns (csi_raw, csi_stability = 1 - csi_raw)."""
+    """Monte-Carlo |p(x) - p(x + delta*u)| with noise on the fused feature
+    set (every feature when `fusion` is None); returns
+    (csi_raw, csi_stability = 1 - csi_raw)."""
     if n_trials < 1:
         raise PhishguardError("n_trials must be >= 1")
     if not contexts.contexts:
         raise PhishguardError("no contexts")
     names = contexts.contexts[0].names
-    fused = np.array([name in fusion.f_final for name in names])
+    fused = np.array([fusion is None or name in fusion.f_final for name in names])
     rng = np.random.default_rng(seed)
     diffs = []
     X = np.stack([c.vector for c in contexts.contexts])
-    w = fusion.vector(names)
-    base = np.asarray(model.predict_proba(X * w))
+    base = np.asarray(model.predict_proba(X))
     for _ in range(n_trials):
         noise = rng.uniform(-1.0, 1.0, size=X.shape) * delta
         noise[:, ~fused] = 0.0
-        perturbed = np.asarray(model.predict_proba((X + noise) * w))
+        perturbed = np.asarray(model.predict_proba(X + noise))
         diffs.append(np.abs(base - perturbed))
     raw = float(np.mean(diffs))
     return raw, 1.0 - raw
@@ -232,7 +230,6 @@ def run_strategy(ds: Dataset, model, strategy: str, spec: AttackSpec,
     if strategy not in STRATEGIES:
         raise PhishguardError(f"unknown strategy {strategy!r}")
     started = time.perf_counter()
-    fusion = fusion or identity_fusion(ds.feature_names)
     pre = build_contexts(ds, model, fusion, n=n_contexts, seed=spec.seed)
     isolate = strategy in ("isolation", "hybrid")
     post = inject_attack(pre, spec, model, fusion, block_cross_copies=isolate)

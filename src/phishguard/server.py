@@ -22,7 +22,7 @@ import numpy as np
 
 from .context import LABEL_NAMES, IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .errors import MalformedUrl, PhishguardError
-from .explain import FusionWeights, identity_fusion, lime_explain, shap_linear
+from .explain import FusionWeights, lime_explain, shap_linear
 from .features import (
     CANONICAL_FEATURES,
     extract_features,
@@ -44,9 +44,7 @@ class PhishingServer:
     def __init__(self, model, fusion: FusionWeights | None = None,
                  pcs: PcsConfig | None = None, resolver=None):
         self.model = model
-        self.fusion = fusion or identity_fusion(
-            model.feature_names or CANONICAL_FEATURES
-        )
+        self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
         self.resolver = resolver  # None: the offline resolver
         self.audit_log: list[IsolatedContext] = []

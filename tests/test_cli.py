@@ -234,6 +234,20 @@ class TestExplain:
         if code == 2:
             assert f"--index {index} is outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_features, code", [(15, 0), (16, 2)])
+    def test_exact_shap_keeps_its_feature_cap(self, tmp_path, capsys, n_features, code):
+        # a non-linear model's Shapley values enumerate 2^n subsets, so past
+        # 15 features the command refuses and points at LIME
+        ds = make_ternary_dataset(n=120, n_features=n_features, seed=0)
+        csv, model_path = tmp_path / "d.csv", tmp_path / "m.json"
+        save_csv(ds, csv)
+        save_model(_train_model(ds, "tree", 0), model_path)
+        assert main(["explain", str(csv), "--method", "shap",
+                     "--model", str(model_path), "--out-dir", str(tmp_path)]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "16 features exceeds the enumeration cap 15; use --method lime" in err
+
 
 class TestServeStdio:
     def test_pipe_session(self, csv_path, tmp_path):

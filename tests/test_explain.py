@@ -14,7 +14,6 @@ from phishguard.explain import (
     FusionWeights,
     entropy,
     fuse_weights,
-    identity_fusion,
     information_gain,
     information_gain_all,
     lime_explain,
@@ -494,11 +493,14 @@ class TestFusion:
         fused = fuse_weights(self.IG, self.PHI, alpha=0.0)
         assert fused.weights["a"] == pytest.approx(0.0)
 
-    def test_vector_pass_through(self):
+    def test_vector_zero_outside_f_final(self):
         fused = fuse_weights(self.IG, self.PHI, alpha=0.5)
-        vec = fused.vector(["a", "zzz", "b"])
-        assert vec[1] == 1.0  # outside F_final: pass-through
+        # c was selected by neither side and zzz is unknown: neither may
+        # outrank a fused feature
+        vec = fused.vector(["a", "zzz", "b", "c"])
+        assert vec[1] == 0.0 and vec[3] == 0.0
         assert vec[0] == pytest.approx(fused.weights["a"])
+        assert vec[2] == pytest.approx(fused.weights["b"])
 
     def test_alpha_bounds(self):
         with pytest.raises(PhishguardError):
@@ -507,7 +509,3 @@ class TestFusion:
     def test_empty_sets_rejected(self):
         with pytest.raises(EmptyFeatureSets):
             fuse_weights({}, {}, alpha=0.5)
-
-    def test_identity_fusion(self):
-        fused = identity_fusion(("a", "b"))
-        assert np.array_equal(fused.vector(("a", "b")), [1.0, 1.0])

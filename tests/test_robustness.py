@@ -4,7 +4,7 @@ import pytest
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
 from phishguard.errors import IdMismatch, PhishguardError, ZeroBaseline
-from phishguard.explain import identity_fusion
+from phishguard.explain import FusionWeights
 from phishguard.models import LinearModel
 from phishguard.robustness import (
     STRATEGIES,
@@ -32,7 +32,7 @@ def fixed_model(n_features=23):
 def small_world(n=60, seed=0):
     ds = make_ternary_dataset(n=n, seed=seed, provenance=("UCI",))
     model = fixed_model()
-    fusion = identity_fusion(ds.feature_names)
+    fusion = None  # every feature weighs 1 and CSI perturbs them all
     return ds, model, fusion
 
 
@@ -192,6 +192,18 @@ class TestCsi:
         contexts = build_contexts(ds, model, fusion, n=20, seed=0)
         assert csi(model, contexts, fusion, 0.3, seed=5) == \
             csi(model, contexts, fusion, 0.3, seed=5)
+
+    def test_fusion_weights_do_not_rescale_the_input(self):
+        # the weights only choose the perturbed features: zero weights over
+        # every feature perturb exactly what no fusion does
+        ds, model, _ = small_world()
+        contexts = build_contexts(ds, model, None, n=20, seed=0)
+        names = frozenset(ds.feature_names)
+        zero = FusionWeights(alpha=0.5, beta=0.5, f_ig=names, f_xai=names,
+                             f_final=names, weights=dict.fromkeys(names, 0.0))
+        raw, _ = csi(model, contexts, zero, 0.5, seed=1)
+        assert raw > 0
+        assert (raw, 1.0 - raw) == csi(model, contexts, None, 0.5, seed=1)
 
 
 class TestMre:

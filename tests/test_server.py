@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_ternary_dataset
-from phishguard.datasets import Dataset
+from phishguard import cli
+from phishguard.datasets import Dataset, save_csv
 from phishguard.errors import EmptyReferenceSet, PhishguardError
-from phishguard.explain import fuse_weights, identity_fusion, shap_linear
+from phishguard.explain import FusionWeights, shap_linear
 from phishguard.features import (
     CANONICAL_FEATURES,
+    RESOLVED_FEATURES,
     PrecomputedResolver,
     extract_features,
     to_canonical_vector,
@@ -552,29 +554,32 @@ class TestProvenanceScore:
             PcsConfig(self.reference(), k=9)
 
 
+def uniform_fusion(names, weight=1.0):
+    names = frozenset(names)
+    return FusionWeights(alpha=0.5, beta=0.5, f_ig=names, f_xai=names,
+                         f_final=names, weights=dict.fromkeys(names, weight))
+
+
 class TestClassifyWithFusion:
     def test_identity_fusion_matches_plain_model(self):
         model = trained_model()
-        fusion = identity_fusion(model.feature_names)
         x = np.ones(23)
-        outcome = classify_with_fusion(x, model, fusion)
-        assert outcome["probability"] == pytest.approx(
-            float(model.predict_proba(x))
-        )
+        outcome = classify_with_fusion(x, model, None)
+        assert outcome["probability"] == float(model.predict_proba(x))
 
     def test_zero_weights_zero_embedding(self):
+        # zero weights empty the rationale; the model still scores x itself
         model = LinearModel(weights=np.ones(2), bias=0.0,
                             feature_names=("a", "b"))
-        fusion = identity_fusion(("a", "b"))
-        fusion.weights = {"a": 0.0, "b": 0.0}
-        outcome = classify_with_fusion(np.array([3.0, -2.0]), model, fusion)
-        assert outcome["probability"] == pytest.approx(0.5)
+        x = np.array([3.0, -2.0])
+        outcome = classify_with_fusion(x, model, uniform_fusion(("a", "b"), 0.0))
+        assert outcome["probability"] == float(model.predict_proba(x))
+        assert outcome["probability"] == pytest.approx(0.7310585786300049)
         assert outcome["rationale"] == []
 
     def test_rationale_names_are_human_readable(self):
         model = trained_model()
-        outcome = classify_with_fusion(np.ones(23), model,
-                                       identity_fusion(model.feature_names))
+        outcome = classify_with_fusion(np.ones(23), model, None)
         for sentence in outcome["rationale"]:
             assert sentence in FEATURE_DESCRIPTIONS.values()
 
@@ -582,18 +587,69 @@ class TestClassifyWithFusion:
         # scaling every fusion weight by the same constant must not change
         # which features top the rationale
         model = trained_model()
-        fusion = identity_fusion(model.feature_names)
         x = np.ones(23)
-        base = classify_with_fusion(x, model, fusion)
-        fusion.weights = {n: 2.0 for n in model.feature_names}
-        scaled = classify_with_fusion(x, model, fusion)
+        base = classify_with_fusion(x, model, None)
+        scaled = classify_with_fusion(x, model, uniform_fusion(model.feature_names, 2.0))
         assert scaled["rationale"] == base["rationale"]
 
     def test_label_threshold(self):
         model = LinearModel(weights=np.array([10.0]), bias=0.0,
                             feature_names=("a",))
-        fusion = identity_fusion(("a",))
-        up = classify_with_fusion(np.array([1.0]), model, fusion)
-        down = classify_with_fusion(np.array([-1.0]), model, fusion)
+        up = classify_with_fusion(np.array([1.0]), model, None)
+        down = classify_with_fusion(np.array([-1.0]), model, None)
         assert up["label"] == "phishing" and up["y_hat"] == 1
         assert down["label"] == "legitimate" and down["y_hat"] == 0
+
+
+PARITY_URLS = (
+    "http://a.com",
+    "https://www.example.com/index.html",
+    "http://192.168.1.1/login",
+    "http://secure-paypal.bit.ly//redirect@evil",
+    "http://https-bank.example.co.uk/account/verify?session=1234567890abcdef",
+    "http://sub.sub2.sub3.sub4.example.com/" + "x" * 80,
+    "https://login.microsoftonline.com.phish-site.ru/auth",
+    "http://tinyurl.com/abc123",
+)
+
+
+@functools.cache
+def cli_model(kind):
+    """A model of a `phishguard train --model` kind, and its training set."""
+    ds = make_ternary_dataset(n=200, seed=0, provenance=("UCI",))
+    return cli._train_model(ds, kind, 0), ds
+
+
+class TestServedProbability:
+    """A server answers what its model scores, with or without a
+    `--dataset` reference: fusion weights rank the rationale only."""
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_reply_and_audit_log_carry_the_model_probability(self, tmp_path, kind,
+                                                             with_dataset):
+        model, ds = cli_model(kind)
+        argv = ["serve", "--model", "m.json"]
+        if with_dataset:
+            save_csv(ds, tmp_path / "reference.csv")
+            argv += ["--dataset", str(tmp_path / "reference.csv")]
+        fusion, pcs = cli._build_fusion_and_pcs(cli.build_parser().parse_args(argv), model)
+        assert (fusion is None) is not with_dataset
+        # offline, every resolved feature is 0; a resolver that answers
+        # +-1 reaches the splits on those features too
+        for resolver in (None, *(PrecomputedResolver(dict.fromkeys(RESOLVED_FEATURES, v))
+                                 for v in (1, -1))):
+            server = PhishingServer(model, fusion, pcs, resolver)
+            for i, url in enumerate(PARITY_URLS):
+                reply = call(server, "classify_url", {"url": url}, f"r{i}")["result"]
+                vector = to_canonical_vector(extract_features(url, resolver))
+                # single row against single row: a linear or MLP model can
+                # score a row of a batch differently in the last bits
+                expected = float(model.predict_proba(vector))
+                context = server.audit_log[-1]
+                assert np.array_equal(context.vector, vector)
+                assert context.probability == expected
+                assert reply["probability"] == f"{expected:.6f}"
+                if fusion is not None:  # the rationale names fused features only
+                    fused = {FEATURE_DESCRIPTIONS[name] for name in fusion.f_final}
+                    assert set(reply["rationale"]) <= fused
