@@ -32,7 +32,7 @@ from .generate import (
     generate_feature_rich_domains,
     generate_synthetic_urls,
 )
-from .metrics import accuracy_metric, auc_metric, confusion, cross_validate, metrics_table, prf1, roc_auc
+from .metrics import accuracy_metric, auc_metric, confusion, cross_validate, metrics_table, prf1
 from .models import (
     TrainConfig,
     save_model,
@@ -46,10 +46,6 @@ from .models import (
 from .models.linear import LinearModel
 from .robustness import STRATEGIES, AttackSpec, report_table, run_strategy
 from .server import serve
-
-MODEL_KINDS = ("logistic", "ridge", "sgd", "elastic", "svm", "tree",
-               "forest", "extra", "gbt", "mlp")
-
 
 def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
                     started: float) -> None:
@@ -66,34 +62,34 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
     )
 
 
+# `train --model` kind -> trainer(ds, seed). Each entry looks its trainer
+# up in this module when called, so a wrapper installed on, say,
+# `phishguard.cli.train_linear` sees the fit.
+TRAINERS = {
+    "logistic": lambda ds, seed: train_linear(ds, loss="logistic", cfg=TrainConfig(seed=seed)),
+    "ridge": lambda ds, seed: train_linear(ds, loss="squared", regularization="l2", l2=1.0,
+                                           cfg=TrainConfig(seed=seed)),
+    "sgd": lambda ds, seed: train_linear(
+        ds, loss="logistic", cfg=TrainConfig(seed=seed, max_epochs=30, learning_rate=0.05),
+        sgd=True),
+    "elastic": lambda ds, seed: train_linear(ds, loss="logistic", regularization="elastic",
+                                             l1=1e-3, l2=1e-3, cfg=TrainConfig(seed=seed)),
+    "svm": lambda ds, seed: train_linear(ds, loss="hinge", regularization="l2", l2=1e-3,
+                                         cfg=TrainConfig(seed=seed)),
+    "tree": lambda ds, seed: train_tree(ds, max_depth=12, seed=seed),
+    "forest": lambda ds, seed: train_forest(ds, n_trees=100, mode="bagging", seed=seed),
+    "extra": lambda ds, seed: train_forest(ds, n_trees=100, mode="extra", seed=seed),
+    "gbt": lambda ds, seed: train_gbt(ds, n_rounds=500, learning_rate=0.1, max_depth=4),
+    "mlp": lambda ds, seed: train_mlp(ds, [32, 1], TrainConfig(seed=seed, max_epochs=300,
+                                                               learning_rate=0.01)),
+}
+MODEL_KINDS = tuple(TRAINERS)
+
+
 def _train_model(ds: Dataset, kind: str, seed: int):
-    cfg = TrainConfig(seed=seed)
-    if kind == "logistic":
-        return train_linear(ds, loss="logistic", cfg=cfg)
-    if kind == "ridge":
-        return train_linear(ds, loss="squared", regularization="l2", l2=1.0, cfg=cfg)
-    if kind == "sgd":
-        return train_linear(ds, loss="logistic",
-                            cfg=TrainConfig(seed=seed, max_epochs=30,
-                                            learning_rate=0.05),
-                            sgd=True)
-    if kind == "elastic":
-        return train_linear(ds, loss="logistic", regularization="elastic",
-                            l1=1e-3, l2=1e-3, cfg=cfg)
-    if kind == "svm":
-        return train_linear(ds, loss="hinge", regularization="l2", l2=1e-3, cfg=cfg)
-    if kind == "tree":
-        return train_tree(ds, max_depth=12, seed=seed)
-    if kind == "forest":
-        return train_forest(ds, n_trees=100, mode="bagging", seed=seed)
-    if kind == "extra":
-        return train_forest(ds, n_trees=100, mode="extra", seed=seed)
-    if kind == "gbt":
-        return train_gbt(ds, n_rounds=500, learning_rate=0.1, max_depth=4)
-    if kind == "mlp":
-        return train_mlp(ds, [32, 1], TrainConfig(seed=seed, max_epochs=300,
-                                                  learning_rate=0.01))
-    raise PhishguardError(f"unknown model kind {kind!r}")
+    if kind not in TRAINERS:
+        raise PhishguardError(f"unknown model kind {kind!r}")
+    return TRAINERS[kind](ds, seed)
 
 
 def cmd_ingest(args) -> int:

@@ -157,9 +157,11 @@ def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float
 
 
 def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
-    """Score the raw vector x, as the model was trained; the fusion weights
-    w (all 1 for None) only rank the rationale, by |w * x| times a linear
-    model's coefficients."""
+    """Score the raw vector x, as the model was trained. The rationale names
+    up to three features whose value x > 0 is the phishing-leaning one
+    that FEATURE_DESCRIPTIONS describes, ranked by the signed score w * x
+    times a linear model's coefficients; the fusion weights w (all 1 for
+    None) only rank it."""
     x = np.asarray(x, dtype=float)
     probability = float(model.predict_proba(x))
     label = 1 if probability >= 0.5 else 0
@@ -167,7 +169,7 @@ def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
     names = model.feature_names or CANONICAL_FEATURES
     w = 1.0 if fusion is None else fusion.vector(names)
     contributions = model.weights / model.scale if isinstance(model, LinearModel) else 1.0
-    scores = np.abs(w * x * contributions)
+    scores = np.where(x > 0, w * x * contributions, 0.0)
     order = sorted(range(len(x)), key=lambda j: (-scores[j], j))
     rationale = []
     for j in order[:3]:

@@ -3,7 +3,7 @@ Shapley importance magnitudes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -48,27 +48,14 @@ def _scores_rows_independently(scorer) -> bool:
     return getattr(model, "scores_rows_independently", False)
 
 
-@lru_cache(maxsize=16)
-def _key_multipliers(d: int) -> np.ndarray:
-    # any values are correct, since keys only order rows and every merge
-    # is checked bit for bit; random odd ones make unequal rows collide
-    # (and so possibly miss a merge) about never
-    multipliers = np.random.default_rng(d).integers(
-        1, 2 ** 63, size=d, dtype=np.uint64) | np.uint64(1)
-    multipliers.flags.writeable = False
-    return multipliers
-
-
 def _distinct_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse): the index of one row per bit-distinct row of Z,
     and each row's place in `first`, so Z[first][inverse] is Z bit for
     bit."""
     bits = np.ascontiguousarray(Z).view(np.uint64)
-    # fold the high half down (small floats such as -1.0 and 1.0 differ
-    # only there), then a key in wrapping uint64 arithmetic, so
-    # bit-equal rows get equal keys
-    keys = (bits ^ (bits >> np.uint64(32))) @ _key_multipliers(bits.shape[1])
-    order = np.argsort(keys, kind="stable")
+    # a stable sort on every column's bits puts bit-equal rows side by
+    # side, lowest index first
+    order = np.lexsort(bits.T)
     ordered = bits[order]
     starts = np.ones(len(Z), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)

@@ -7,7 +7,7 @@ methods estimate the same quantity and can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -45,14 +45,19 @@ def _background_mean(background) -> np.ndarray:
     return arr
 
 
-def shap_exact(scorer, x, background, max_features: int = 15) -> ShapExplanation:
-    """Full 2^n subset enumeration with the combinatorial Shapley weight."""
+# the most features shap_exact enumerates: 2^15 rows
+EXACT_FEATURE_CAP = 15
+
+
+def shap_exact(scorer, x, background) -> ShapExplanation:
+    """Full 2^n subset enumeration with the combinatorial Shapley weight,
+    for at most EXACT_FEATURE_CAP features."""
     f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
     mu = _background_mean(background)
     n = len(x)
-    if n > max_features:
-        raise TooManyFeatures(f"{n} features exceeds the enumeration cap {max_features}")
+    if n > EXACT_FEATURE_CAP:
+        raise TooManyFeatures(f"{n} features exceeds the enumeration cap {EXACT_FEATURE_CAP}")
     if len(mu) != n:
         raise DimensionMismatch("background dimension differs from x")
 

@@ -10,7 +10,6 @@ training on precomputed CSVs and live serving share one code path.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,13 +122,7 @@ def parse_url(raw: str) -> UrlParts:
     )
 
 
-def _data_path(name: str) -> Path:
-    override = os.environ.get("PHISHGUARD_DATA_DIR")
-    if override:
-        candidate = Path(override) / name
-        if candidate.exists():
-            return candidate
-    return Path(__file__).parent / "data" / name
+_DATA_DIR = Path(__file__).parent / "data"
 
 
 def _load_lines(path: Path) -> tuple[str, ...]:
@@ -143,12 +136,12 @@ def _load_lines(path: Path) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def shortener_hosts() -> frozenset[str]:
-    return frozenset(_load_lines(_data_path("shorteners.txt")))
+    return frozenset(_load_lines(_DATA_DIR / "shorteners.txt"))
 
 
 @lru_cache(maxsize=None)
 def public_suffixes() -> frozenset[str]:
-    return frozenset(_load_lines(_data_path("suffixes.txt")))
+    return frozenset(_load_lines(_DATA_DIR / "suffixes.txt"))
 
 
 def is_ip_host(host: str) -> bool:

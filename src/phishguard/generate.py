@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ExhaustedRuleSpace, PhishguardError
 from .features import extract_lexical, parse_url

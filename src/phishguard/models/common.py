@@ -1,4 +1,5 @@
-"""Shared training utilities: config, stratified folds, standardization."""
+"""Shared model utilities: config, stratified folds, standardization and
+the scoring surface."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ class TrainConfig:
     max_epochs: int = 500
     learning_rate: float = 0.1
     early_stop_patience: int = 10
-    standardize: bool = True
 
     def __post_init__(self):
         if self.folds < 2:
@@ -72,14 +72,32 @@ def sigmoid(z):
     return out
 
 
-def as_matrix(x, n_features: int) -> tuple[np.ndarray, bool]:
-    """Accept one vector or a matrix; return (2-D array, was_single)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != n_features:
-        raise DimensionMismatch(
-            f"expected {n_features} features, got shape {x.shape}"
-        )
-    return x, single
+class Scorer:
+    """The scoring surface every model kind shares. A subclass scores a
+    matrix: `_logits(X)`, whose sigmoid the base takes, or `_proba(X)`.
+    The base accepts one row or a matrix, checks the width and gives a
+    single row back as a scalar."""
+
+    def _score(self, method, x):
+        X = np.asarray(x, dtype=float)
+        single = X.ndim == 1
+        if single:
+            X = X[None, :]
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise DimensionMismatch(
+                f"expected {self.n_features} features, got shape {X.shape}"
+            )
+        scores = method(X)
+        return scores[0] if single else scores
+
+    def _proba(self, X: np.ndarray) -> np.ndarray:
+        return sigmoid(self._logits(X))
+
+    def decision_function(self, x):
+        return self._score(self._logits, x)
+
+    def predict_proba(self, x):
+        return self._score(self._proba, x)
+
+    def predict(self, x):
+        return (self.predict_proba(x) >= 0.5).astype(int)

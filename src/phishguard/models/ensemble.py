@@ -9,14 +9,14 @@ import numpy as np
 
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
-from .common import as_matrix, sigmoid
+from .common import Scorer, sigmoid
 from .growth import grow_trees
 from .splits import _Bins
 from .tree import DecisionTree, StackedTrees, build_tree
 
 
 @dataclass
-class Ensemble:
+class Ensemble(Scorer):
     members: list[DecisionTree]
     weights: list[float]
     mode: str  # bagging | extra | boosting
@@ -42,6 +42,7 @@ class Ensemble:
         return StackedTrees.of(self.members, self.weights)
 
     def _logits(self, X: np.ndarray) -> np.ndarray:
+        """Logit for boosting; not defined for averaging modes."""
         # the base score, then each weighted tree in training order, one
         # addition after another: cumsum is sequential where sum may add
         # pairwise, so this is bit-identical to a loop over the trees
@@ -49,24 +50,13 @@ class Ensemble:
         terms[0] += self.base_score
         return np.cumsum(terms, axis=0)[-1]
 
-    def decision_function(self, x):
-        """Logit for boosting; not defined for averaging modes."""
-        X, single = as_matrix(x, self.n_features)
-        logits = self._logits(X)
-        return logits[0] if single else logits
-
-    def predict_proba(self, x):
-        X, single = as_matrix(x, self.n_features)
+    def _proba(self, X: np.ndarray) -> np.ndarray:
         if self.mode == "boosting":
-            probs = sigmoid(self._logits(X))
-        else:  # the weighted mean: leaf values carry their tree's weight;
-            # cumsum adds them in order for one row as for many, where sum
-            # would add a single row's trees pairwise
-            probs = np.cumsum(self._stack.leaf_values(X), axis=0)[-1]
-        return probs[0] if single else probs
-
-    def predict(self, x):
-        return (np.asarray(self.predict_proba(x)) >= 0.5).astype(int)
+            return super()._proba(X)
+        # the weighted mean: leaf values carry their tree's weight; cumsum
+        # adds them in order for one row as for many, where sum would add
+        # a single row's trees pairwise
+        return np.cumsum(self._stack.leaf_values(X), axis=0)[-1]
 
 
 def train_forest(

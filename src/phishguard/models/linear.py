@@ -19,14 +19,14 @@ from ..errors import (
     PhishguardError,
     SingleClassDataset,
 )
-from .common import Standardizer, TrainConfig, as_matrix, sigmoid, stratified_fold_indices
+from .common import Scorer, Standardizer, TrainConfig, sigmoid, stratified_fold_indices
 
 LOSSES = ("logistic", "hinge", "squared")
 REGULARIZERS = ("none", "l1", "l2", "elastic")
 
 
 @dataclass
-class LinearModel:
+class LinearModel(Scorer):
     weights: np.ndarray
     bias: float
     loss: str = "logistic"
@@ -52,17 +52,8 @@ class LinearModel:
     def n_features(self) -> int:
         return len(self.weights)
 
-    def decision_function(self, x):
-        X, single = as_matrix(x, self.n_features)
-        Z = (X - self.mean) / self.scale
-        margins = Z @ self.weights + self.bias
-        return margins[0] if single else margins
-
-    def predict_proba(self, x):
-        return sigmoid(self.decision_function(x))
-
-    def predict(self, x):
-        return (np.asarray(self.predict_proba(x)) >= 0.5).astype(int)
+    def _logits(self, X):
+        return ((X - self.mean) / self.scale) @ self.weights + self.bias
 
 
 def _loss_and_grad(w, b, X, y, loss: str, l2: float):
@@ -127,11 +118,8 @@ def train_linear(
     if len(classes) < 2:
         raise SingleClassDataset(f"labels present: {classes.tolist()}")
 
-    X = ds.X
-    scaler = None
-    if cfg.standardize:
-        scaler = Standardizer().fit(X)
-        X = scaler.transform(X)
+    scaler = Standardizer().fit(ds.X)
+    X = scaler.transform(ds.X)
     y = ds.y.astype(float)
 
     d = X.shape[1]
@@ -152,8 +140,8 @@ def train_linear(
         regularization=regularization,
         l1=l1,
         l2=l2,
-        mean=scaler.mean if scaler else None,
-        scale=scaler.scale if scaler else None,
+        mean=scaler.mean,
+        scale=scaler.scale,
         feature_names=ds.feature_names,
     )
 

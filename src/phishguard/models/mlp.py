@@ -7,17 +7,17 @@ full-batch and deterministic per seed, with early stopping on a held-out
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
-from .common import Standardizer, TrainConfig, as_matrix, sigmoid
+from .common import Scorer, Standardizer, TrainConfig, sigmoid
 
 
 @dataclass
-class MlpModel:
+class MlpModel(Scorer):
     weights: list[np.ndarray]  # W[l] of shape (fan_in, fan_out)
     biases: list[np.ndarray]
     mean: np.ndarray = None
@@ -51,22 +51,9 @@ class MlpModel:
             activations.append(h)
         return activations, pre
 
-    def decision_function(self, x):
-        X, single = as_matrix(x, self.n_features)
-        Z = (X - self.mean) / self.scale
-        h = Z
-        last = len(self.weights) - 1
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
-            h = z if l == last else np.maximum(z, 0.0)
-        logits = h[:, 0]
-        return logits[0] if single else logits
-
-    def predict_proba(self, x):
-        return sigmoid(self.decision_function(x))
-
-    def predict(self, x):
-        return (np.asarray(self.predict_proba(x)) >= 0.5).astype(int)
+    def _logits(self, X):
+        # the output unit's pre-activation
+        return self._forward((X - self.mean) / self.scale)[1][-1][:, 0]
 
 
 def bce_loss(y_true, y_prob) -> float:
@@ -111,11 +98,8 @@ def train_mlp(
     if layer_sizes[-1] != 1:
         raise PhishguardError("layer_sizes must end in 1")
 
-    X = ds.X
-    scaler = None
-    if cfg.standardize:
-        scaler = Standardizer().fit(X)
-        X = scaler.transform(X)
+    scaler = Standardizer().fit(ds.X)
+    X = scaler.transform(ds.X)
     y = ds.y.astype(float)
 
     rng = np.random.default_rng(cfg.seed)
@@ -179,6 +163,5 @@ def train_mlp(
 
     if best_params is not None:
         model.weights, model.biases = best_params
-    if scaler is not None:
-        model.mean, model.scale = scaler.mean, scaler.scale
+    model.mean, model.scale = scaler.mean, scaler.scale
     return model

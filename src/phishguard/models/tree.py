@@ -23,7 +23,7 @@ import numpy as np
 
 from ..datasets import Dataset
 from ..errors import PhishguardError
-from .common import as_matrix
+from .common import Scorer
 from .growth import LEAF, grow_trees
 from .splits import _Bins
 
@@ -91,7 +91,7 @@ class StackedTrees:
 
 
 @dataclass(eq=False)
-class DecisionTree:
+class DecisionTree(Scorer):
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
@@ -118,17 +118,14 @@ class DecisionTree:
     def _stack(self) -> StackedTrees:
         return StackedTrees.of([self], [1.0])
 
-    def predict_proba(self, x):
+    def _proba(self, X):
         """p(phishing) for a classify tree; the fitted value for a
         regress tree."""
-        X, single = as_matrix(x, self.n_features)
-        values = self._stack.leaf_values(X)[0]
-        return values[0] if single else values
+        return self._stack.leaf_values(X)[0]
 
-    predict_value = predict_proba  # raw regression output, used by boosting
-
-    def predict(self, x):
-        return (np.asarray(self.predict_proba(x)) >= 0.5).astype(int)
+    # raw regression output, used by boosting; bound to the base method,
+    # so a wrapper on `DecisionTree.predict_proba` does not see it
+    predict_value = Scorer.predict_proba
 
 
 def _check_nodes(tree: DecisionTree) -> None:

@@ -172,12 +172,10 @@ def apf(pre: ContextSet, post: ContextSet) -> float:
 
 
 def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
-        delta: float, n_trials: int = 5, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo |p(x) - p(x + delta*u)| with noise on the fused feature
-    set (every feature when `fusion` is None); returns
+        delta: float, seed: int = 0) -> tuple[float, float]:
+    """Monte-Carlo |p(x) - p(x + delta*u)| over 5 draws of u, with noise on
+    the fused feature set (every feature when `fusion` is None); returns
     (csi_raw, csi_stability = 1 - csi_raw)."""
-    if n_trials < 1:
-        raise PhishguardError("n_trials must be >= 1")
     if not contexts.contexts:
         raise PhishguardError("no contexts")
     names = contexts.contexts[0].names
@@ -186,7 +184,7 @@ def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
     diffs = []
     X = np.stack([c.vector for c in contexts.contexts])
     base = np.asarray(model.predict_proba(X))
-    for _ in range(n_trials):
+    for _ in range(5):
         noise = rng.uniform(-1.0, 1.0, size=X.shape) * delta
         noise[:, ~fused] = 0.0
         perturbed = np.asarray(model.predict_proba(X + noise))

@@ -2,10 +2,11 @@
 
 Each request is processed in an immutable context (`phishguard.context`)
 holding the extracted features, model output and predicted label for
-that request only. Contexts are appended to an audit log and are never
-read by other requests' inference paths. `explain_url` attributions,
-which depend on nothing but the feature vector, are computed once per
-distinct vector. Transports: stdio and TCP.
+that request only. Contexts are appended to an audit log, which keeps
+the last `AUDIT_LOG_SIZE`, and are never read by other requests'
+inference paths. `explain_url` attributions, which depend on nothing but
+the feature vector, are computed once per distinct vector. Transports:
+stdio and TCP.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import functools
 import json
 import socketserver
 import sys
-import threading
 import time
 import uuid
+from collections import deque
 
 import numpy as np
 
@@ -36,6 +37,8 @@ SERVER_VERSION = "phishguard/0.1.0"
 
 # distinct vectors whose explain_url attributions a server keeps
 EXPLAIN_MEMO_SIZE = 1024
+# the most recent contexts the audit log keeps
+AUDIT_LOG_SIZE = 1024
 
 
 class PhishingServer:
@@ -47,8 +50,8 @@ class PhishingServer:
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
         self.resolver = resolver  # None: the offline resolver
-        self.audit_log: list[IsolatedContext] = []
-        self._log_lock = threading.Lock()
+        # deque.append is atomic, so TCP handler threads need no lock
+        self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
         # an explanation is a pure function of the vector's bits: the
         # model is fixed and LIME's seed and background are too
         self._attributions = functools.lru_cache(maxsize=EXPLAIN_MEMO_SIZE)(
@@ -65,8 +68,7 @@ class PhishingServer:
             names=CANONICAL_FEATURES, vector=vector, provenance=provenance,
             created_at=time.time(),
         )
-        with self._log_lock:
-            self.audit_log.append(context)
+        self.audit_log.append(context)
         return context
 
     # -- tools ---------------------------------------------------------------

@@ -13,7 +13,8 @@ import phishguard
 from phishguard import cli
 from phishguard.cli import _train_model, main
 from phishguard.datasets import load_csv, save_csv
-from phishguard.models import load_model, save_model
+from phishguard.errors import DimensionMismatch, PhishguardError
+from phishguard.models import load_model, save_model, sigmoid
 
 
 @pytest.fixture
@@ -187,6 +188,50 @@ class TestTrain:
             assert main(["train", str(csv_path), "--model", "logistic",
                          "--folds", "3", "--seed", "0", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestModelKinds:
+    """Each `train --model` kind, trained as the CLI trains it."""
+
+    # the kinds in `--model` order, each with the trainer it calls
+    TRAINER_OF = {"logistic": "train_linear", "ridge": "train_linear",
+                  "sgd": "train_linear", "elastic": "train_linear",
+                  "svm": "train_linear", "tree": "train_tree", "forest": "train_forest",
+                  "extra": "train_forest", "gbt": "train_gbt", "mlp": "train_mlp"}
+
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_trainer_looked_up_in_the_module_at_call_time(self, monkeypatch, kind):
+        # a wrapper installed on `cli.train_*` after import sees the fit
+        calls = []
+        monkeypatch.setattr(cli, self.TRAINER_OF[kind],
+                            lambda *args, **kwargs: calls.append(args) or "fitted")
+        assert _train_model(make_ternary_dataset(n=20), kind, 0) == "fitted"
+        assert len(calls) == 1
+
+    def test_kinds_in_order_and_unknown_kind(self):
+        assert cli.MODEL_KINDS == tuple(self.TRAINER_OF)
+        with pytest.raises(PhishguardError, match="unknown model kind 'knn'"):
+            _train_model(make_ternary_dataset(n=20), "knn", 0)
+
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_one_scoring_surface(self, kind):
+        ds = make_ternary_dataset(n=120, seed=2)
+        model = _train_model(ds, kind, 0)
+        X = ds.X[:7]
+        probs = model.predict_proba(X)
+        assert probs.shape == (7,)
+        single = model.predict_proba(X[0])
+        # a row alone is scored as a one-row matrix and given back as a scalar
+        assert type(single) is np.float64
+        assert single == model.predict_proba(X[:1])[0]
+        assert np.array_equal(model.predict(X), (probs >= 0.5).astype(int))
+        assert model.predict(X[0]) == int(single >= 0.5)
+        if kind not in ("tree", "forest", "extra"):
+            assert np.array_equal(probs, sigmoid(model.decision_function(X)))
+            assert type(model.decision_function(X[0])) is np.float64
+        for wrong in (X[0, :5], X[:, :5], X[None]):
+            with pytest.raises(DimensionMismatch):
+                model.predict_proba(wrong)
 
 
 class TestExplain:

@@ -74,7 +74,8 @@ class TestPinnedValues:
             "26b9f406bdc3af50479f418690310417917d6c1692066c8605ab5ba0ac9ad7ac",
             "3245376804b6e6608f4642240dde3a2fddd1fa1ffe867fa85f0ea753ef002a42",
         ]
-        assert replies == "095ae795a91cdd85c243775e36a635ff062e739a4e84b0efe799516da2e1277e"
+        # re-recorded when the rationale came to name only x > 0 features
+        assert replies == "6793aeca76c2f475252cc70f31c9d2f7770d8ec1eac5c4a1560b8e89a2318a1d"
 
     def test_audit_log_with_pcs(self):
         reference = make_ternary_dataset(n=200, seed=5, provenance=("UCI",))
@@ -90,7 +91,8 @@ class TestPinnedValues:
             "26b9f406bdc3af50479f418690310417917d6c1692066c8605ab5ba0ac9ad7ac",
             "470d5eecef0f71846658752751342e37a40547066de869e780bd6dca1a5d19e0",
         ]
-        assert replies == "bbe4223b4ca718bc7c764c8dfbc8b2443473d3551d970d074d7747f21095923d"
+        # re-recorded when the rationale came to name only x > 0 features
+        assert replies == "0ab132419c26a5b28a73b88321237e9f257f8d93a02f98fb063ab495d284e8af"
 
     def test_contexts_before_and_after_an_attack(self):
         rng = np.random.default_rng(0)

@@ -21,7 +21,7 @@ from phishguard.explain import (
     shap_linear,
     shap_sampled,
 )
-from phishguard.explain.lime import LimeExplanation, _perturbation_plan
+from phishguard.explain.lime import LimeExplanation, _distinct_rows, _perturbation_plan
 from phishguard.explain.shapley import _as_scorer, _background_mean
 from phishguard.features import extract_features, to_canonical_vector
 from phishguard.generate import GenerationConfig, generate_synthetic_urls
@@ -445,6 +445,21 @@ class TestLimeScoresDistinctRows:
             want = lime_reference(model, x, x[None, :], seed=0)
             assert np.array_equal(exp.weights, want.weights, equal_nan=True)
             assert np.array_equal(exp.intercept, want.intercept, equal_nan=True)
+
+    @pytest.mark.parametrize("d", [1, 2, 23])
+    def test_distinct_rows_exact(self, d):
+        # -0.0 and 0.0, and NaN and -NaN, are distinct bits
+        pool = np.append(SPECIAL_CELLS, np.copysign(np.nan, -1.0))
+        rng = np.random.default_rng(d)
+        for n, levels in ((1, 2), (50, 2), (50, len(pool)), (500, 3), (500, len(pool))):
+            Z = rng.choice(rng.permutation(pool)[:levels], size=(n, d))
+            first, inverse = _distinct_rows(Z)
+            bits = Z.view(np.uint64)
+            assert np.array_equal(bits[first][inverse], bits)
+            assert len(np.unique(bits[first], axis=0)) == len(first)
+            # each distinct row is represented by its first occurrence
+            for row, i in zip(bits[first], first):
+                assert (bits[:i] != row).any(axis=1).all()
 
     def test_plan_cached_and_read_only(self):
         flips, rows = _perturbation_plan(0, 500, 23, 2)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_ternary_dataset
-from phishguard import cli
+from phishguard import cli, server as server_module
 from phishguard.datasets import Dataset, save_csv
 from phishguard.errors import EmptyReferenceSet, PhishguardError
 from phishguard.explain import FusionWeights, shap_linear
@@ -337,6 +337,13 @@ class TestConcurrency:
         refs = [ctx.request_ref for ctx in server.audit_log]
         assert refs == [f"r{i}" for i in range(5)]
 
+    def test_audit_log_keeps_the_most_recent_contexts(self, monkeypatch):
+        monkeypatch.setattr(server_module, "AUDIT_LOG_SIZE", 8)
+        server = make_server()
+        for i in range(20):
+            call(server, "classify_url", {"url": f"http://a{i}.com"}, f"r{i}")
+        assert [ctx.request_ref for ctx in server.audit_log] == [f"r{i}" for i in range(12, 20)]
+
 
 def explain_line(url, request_id="e"):
     return json.dumps({"id": request_id, "tool": "explain_url", "arguments": {"url": url}})
@@ -582,6 +589,23 @@ class TestClassifyWithFusion:
         outcome = classify_with_fusion(np.ones(23), model, None)
         for sentence in outcome["rationale"]:
             assert sentence in FEATURE_DESCRIPTIONS.values()
+
+    def test_rationale_names_only_phishing_leaning_values(self):
+        # a tree weighs every feature 1; ranked by |x|, the -1 (legitimate)
+        # of HTTPS_token and Prefix_Suffix were named as phishing signs
+        model, _ = cli_model("tree")
+        url = "https://www.example.com/index.html"
+        features = extract_features(url)
+        assert features["HTTPS_token"] == features["Prefix_Suffix"] == -1
+        reply = call(PhishingServer(model), "classify_url", {"url": url})["result"]
+        assert reply["rationale"] == [FEATURE_DESCRIPTIONS["URL_Length"]]
+
+    def test_rationale_ranks_the_signed_contribution(self):
+        # b is present but pushes towards legitimate; a is absent (-1)
+        model = LinearModel(weights=np.array([2.0, -3.0, 1.0, 4.0]), bias=0.0,
+                            feature_names=("a", "b", "c", "d"))
+        outcome = classify_with_fusion(np.array([-1.0, 1.0, 1.0, 0.5]), model, None)
+        assert outcome["rationale"] == ["d", "c"]
 
     def test_argmax_invariant_to_uniform_scaling(self):
         # scaling every fusion weight by the same constant must not change
