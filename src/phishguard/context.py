@@ -170,9 +170,12 @@ def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
     w = 1.0 if fusion is None else fusion.vector(names)
     contributions = model.weights / model.scale if isinstance(model, LinearModel) else 1.0
     scores = np.where(x > 0, w * x * contributions, 0.0)
-    order = sorted(range(len(x)), key=lambda j: (-scores[j], j))
+    # highest score first, ties by feature index. The scores are finite,
+    # so no NaN upsets the order: an extracted vector is, and
+    # NonFiniteReference guards the reference set that robustness scores
+    # and that fusion weights come from.
     rationale = []
-    for j in order[:3]:
+    for j in np.argsort(-scores, kind="stable")[:3]:
         if scores[j] <= 0:
             continue
         name = names[j]

@@ -87,6 +87,15 @@ class DimensionMismatch(PhishguardError):
     pass
 
 
+class NoLogitScale(PhishguardError):
+    """`decision_function` on a model whose probability is no sigmoid of a
+    logit: a single tree or an averaging forest."""
+
+    def __init__(self, kind: str):
+        super().__init__(f"{kind} models have no logit scale; use predict_proba")
+        self.kind = kind
+
+
 class SingleClassDataset(PhishguardError):
     pass
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, PhishguardError
+from ..errors import DimensionMismatch, NoLogitScale, PhishguardError
 
 
 @dataclass
@@ -74,7 +74,8 @@ def sigmoid(z):
 
 class Scorer:
     """The scoring surface every model kind shares. A subclass scores a
-    matrix: `_logits(X)`, whose sigmoid the base takes, or `_proba(X)`.
+    matrix: `_logits(X)`, whose sigmoid the base takes, or `_proba(X)`;
+    a model of the second sort has no `decision_function` (NoLogitScale).
     The base accepts one row or a matrix, checks the width and gives a
     single row back as a scalar."""
 
@@ -89,6 +90,9 @@ class Scorer:
             )
         scores = method(X)
         return scores[0] if single else scores
+
+    def _logits(self, X: np.ndarray) -> np.ndarray:
+        raise NoLogitScale(self.kind)
 
     def _proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self._logits(X))

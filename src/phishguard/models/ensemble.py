@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from ..datasets import Dataset
-from ..errors import NonFiniteLoss, PhishguardError
+from ..errors import NoLogitScale, NonFiniteLoss, PhishguardError
 from .common import Scorer, sigmoid
 from .growth import grow_trees
 from .splits import _Bins
@@ -43,6 +43,8 @@ class Ensemble(Scorer):
 
     def _logits(self, X: np.ndarray) -> np.ndarray:
         """Logit for boosting; not defined for averaging modes."""
+        if self.mode != "boosting":
+            raise NoLogitScale(f"{self.mode} {self.kind}")
         # the base score, then each weighted tree in training order, one
         # addition after another: cumsum is sequential where sum may add
         # pairwise, so this is bit-identical to a loop over the trees

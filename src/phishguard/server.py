@@ -6,16 +6,22 @@ that request only. Contexts are appended to an audit log, which keeps
 the last `AUDIT_LOG_SIZE`, and are never read by other requests'
 inference paths. `explain_url` attributions, which depend on nothing but
 the feature vector, are computed once per distinct vector. Transports:
-stdio and TCP.
+stdio and TCP. TCP is served from one thread by one selector loop
+(`TcpTransport`), which answers each line as it completes; the number
+of connections, the length of a line and each connection's unsent
+replies are bounded by module constants.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import socketserver
+import selectors
+import socket
 import sys
+import threading
 import time
+import traceback
 import uuid
 from collections import deque
 
@@ -39,6 +45,16 @@ SERVER_VERSION = "phishguard/0.1.0"
 EXPLAIN_MEMO_SIZE = 1024
 # the most recent contexts the audit log keeps
 AUDIT_LOG_SIZE = 1024
+# TCP connections served at once; more wait in the listen backlog
+MAX_CONNECTIONS = 64
+# the longest TCP request line, in bytes without its newline
+MAX_LINE_BYTES = 65536
+# unsent reply bytes past which a TCP connection is not read until its
+# client reads
+MAX_UNSENT_BYTES = 1 << 20
+# bytes a TCP connection reads at a time; the lines of one read are
+# answered before other connections are served
+_RECV_BYTES = 4096
 
 
 class PhishingServer:
@@ -50,7 +66,8 @@ class PhishingServer:
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
         self.resolver = resolver  # None: the offline resolver
-        # deque.append is atomic, so TCP handler threads need no lock
+        # deque.append is atomic, so threads that call handle_line at once
+        # need no lock
         self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
         # an explanation is a pure function of the vector's bits: the
         # model is fixed and LIME's seed and background are too
@@ -173,30 +190,187 @@ class PhishingServer:
             stdout.write(self.handle_line(line) + "\n")
             stdout.flush()
 
-    def serve_tcp(self, port: int, host: str = "127.0.0.1"):
-        server = self
+    def serve_tcp(self, port: int, host: str = "127.0.0.1") -> TcpTransport:
+        return TcpTransport(self, (host, port))
 
-        class Handler(socketserver.StreamRequestHandler):
-            # send each reply at once instead of holding it for the
-            # client's ACK of the previous one (Nagle's algorithm)
-            disable_nagle_algorithm = True
 
-            def handle(self):
-                for raw in self.rfile:
-                    line = raw.decode("utf-8", "replace").strip()
-                    if not line:
-                        continue
-                    try:
-                        response = server.handle_line(line)
-                        self.wfile.write((response + "\n").encode())
-                    except (BrokenPipeError, ConnectionResetError):
-                        return  # session dies, server lives
+class _Connection:
+    """One TCP client: its socket, the bytes of its unfinished line and
+    its unsent replies."""
 
-        class ThreadingServer(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
+    __slots__ = ("sock", "partial", "unsent", "skipping", "eof", "events")
 
-        return ThreadingServer((host, port), Handler)
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.partial = bytearray()
+        self.unsent = bytearray()
+        self.skipping = False  # inside an over-long line, up to its newline
+        self.eof = False  # the client will send nothing more
+        self.events = selectors.EVENT_READ
+
+
+class TcpTransport:
+    """Serves a PhishingServer's tools over TCP from one thread: one
+    selector watches the listener, every connection and a socketpair
+    that `shutdown` writes to. Each complete line from a `recv` is
+    answered through `server.handle_line` and its reply sent at once;
+    write interest is registered only while reply bytes remain unsent.
+
+    Bounded by construction: at `MAX_CONNECTIONS` the listener is not
+    polled until a connection closes; a line over `MAX_LINE_BYTES` gets
+    one PARSE_ERROR and the rest of it is skipped; a connection with more
+    than `MAX_UNSENT_BYTES` unsent is not read until its client reads.
+    """
+
+    def __init__(self, server: PhishingServer, address: tuple[str, int]):
+        self.server = server
+        self.socket = socket.create_server(address)
+        self.server_address = self.socket.getsockname()
+        self._wake, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._connections: set[_Connection] = set()
+        self._listening = True
+        # set while no loop runs; a shutdown() before serve_forever leaves
+        # its byte in the socketpair, so the loop stops as it starts
+        self._stopped = threading.Event()
+        self._stopped.set()
+        self.socket.setblocking(False)
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.server_close()
+
+    def serve_forever(self) -> None:
+        """Serve until `shutdown`."""
+        self._stopped.clear()
+        try:
+            while True:
+                for key, events in self._selector.select():
+                    if key.data is not None:
+                        self._serve(key.data, events)
+                    elif key.fileobj is self.socket:
+                        self._accept()
+                    else:
+                        self._wake.recv(64)
+                        return
+        finally:
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop `serve_forever`, from another thread, and wait until it
+        has returned."""
+        self._waker.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        for conn in self._connections:
+            conn.sock.close()
+        self._connections.clear()
+        self._selector.close()
+        for sock in (self.socket, self._wake, self._waker):
+            sock.close()
+
+    # -- connections ---------------------------------------------------------
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.socket.accept()
+        except OSError:  # the client gave up before we accepted it
+            return
+        sock.setblocking(False)
+        # send each reply at once instead of holding it for the client's
+        # ACK of the previous one (Nagle's algorithm)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(sock)
+        self._connections.add(conn)
+        self._selector.register(sock, conn.events, conn)
+        self._listen()
+
+    def _close(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._connections.discard(conn)
+        self._listen()
+
+    def _listen(self) -> None:
+        """Poll the listener only while below the connection cap."""
+        listening = len(self._connections) < MAX_CONNECTIONS
+        if listening and not self._listening:
+            self._selector.register(self.socket, selectors.EVENT_READ)
+        elif self._listening and not listening:
+            self._selector.unregister(self.socket)
+        self._listening = listening
+
+    def _serve(self, conn: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_WRITE:
+                self._send(conn)
+            if events & selectors.EVENT_READ:
+                self._receive(conn)
+        except OSError:  # the client reset the connection; the server lives
+            self._close(conn)
+            return
+        except Exception:  # noqa: BLE001 - one connection's fault is not the server's
+            print("closing a TCP connection after an error:", file=sys.stderr)
+            traceback.print_exc()
+            self._close(conn)
+            return
+        wanted = 0
+        if not conn.eof and len(conn.unsent) <= MAX_UNSENT_BYTES:
+            wanted |= selectors.EVENT_READ
+        if conn.unsent:
+            wanted |= selectors.EVENT_WRITE
+        if not wanted:  # the client is done and has every reply
+            self._close(conn)
+        elif wanted != conn.events:
+            self._selector.modify(conn.sock, wanted, conn)
+            conn.events = wanted
+
+    def _receive(self, conn: _Connection) -> None:
+        data = conn.sock.recv(_RECV_BYTES)
+        if not data:
+            # at EOF an unterminated last line is still answered
+            conn.eof = True
+            data = b"\n"
+        *lines, tail = data.split(b"\n")
+        if lines and conn.partial:
+            lines[0] = conn.partial + lines[0]
+            conn.partial.clear()
+        for line in lines:
+            self._answer(conn, line)
+        conn.partial += tail
+        if len(conn.partial) > MAX_LINE_BYTES:
+            if not conn.skipping:
+                self._reply(conn, _line_too_long())
+                conn.skipping = True
+            conn.partial.clear()
+
+    def _answer(self, conn: _Connection, line: bytes) -> None:
+        if conn.skipping:  # the end of an over-long line
+            conn.skipping = False
+        elif len(line) > MAX_LINE_BYTES:
+            self._reply(conn, _line_too_long())
+        else:
+            text = line.decode("utf-8", "replace").strip()
+            if text:
+                self._reply(conn, self.server.handle_line(text))
+
+    def _reply(self, conn: _Connection, reply: str) -> None:
+        blocked = bool(conn.unsent)  # then the selector says when to send
+        conn.unsent += reply.encode() + b"\n"
+        if not blocked:
+            self._send(conn)
+
+    def _send(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.unsent)
+        except BlockingIOError:
+            return
+        del conn.unsent[:sent]
 
 
 def _require_url(arguments) -> str:
@@ -204,6 +378,10 @@ def _require_url(arguments) -> str:
     if not url or not isinstance(url, str):
         raise MalformedUrl("arguments must include a non-empty 'url'")
     return url
+
+
+def _line_too_long() -> str:
+    return _error_line(None, "PARSE_ERROR", f"request line exceeds {MAX_LINE_BYTES} bytes")
 
 
 def _error_line(request_id, code: str, message: str) -> str:

@@ -13,7 +13,7 @@ import phishguard
 from phishguard import cli
 from phishguard.cli import _train_model, main
 from phishguard.datasets import load_csv, save_csv
-from phishguard.errors import DimensionMismatch, PhishguardError
+from phishguard.errors import DimensionMismatch, NoLogitScale, PhishguardError
 from phishguard.models import load_model, save_model, sigmoid
 
 
@@ -229,6 +229,12 @@ class TestModelKinds:
         if kind not in ("tree", "forest", "extra"):
             assert np.array_equal(probs, sigmoid(model.decision_function(X)))
             assert type(model.decision_function(X[0])) is np.float64
+        else:
+            # a tree's leaf frequency or a forest's mean vote is no logit
+            named = {"tree": "tree", "forest": "bagging ensemble", "extra": "extra ensemble"}
+            for rows in (X, X[0]):
+                with pytest.raises(NoLogitScale, match=f"^{named[kind]} models"):
+                    model.decision_function(rows)
         for wrong in (X[0, :5], X[:, :5], X[None]):
             with pytest.raises(DimensionMismatch):
                 model.predict_proba(wrong)

@@ -156,7 +156,7 @@ class TestSharing:
 
 def test_robustness_imports_no_transport():
     probe = ("import sys, phishguard.robustness; "
-             "print(sorted({'phishguard.server', 'socketserver'} & set(sys.modules)))")
+             "print(sorted({'phishguard.server', 'selectors'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env).stdout

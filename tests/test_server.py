@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import io
@@ -5,6 +6,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,44 +264,203 @@ class TestStdioTransport:
         assert json.loads(lines[2])["status"] == "ok"
 
 
+def request_line(request_id, tool, arguments=None) -> bytes:
+    request = {"id": request_id, "tool": tool}
+    if arguments is not None:
+        request["arguments"] = arguments
+    return (json.dumps(request) + "\n").encode()
+
+
+@contextlib.contextmanager
+def serving(server):
+    """A TCP transport whose loop runs in one thread until the block ends."""
+    tcp = server.serve_tcp(0)
+    thread = threading.Thread(target=tcp.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield tcp
+    finally:
+        tcp.shutdown()
+        thread.join(timeout=5)
+        tcp.server_close()
+    assert not thread.is_alive()
+
+
+def connect(tcp, timeout=5.0) -> socket.socket:
+    return socket.create_connection(("127.0.0.1", tcp.server_address[1]), timeout=timeout)
+
+
+def read_lines(conn, n: int) -> list[bytes]:
+    """The next n reply lines, without their newlines."""
+    data = b""
+    while data.count(b"\n") < n:
+        chunk = conn.recv(65536)
+        assert chunk, f"connection closed before {n} replies"
+        data += chunk
+    lines = data.split(b"\n")
+    assert lines[n:] == [b""], "more replies than requests"
+    return lines[:n]
+
+
 class TestTcpTransport:
     def test_tcp_round_trip(self):
+        with serving(make_server()) as tcp, connect(tcp) as conn:
+            conn.sendall(request_line("1", "server_info"))
+            response = json.loads(read_lines(conn, 1)[0])
+        assert response["status"] == "ok"
+
+    def test_nagle_disabled_on_accepted_connections(self, monkeypatch):
+        accepted = []
+        accept = socket.socket.accept
+
+        def recording(self):
+            sock, address = accept(self)
+            accepted.append(sock)
+            return sock, address
+
+        monkeypatch.setattr(socket.socket, "accept", recording)
+        with serving(make_server()) as tcp, connect(tcp) as conn:
+            conn.sendall(request_line("1", "server_info"))
+            read_lines(conn, 1)
+            nodelay = [s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for s in accepted]
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_interleaved_pipelines_reply_in_order_as_stdio_does(self):
+        server = make_server(mixed_pcs())
+        streams = [
+            [request_line(f"a{i}", "classify_url", {"url": f"http://a{i}.example.com/x",
+                                                     "provenance": "UCI"})
+             for i in range(6)] + [b"garbage\n", request_line("a-info", "server_info")],
+            [request_line(f"b{i}", tool, {"url": f"http://b{i}.test/login@x"})
+             for i, tool in enumerate(["explain_url", "extract_features", "classify_url"] * 2)]
+            + [request_line("b-bad", "nope")],
+        ]
+        expected = []
+        for lines in streams:
+            stdout = io.StringIO()
+            server.serve_stdio(io.StringIO(b"".join(lines).decode()), stdout)
+            expected.append(stdout.getvalue().encode().splitlines())
+        with serving(server) as tcp, connect(tcp) as a, connect(tcp) as b:
+            conns = (a, b)
+            for step in range(max(map(len, streams))):
+                for conn, lines in zip(conns, streams):
+                    conn.sendall(b"".join(lines[step:step + 1]))
+            got = [read_lines(conn, len(lines)) for conn, lines in zip(conns, streams)]
+        assert got == expected
+
+    def test_half_close_answers_the_unterminated_last_line(self):
+        with serving(make_server()) as tcp, connect(tcp) as conn:
+            conn.sendall(request_line("1", "server_info") + b"\xff\xfe{\n" + b"\n"
+                         + request_line("2", "server_info").rstrip(b"\n"))
+            conn.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := conn.recv(65536):
+                data += chunk
+        replies = [json.loads(line) for line in data.splitlines()]
+        assert [r["id"] for r in replies] == ["1", None, "2"]
+        assert replies[1]["error"]["code"] == "PARSE_ERROR"
+        assert data.endswith(b"\n")
+
+    def test_a_line_that_raises_closes_only_its_connection(self, monkeypatch, capsys):
         server = make_server()
-        tcp = server.serve_tcp(0)
-        port = tcp.server_address[1]
-        thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
-                conn.sendall((json.dumps({"id": "1", "tool": "server_info"}) + "\n").encode())
-                response = json.loads(conn.makefile().readline())
-            assert response["status"] == "ok"
-        finally:
-            tcp.shutdown()
-            tcp.server_close()
+        handle_line = server.handle_line
 
-    def test_nagle_disabled_on_accepted_connections(self):
-        tcp = make_server().serve_tcp(0)
-        nodelay = []
+        def failing(line):
+            if line == "boom":
+                raise RecursionError("maximum recursion depth exceeded")
+            return handle_line(line)
 
-        class Probe(tcp.RequestHandlerClass):
-            def setup(self):
-                super().setup()
-                nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP,
-                                                          socket.TCP_NODELAY))
+        monkeypatch.setattr(server, "handle_line", failing)
+        with serving(server) as tcp, connect(tcp) as doomed, connect(tcp) as other:
+            doomed.sendall(b"boom\n")
+            assert doomed.recv(65536) == b""
+            other.sendall(request_line("2", "server_info"))
+            assert json.loads(read_lines(other, 1)[0])["id"] == "2"
+        assert "RecursionError: maximum recursion" in capsys.readouterr().err
 
-        tcp.RequestHandlerClass = Probe
-        thread = threading.Thread(target=tcp.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with socket.create_connection(("127.0.0.1", tcp.server_address[1]),
-                                          timeout=5) as conn:
-                conn.sendall((json.dumps({"id": "1", "tool": "server_info"}) + "\n").encode())
-                conn.makefile().readline()
-            assert len(nodelay) == 1 and nodelay[0] != 0
-        finally:
-            tcp.shutdown()
-            tcp.server_close()
+    def test_connections_are_served_without_threads(self):
+        with serving(make_server()) as tcp:
+            before = threading.active_count()
+            with connect(tcp) as a, connect(tcp) as b:
+                for conn in (a, b):
+                    conn.sendall(request_line("1", "server_info"))
+                for conn in (a, b):
+                    read_lines(conn, 1)
+                assert threading.active_count() == before
+
+
+class TestTcpBounds:
+    def test_a_connection_over_the_cap_waits_for_one_to_close(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 1)
+        with serving(make_server()) as tcp:
+            with connect(tcp) as first:
+                first.sendall(request_line("1", "server_info"))
+                read_lines(first, 1)
+                # the kernel completes the handshake, but the loop reads
+                # nothing from the second while the first is open
+                second = connect(tcp)
+                second.sendall(request_line("2", "server_info"))
+                second.settimeout(0.3)
+                with pytest.raises(TimeoutError):
+                    second.recv(1)
+                second.settimeout(5)
+            with second:
+                assert json.loads(read_lines(second, 1)[0])["id"] == "2"
+
+    def test_an_over_long_line_gets_one_parse_error(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 64)
+        with serving(make_server()) as tcp, connect(tcp) as conn:
+            # whole in one read
+            conn.sendall(b"x" * 65 + b"\n" + request_line("1", "server_info"))
+            first = [json.loads(line) for line in read_lines(conn, 2)]
+            # spread over reads: the error comes before the line ends
+            conn.sendall(b"[" * 100)
+            too_long = json.loads(read_lines(conn, 1)[0])
+            conn.sendall(b"[" * 100 + b"\n" + request_line("2", "server_info"))
+            second = json.loads(read_lines(conn, 1)[0])
+            # a line of exactly the cap is a request
+            exact = request_line("3", "server_info").rstrip(b"\n")
+            conn.sendall(exact.ljust(64) + b"\n")
+            third = json.loads(read_lines(conn, 1)[0])
+        for reply in (first[0], too_long):
+            assert reply["id"] is None and reply["error"]["code"] == "PARSE_ERROR"
+            assert "64 bytes" in reply["error"]["message"]
+        assert [first[1]["id"], second["id"], third["id"]] == ["1", "2", "3"]
+        assert first[1]["status"] == second["status"] == third["status"] == "ok"
+
+    def test_a_client_that_never_reads_delays_no_other(self, monkeypatch):
+        monkeypatch.setattr(server_module, "MAX_UNSENT_BYTES", 4096)
+        small = 4096
+        with serving(make_server()) as tcp:
+            # small kernel buffers on both ends, so the unsent replies
+            # pile up in the server within a few hundred requests
+            for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+                tcp.socket.setsockopt(socket.SOL_SOCKET, option, small)
+            flood = socket.socket()
+            flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, small)
+            flood.settimeout(5)
+            flood.connect(tcp.server_address)
+            with flood, connect(tcp) as other:
+                flood.setblocking(False)
+                chunk = request_line("f", "server_info") * 100
+                sent, budget = 0, 8 << 20
+                stalled_since = None
+                while sent < budget:
+                    try:
+                        sent += flood.send(chunk)
+                        stalled_since = None
+                    except BlockingIOError:
+                        now = time.monotonic()
+                        stalled_since = stalled_since or now
+                        if now - stalled_since > 0.5:
+                            break  # the server stopped reading the flood
+                        time.sleep(0.01)
+                assert sent < budget
+                started = time.monotonic()
+                other.sendall(request_line("1", "server_info"))
+                reply = json.loads(read_lines(other, 1)[0])
+                assert time.monotonic() - started < 1.0
+                assert reply["id"] == "1" and reply["status"] == "ok"
 
 
 class TestConcurrency:
