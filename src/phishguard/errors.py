@@ -146,3 +146,7 @@ class IdMismatch(PhishguardError):
 
 class ZeroBaseline(PhishguardError):
     pass
+
+
+class UnservableModel(PhishguardError):
+    """A model whose inputs are not the server's extracted feature vector."""

@@ -142,16 +142,15 @@ def auc_metric(labels, probabilities) -> float:
     return roc_auc(labels, probabilities)[1]
 
 
-def cross_validate(trainer, ds: Dataset, metric, k: int = 5,
-                   seed: int = 0) -> CvResult | dict[str, CvResult]:
+def cross_validate(trainer, ds: Dataset, metrics: dict, k: int = 5,
+                   seed: int = 0) -> dict[str, CvResult]:
     """Train on each fold complement, score the held-out fold.
 
-    `trainer(train_ds)` returns a model with predict_proba;
-    `metric(labels, probabilities)` returns a scalar. `metric` may also
-    be a dict of such functions: every one scores the same k fold
-    models, and the result is a dict of `CvResult` under the same keys.
+    `trainer(train_ds)` returns a model with predict_proba; each of
+    `metrics`, a dict of functions `metric(labels, probabilities)` that
+    return a scalar, scores the same k fold models. The result holds a
+    `CvResult` under each metric's key.
     """
-    metrics = metric if isinstance(metric, dict) else {None: metric}
     folds = stratified_fold_indices(ds.y, k, seed)
     all_idx = np.arange(len(ds))
     scores = {name: [] for name in metrics}
@@ -170,8 +169,7 @@ def cross_validate(trainer, ds: Dataset, metric, k: int = 5,
             # rebuilt from one message string
             exc.args = (f"fold {fold_no}: {exc}",)
             raise exc
-    results = {name: CvResult(values) for name, values in scores.items()}
-    return results if isinstance(metric, dict) else results[None]
+    return {name: CvResult(values) for name, values in scores.items()}
 
 
 def metrics_table(rows: dict[str, dict]) -> str:

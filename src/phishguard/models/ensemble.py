@@ -32,6 +32,9 @@ class Ensemble(Scorer):
     def __post_init__(self):
         if not self.members:
             raise PhishguardError("ensemble needs at least one member")
+        if len(self.weights) != len(self.members) or not np.all(
+                np.isfinite([*self.weights, self.base_score])):
+            raise PhishguardError("ensemble needs one finite weight per member, finite base_score")
 
     @property
     def n_features(self) -> int:
@@ -146,7 +149,9 @@ def train_gbt(
             feature_names=ds.feature_names,
             _bins=bins,
         )
-        update = tree.predict_value(ds.X)
+        # the tree's fitted values, scored without `predict_proba`, which
+        # then sees only served and evaluated predictions
+        update = tree._proba(ds.X)
         logits = logits + learning_rate * update
         if not np.all(np.isfinite(logits)):
             raise NonFiniteLoss("boosting diverged")

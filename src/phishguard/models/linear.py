@@ -41,10 +41,9 @@ class LinearModel(Scorer):
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.mean is None:
-            self.mean = np.zeros_like(self.weights)
-        if self.scale is None:
-            self.scale = np.ones_like(self.weights)
+        d = len(self.weights)
+        self.mean = np.asarray(np.zeros(d) if self.mean is None else self.mean, dtype=float)
+        self.scale = np.asarray(np.ones(d) if self.scale is None else self.scale, dtype=float)
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.bias):
             raise PhishguardError("non-finite linear model parameters")
 

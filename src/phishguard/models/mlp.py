@@ -27,12 +27,13 @@ class MlpModel(Scorer):
     kind = "mlp"
 
     def __post_init__(self):
+        self.weights = [np.asarray(W, dtype=float) for W in self.weights]
+        self.biases = [np.asarray(b, dtype=float) for b in self.biases]
         if self.weights[-1].shape[1] != 1:
             raise PhishguardError("output layer must have one unit")
-        if self.mean is None:
-            self.mean = np.zeros(self.weights[0].shape[0])
-        if self.scale is None:
-            self.scale = np.ones(self.weights[0].shape[0])
+        d = self.weights[0].shape[0]
+        self.mean = np.asarray(np.zeros(d) if self.mean is None else self.mean, dtype=float)
+        self.scale = np.asarray(np.ones(d) if self.scale is None else self.scale, dtype=float)
 
     @property
     def n_features(self) -> int:

@@ -1,17 +1,23 @@
 """Versioned JSON serialization for every trained model kind.
 
-Format 2 stores a tree as its parallel node arrays (see `models.tree`):
+A model file holds the model's own dataclass fields:
 
-    {"feature": [...], "threshold": [...], "left": [...], "right": [...],
-     "value": [...], "n_features": d, "max_depth": k, "task": "classify"}
+    {"version": 2, "kind": "linear", "feature_names": [...],
+     "params": {"weights": [...], "bias": 0.25, "loss": "logistic", ...}}
 
-An ensemble stores a list of such trees under "members". Format 1
-nested each tree's nodes under "root"; it is still read and converted
-to node arrays at load.
+`params` has one entry per field but `feature_names`: an array as its
+nested list, a list item by item and an ensemble's member trees as their
+own params. A tree's fields are its parallel node arrays (see
+`models.tree`). Loading requires exactly those fields, a defaulted one
+too, each of its annotation's JSON type, and passes them to the kind's
+constructor; anything else raises `PhishguardError`. Format 1 nested
+each tree's nodes under "root"; it is still read and converted to node
+arrays at load.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -25,11 +31,18 @@ from .tree import LEAF, NODE_ARRAYS, DecisionTree
 
 FORMAT_VERSION = 2
 
+KINDS = {cls.kind: cls for cls in (LinearModel, DecisionTree, Ensemble, MlpModel)}
 
-def _tree_to_dict(tree: DecisionTree) -> dict:
-    doc = {name: getattr(tree, name).tolist() for name in NODE_ARRAYS}
-    doc.update(n_features=tree.n_features, max_depth=tree.max_depth, task=tree.task)
-    return doc
+# the JSON types a field may hold, by its annotation (a bool is no
+# number); the constructors turn arrays into numpy arrays themselves
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "np.ndarray": (list,), "DecisionTree": (dict,)}
+
+
+def _holds(annotation: str, value) -> bool:
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_holds(annotation[5:-1], item) for item in value)
+    return type(value) is not bool and isinstance(value, _JSON_TYPES[annotation])
 
 
 def _v1_node_arrays(root: dict) -> dict:
@@ -56,94 +69,63 @@ def _v1_node_arrays(root: dict) -> dict:
     return nodes
 
 
-def _tree_from_dict(data: dict, feature_names) -> DecisionTree:
-    nodes = _v1_node_arrays(data["root"]) if "root" in data else data
-    return DecisionTree(
-        **{name: np.asarray(nodes[name]) for name in NODE_ARRAYS},
-        n_features=data["n_features"],
-        max_depth=data["max_depth"],
-        task=data["task"],
-        feature_names=tuple(feature_names),
-    )
+def _encode(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return _params(value)
+    return value
+
+
+def _fields(cls) -> dict[str, str]:
+    return {f.name: f.type for f in dataclasses.fields(cls) if f.name != "feature_names"}
+
+
+def _params(model) -> dict:
+    return {name: _encode(getattr(model, name)) for name in _fields(model)}
 
 
 def model_to_dict(model) -> dict:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": model.kind,
-        "feature_names": list(model.feature_names),
-    }
-    if isinstance(model, LinearModel):
-        doc["params"] = {
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "loss": model.loss,
-            "regularization": model.regularization,
-            "l1": model.l1,
-            "l2": model.l2,
-            "mean": model.mean.tolist(),
-            "scale": model.scale.tolist(),
-        }
-    elif isinstance(model, DecisionTree):
-        doc["params"] = _tree_to_dict(model)
-    elif isinstance(model, Ensemble):
-        doc["params"] = {
-            "mode": model.mode,
-            "learning_rate": model.learning_rate,
-            "base_score": model.base_score,
-            "weights": list(model.weights),
-            "members": [_tree_to_dict(t) for t in model.members],
-        }
-    elif isinstance(model, MlpModel):
-        doc["params"] = {
-            "weights": [W.tolist() for W in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "mean": model.mean.tolist(),
-            "scale": model.scale.tolist(),
-        }
-    else:
-        raise PhishguardError(f"cannot serialize {type(model).__name__}")
-    return doc
+    return {"version": FORMAT_VERSION, "kind": model.kind,
+            "feature_names": list(model.feature_names), "params": _params(model)}
 
 
-def model_from_dict(doc: dict):
+def _build(cls, params, names: tuple[str, ...]):
+    if not isinstance(params, dict):
+        raise PhishguardError(f"{cls.kind} params must be a JSON object")
+    params = dict(params)
+    try:
+        if "root" in params:  # format 1
+            params.update(_v1_node_arrays(params.pop("root")))
+        fields = _fields(cls)
+        missing, unknown = sorted(fields.keys() - params), sorted(params.keys() - fields)
+        if missing or unknown:
+            raise PhishguardError(f"{cls.kind} params: missing {missing}, unknown {unknown}")
+        for name, value in params.items():
+            if not _holds(fields[name], value):
+                raise PhishguardError(f"{cls.kind} {name} is not a {fields[name]}: {value!r:.80}")
+        if cls is Ensemble:
+            params["members"] = [_build(DecisionTree, member, names)
+                                 for member in params["members"]]
+        return cls(**params, feature_names=names)
+    except (TypeError, ValueError, KeyError, IndexError, RecursionError) as exc:
+        raise PhishguardError(f"malformed {cls.kind} params: {exc}") from exc
+
+
+def model_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise PhishguardError("a model file must hold a JSON object")
     if doc.get("version") not in (1, FORMAT_VERSION):
         raise PhishguardError(f"unsupported model format version {doc.get('version')}")
-    names = tuple(doc.get("feature_names", ()))
-    kind = doc["kind"]
-    params = doc["params"]
-    if kind == "linear":
-        return LinearModel(
-            weights=np.asarray(params["weights"]),
-            bias=params["bias"],
-            loss=params["loss"],
-            regularization=params["regularization"],
-            l1=params["l1"],
-            l2=params["l2"],
-            mean=np.asarray(params["mean"]),
-            scale=np.asarray(params["scale"]),
-            feature_names=names,
-        )
-    if kind == "tree":
-        return _tree_from_dict(params, names)
-    if kind == "ensemble":
-        return Ensemble(
-            members=[_tree_from_dict(t, names) for t in params["members"]],
-            weights=list(params["weights"]),
-            mode=params["mode"],
-            learning_rate=params["learning_rate"],
-            base_score=params["base_score"],
-            feature_names=names,
-        )
-    if kind == "mlp":
-        return MlpModel(
-            weights=[np.asarray(W) for W in params["weights"]],
-            biases=[np.asarray(b) for b in params["biases"]],
-            mean=np.asarray(params["mean"]),
-            scale=np.asarray(params["scale"]),
-            feature_names=names,
-        )
-    raise PhishguardError(f"unknown model kind {kind!r}")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise PhishguardError(f"unknown model kind {kind!r}")
+    names = doc.get("feature_names", [])
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise PhishguardError("feature_names must be a list of strings")
+    return _build(KINDS[kind], doc.get("params"), tuple(names))
 
 
 def save_model(model, path) -> None:
@@ -151,4 +133,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # not JSON text, or nested too deep
+        raise PhishguardError(f"{path} is not a JSON model file: {exc}") from exc
+    return model_from_dict(doc)

@@ -123,10 +123,6 @@ class DecisionTree(Scorer):
         regress tree."""
         return self._stack.leaf_values(X)[0]
 
-    # raw regression output, used by boosting; bound to the base method,
-    # so a wrapper on `DecisionTree.predict_proba` does not see it
-    predict_value = Scorer.predict_proba
-
 
 def _check_nodes(tree: DecisionTree) -> None:
     """Reject node arrays the walk cannot follow: unequal lengths, a

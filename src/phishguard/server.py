@@ -28,7 +28,7 @@ from collections import deque
 import numpy as np
 
 from .context import LABEL_NAMES, IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
-from .errors import MalformedUrl, PhishguardError
+from .errors import MalformedUrl, PhishguardError, UnservableModel
 from .explain import FusionWeights, lime_explain, shap_linear
 from .features import (
     CANONICAL_FEATURES,
@@ -62,6 +62,12 @@ class PhishingServer:
 
     def __init__(self, model, fusion: FusionWeights | None = None,
                  pcs: PcsConfig | None = None, resolver=None):
+        # every request is scored on CANONICAL_FEATURES, in that order
+        if model.n_features != len(CANONICAL_FEATURES):
+            raise UnservableModel(f"the model takes {model.n_features} features, "
+                                  f"not {len(CANONICAL_FEATURES)}")
+        if model.feature_names and tuple(model.feature_names) != CANONICAL_FEATURES:
+            raise UnservableModel("the model's features are not the canonical features in order")
         self.model = model
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
@@ -120,10 +126,9 @@ class PhishingServer:
     def _tool_explain_url(self, arguments, request_id):
         url = _require_url(arguments)
         vector = to_canonical_vector(extract_features(url, self.resolver))
-        names = self.model.feature_names or CANONICAL_FEATURES
         method, attributions = self._attributions(vector.tobytes())
         ranked = sorted(
-            zip(names, vector, attributions), key=lambda t: -abs(t[2])
+            zip(CANONICAL_FEATURES, vector, attributions), key=lambda t: -abs(t[2])
         )
         return {
             "method": method,
@@ -154,11 +159,16 @@ class PhishingServer:
     def handle_line(self, line: str) -> str:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):  # or nested too deep
             return _error_line(None, "PARSE_ERROR", "request is not valid JSON")
         request_id = request.get("id") if isinstance(request, dict) else None
-        if not isinstance(request, dict) or not request_id:
-            return _error_line(request_id, "PARSE_ERROR", "missing request id")
+        # an id is a string or an integer, as in JSON-RPC, so that a reply
+        # always encodes; any other is answered as null (type() rules out bool)
+        if type(request_id) not in (str, int):
+            request_id = None
+        if not request_id:
+            return _error_line(request_id, "PARSE_ERROR",
+                               "request id must be a non-empty string or a non-zero integer")
         tool = request.get("tool")
         handler = getattr(self, f"_tool_{tool}", None)
         if tool not in TOOLS or handler is None:

@@ -168,7 +168,7 @@ class TestCrossValidate:
     def test_fold_count_and_range(self):
         ds = make_ternary_dataset(n=300, seed=1)
         result = cross_validate(lambda d: train_linear(d), ds,
-                                accuracy_metric, k=5, seed=0)
+                                {"accuracy": accuracy_metric}, k=5, seed=0)["accuracy"]
         assert len(result.scores) == 5
         assert all(0.0 <= s <= 1.0 for s in result.scores)
         assert result.mean == pytest.approx(np.mean(result.scores))
@@ -176,9 +176,9 @@ class TestCrossValidate:
 
     def test_seed_determinism(self):
         ds = make_ternary_dataset(n=200, seed=2)
-        a = cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3, seed=7)
-        b = cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3, seed=7)
-        assert a.scores == b.scores
+        a = cross_validate(lambda d: train_linear(d), ds, {"auc": auc_metric}, k=3, seed=7)
+        b = cross_validate(lambda d: train_linear(d), ds, {"auc": auc_metric}, k=3, seed=7)
+        assert a["auc"].scores == b["auc"].scores
 
     def test_metrics_share_one_model_per_fold(self):
         ds = make_ternary_dataset(n=200, seed=2)
@@ -193,15 +193,15 @@ class TestCrossValidate:
         assert len(fits) == 4
         assert list(both) == ["accuracy", "auc"]
         for name, metric in (("accuracy", accuracy_metric), ("auc", auc_metric)):
-            alone = cross_validate(lambda d: train_linear(d), ds, metric, k=4, seed=7)
-            assert both[name].scores == alone.scores
+            alone = cross_validate(lambda d: train_linear(d), ds, {name: metric}, k=4, seed=7)
+            assert both[name].scores == alone[name].scores
 
     def test_fold_error_annotated(self):
         # all-positive labels make every fold single-class
         ds = make_ternary_dataset(n=60, seed=3)
         ds.y[:] = 1
         with pytest.raises(SingleClassDataset) as err:
-            cross_validate(lambda d: train_linear(d), ds, auc_metric, k=3)
+            cross_validate(lambda d: train_linear(d), ds, {"auc": auc_metric}, k=3)
         assert "fold 0" in str(err.value)
 
     def test_fold_error_keeps_class_with_several_arguments(self):
@@ -211,7 +211,7 @@ class TestCrossValidate:
 
         ds = make_ternary_dataset(n=60, seed=3)
         with pytest.raises(ResolverFailure) as err:
-            cross_validate(trainer, ds, auc_metric, k=3)
+            cross_validate(trainer, ds, {"auc": auc_metric}, k=3)
         assert str(err.value) == "fold 0: DNSRecord: lookup timed out"
         assert err.value.feature == "DNSRecord"
 
@@ -220,7 +220,7 @@ class TestCrossValidate:
         ds = make_ternary_dataset(n=60, seed=3)
         ds.X[row, 2] = -np.inf
         with pytest.raises(InfiniteCell) as err:
-            cross_validate(train_tree, ds, auc_metric, k=3)
+            cross_validate(train_tree, ds, {"auc": auc_metric}, k=3)
         assert (err.value.row, err.value.column) == (row, 2)
         assert f"-inf at row {row} of the dataset, column 2" in str(err.value)
 

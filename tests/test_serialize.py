@@ -1,9 +1,17 @@
+import dataclasses
+import functools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_ternary_dataset
+from phishguard import cli
+from phishguard.cli import main
 from phishguard.errors import PhishguardError
 from phishguard.models import (
+    DecisionTree,
     TrainConfig,
     load_model,
     save_model,
@@ -15,7 +23,12 @@ from phishguard.models import (
 )
 from phishguard.models.serialize import model_from_dict, model_to_dict
 
+DATA = Path(__file__).resolve().parent / "data"
+FITTED = ["linear", "tree", "forest", "gbt", "mlp"]
+V1_FILES = ["tree_v1.json", "forest_v1.json", "gbt_v1.json", "extra_v1.json"]
 
+
+@functools.lru_cache(maxsize=None)
 def fitted_models():
     ds = make_ternary_dataset(n=150, seed=0)
     return ds, {
@@ -98,3 +111,213 @@ def test_malformed_node_arrays_rejected(corrupt):
     corrupt(doc["params"])
     with pytest.raises(PhishguardError):
         model_from_dict(doc)
+
+
+def source_model(name):
+    """A fitted model of kind `name`, or the model a format-1 file holds."""
+    return load_model(DATA / name) if name.endswith(".json") else fitted_models()[1][name]
+
+
+def field_names(model) -> set[str]:
+    return {f.name for f in dataclasses.fields(model)} - {"feature_names"}
+
+
+@pytest.mark.parametrize("name", FITTED + V1_FILES)
+def test_params_are_the_model_fields(name):
+    model = source_model(name)
+    params = model_to_dict(model)["params"]
+    assert set(params) == field_names(model)
+    for member, tree in zip(params.get("members", ()), getattr(model, "members", ())):
+        assert set(member) == field_names(tree) == field_names(DecisionTree)
+
+
+@pytest.mark.parametrize("name", FITTED + V1_FILES)
+def test_save_load_save_is_byte_identical(tmp_path, name):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(source_model(name), first)
+    save_model(load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _missing_field(doc):
+    del doc["params"]["bias"]
+
+
+def _unknown_field(doc):
+    doc["params"]["momentum"] = 0.9
+
+
+def _mistyped_field(doc):
+    doc["params"]["bias"] = "0.25"
+
+
+def _bool_for_a_number(doc):
+    doc["params"]["l2"] = True
+
+
+def _feature_names_in_params(doc):
+    doc["params"]["feature_names"] = doc["feature_names"]
+
+
+def _list_document(doc):
+    return [doc]
+
+
+def _missing_params(doc):
+    del doc["params"]
+
+
+def _params_not_an_object(doc):
+    doc["params"] = list(doc["params"].items())
+
+
+def _feature_names_not_strings(doc):
+    doc["feature_names"] = [1, 2]
+
+
+def _missing_member_field(doc):
+    del doc["params"]["members"][0]["threshold"]
+
+
+def _member_not_an_object(doc):
+    doc["params"]["members"][0] = [doc["params"]["members"][0]]
+
+
+def _mistyped_mode(doc):
+    doc["params"]["mode"] = 5
+
+
+def _one_weight_short(doc):
+    doc["params"]["weights"].pop()
+
+
+def _ragged_layer(doc):
+    doc["params"]["weights"][0][0].pop()
+
+
+def _v1_root_without_children(doc):
+    del doc["params"]["members"][0]["root"]["left"]
+
+
+# a format-1 tree chained deeper than Python's default recursion limit
+DEEP = 1200
+LEAF_TEXT = '{"value": [0.5, 0.5]}'
+
+
+def _deep_v1_root(doc):
+    root = json.loads(LEAF_TEXT)
+    for _ in range(DEEP):
+        root = {"feature": 0, "threshold": 0.5, "left": root, "right": json.loads(LEAF_TEXT)}
+    doc["params"]["root"] = root
+
+
+def _deep_v1_text():
+    """A format-1 tree file nested DEEP levels, as text: `json.dumps`
+    cannot write it, and whether `json.loads` reads it back depends on
+    the Python version."""
+    doc = json.loads((DATA / "tree_v1.json").read_text())
+    doc["params"]["root"] = "ROOT"
+    inner = '{"feature": 0, "threshold": 0.5, "right": %s, "left": ' % LEAF_TEXT
+    return json.dumps(doc).replace('"ROOT"', inner * DEEP + LEAF_TEXT + "}" * DEEP)
+
+
+def _missing_defaulted(field):
+    def corrupt(doc):
+        del doc["params"][field]
+    corrupt.__name__ = f"_missing_defaulted_{field}"
+    return corrupt
+
+
+def _set_param(field, value, label):
+    def corrupt(doc):
+        doc["params"][field] = value
+    corrupt.__name__ = f"_{field}_{label}"
+    return corrupt
+
+
+def _weights_as(label, item):
+    def corrupt(doc):
+        doc["params"]["weights"][0] = item
+    corrupt.__name__ = f"_weight_{label}"
+    return corrupt
+
+
+MALFORMED = [
+    ("linear", _missing_field),
+    ("linear", _unknown_field),
+    ("linear", _mistyped_field),
+    ("linear", _bool_for_a_number),
+    ("linear", _feature_names_in_params),
+    ("linear", _list_document),
+    ("linear", _missing_params),
+    ("linear", _params_not_an_object),
+    ("linear", _feature_names_not_strings),
+    ("forest", _missing_member_field),
+    ("forest", _member_not_an_object),
+    ("gbt", _mistyped_mode),
+    ("gbt", _one_weight_short),
+    ("mlp", _ragged_layer),
+    ("forest_v1.json", _v1_root_without_children),
+    ("tree_v1.json", _deep_v1_root),
+    # a field with a constructor default must still be in the file
+    ("linear", _missing_defaulted("mean")),
+    ("gbt", _missing_defaulted("base_score")),
+    ("mlp", _missing_defaulted("scale")),
+    ("tree", _missing_defaulted("task")),
+    ("linear", _set_param("scale", None, "null")),
+    ("mlp", _set_param("mean", 0.0, "a_number")),
+    ("gbt", _weights_as("a_string", "0.1")),
+    ("gbt", _weights_as("null", None)),
+    ("gbt", _weights_as("nan", float("nan"))),
+    ("gbt", _set_param("base_score", float("inf"), "infinite")),
+]
+
+
+def malformed_doc(name, corrupt):
+    if name.endswith(".json"):
+        doc = json.loads((DATA / name).read_text())
+    else:
+        doc = model_to_dict(fitted_models()[1][name])
+    corrupted = corrupt(doc)
+    return doc if corrupted is None else corrupted
+
+
+@pytest.mark.parametrize("name, corrupt", MALFORMED,
+                         ids=[corrupt.__name__ for _, corrupt in MALFORMED])
+def test_malformed_documents_rejected(name, corrupt):
+    with pytest.raises(PhishguardError):
+        model_from_dict(malformed_doc(name, corrupt))
+
+
+# a malformed document, or the text of a file
+MALFORMED_FILES = {
+    "missing_field": ("linear", _missing_field),
+    "missing_params": ("linear", _missing_params),
+    "list_document": ("linear", _list_document),
+    "member_not_an_object": ("forest", _member_not_an_object),
+    "not_json": "{not json",
+    "nested_too_deep": "[" * 100000,
+    "missing_defaulted_field": ("gbt", _missing_defaulted("base_score")),
+    "tree_deeper_than_the_stack": _deep_v1_text(),
+}
+
+
+def test_serve_starts_on_a_well_formed_model_file(tmp_path, monkeypatch):
+    served = []
+    monkeypatch.setattr(cli, "serve", lambda transport, model, *rest, **kw: served.append(model))
+    save_model(source_model("gbt_v1.json"), tmp_path / "good.json")
+    assert main(["serve", "--model", str(tmp_path / "good.json")]) == 0
+    assert [model.kind for model in served] == ["ensemble"]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_serve_refuses_a_malformed_model_file(tmp_path, capsys, monkeypatch, case):
+    # a model that loads must not reach the transport, whose read of the
+    # captured stdin would also exit 2
+    monkeypatch.setattr(cli, "serve", lambda *args, **kw: pytest.fail("the model was served"))
+    text = MALFORMED_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(malformed_doc(*text)))
+    assert main(["serve", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err

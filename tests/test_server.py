@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_ternary_dataset
 from phishguard import cli, server as server_module
 from phishguard.datasets import Dataset, save_csv
-from phishguard.errors import EmptyReferenceSet, PhishguardError
+from phishguard.errors import EmptyReferenceSet, PhishguardError, UnservableModel
 from phishguard.explain import FusionWeights, shap_linear
 from phishguard.features import (
     CANONICAL_FEATURES,
@@ -29,6 +29,7 @@ from phishguard.models import (
     LinearModel,
     TrainConfig,
     load_model,
+    save_model,
     train_forest,
     train_gbt,
     train_linear,
@@ -226,6 +227,33 @@ REQUESTS = st.fixed_dictionaries({}, optional={
 })
 
 
+def nested(depth: int, opener: str, closed: bool) -> str:
+    """A JSON value `depth` arrays or objects deep, or its unclosed prefix."""
+    if opener == "[":
+        return "[" * depth + ("1" + "]" * depth if closed else "")
+    return '{"a": ' * depth + ("1" + "}" * depth if closed else "")
+
+
+DEEP_VALUES = st.builds(nested, st.integers(1, 5000), st.sampled_from(["[", "{"]),
+                        st.booleans())
+# each slot is a request line with the value in one place
+DEEP_SLOTS = (
+    "%s",
+    '{"id": %s, "tool": "server_info"}',
+    '{"id": "r1", "tool": %s}',
+    '{"id": "r1", "tool": "classify_url", "arguments": %s}',
+    '{"id": "r1", "tool": "classify_url", "arguments": {"url": %s}}',
+    '{"id": "r1", "tool": "classify_url", "arguments": {"url": "http://a.com", "provenance": %s}}',
+)
+DEEP_LINES = st.builds(lambda slot, value: slot % value, st.sampled_from(DEEP_SLOTS),
+                       DEEP_VALUES)
+
+
+def reply_id(request_id):
+    """The id a reply carries: JSON-RPC's string or integer ids, else null."""
+    return request_id if type(request_id) in (str, int) else None
+
+
 class TestProtocolTotality:
     """Any line gets exactly one JSON reply, "ok" or "error"."""
 
@@ -235,6 +263,7 @@ class TestProtocolTotality:
         reply = self.server.handle_line(line)
         assert "\n" not in reply
         assert json.loads(reply)["status"] in ("ok", "error")
+        return json.loads(reply)
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(st.text(max_size=200))
@@ -244,7 +273,34 @@ class TestProtocolTotality:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(REQUESTS)
     def test_any_json_request(self, request):
-        self.assert_one_reply(json.dumps(request))
+        reply = self.assert_one_reply(json.dumps(request))
+        assert reply["id"] == reply_id(request.get("id"))
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(DEEP_LINES)
+    def test_any_deeply_nested_line(self, line):
+        self.assert_one_reply(line)
+
+    def test_5000_open_brackets_get_a_parse_error(self):
+        reply = self.assert_one_reply("[" * 5000)
+        assert reply["id"] is None and reply["error"]["code"] == "PARSE_ERROR"
+        assert self.assert_one_reply('{"id": "r1", "tool": "server_info"}')["status"] == "ok"
+
+    def test_a_deeply_nested_id_gets_one_reply(self):
+        # every depth from shallow to past what json parses: near that
+        # limit an id parses but would no longer encode
+        for depth in range(1, 1500, 3):
+            reply = self.assert_one_reply(
+                '{"id": %s, "tool": "server_info"}' % nested(depth, "[", True))
+            assert reply["id"] is None and reply["error"]["code"] == "PARSE_ERROR"
+
+    @pytest.mark.parametrize("request_id",
+                             ["r1", 7, -3, "", 0, [1], {"a": 1}, 1.5, True, False, None])
+    def test_only_string_and_integer_ids_are_echoed(self, request_id):
+        reply = self.assert_one_reply(json.dumps({"id": request_id, "tool": "server_info"}))
+        assert reply["id"] == reply_id(request_id)
+        # "" and 0 are echoed, but refused as a missing id is
+        assert (reply["status"] == "ok") is bool(reply_id(request_id))
 
 
 class TestStdioTransport:
@@ -262,6 +318,15 @@ class TestStdioTransport:
         assert json.loads(lines[0])["status"] == "ok"
         assert json.loads(lines[1])["error"]["code"] == "PARSE_ERROR"
         assert json.loads(lines[2])["status"] == "ok"
+
+    def test_5000_open_brackets_get_one_reply(self):
+        requests = "[" * 5000 + "\n" + json.dumps({"id": "1", "tool": "server_info"}) + "\n"
+        stdout = io.StringIO()
+        make_server().serve_stdio(stdin=io.StringIO(requests), stdout=stdout)
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(replies) == 2
+        assert replies[0]["id"] is None and replies[0]["error"]["code"] == "PARSE_ERROR"
+        assert replies[1]["status"] == "ok"
 
 
 def request_line(request_id, tool, arguments=None) -> bytes:
@@ -427,6 +492,13 @@ class TestTcpBounds:
             assert "64 bytes" in reply["error"]["message"]
         assert [first[1]["id"], second["id"], third["id"]] == ["1", "2", "3"]
         assert first[1]["status"] == second["status"] == third["status"] == "ok"
+
+    def test_5000_open_brackets_get_one_reply(self):
+        with serving(make_server()) as tcp, connect(tcp) as conn:
+            conn.sendall(b"[" * 5000 + b"\n" + request_line("1", "server_info"))
+            replies = [json.loads(line) for line in read_lines(conn, 2)]
+        assert replies[0]["id"] is None and replies[0]["error"]["code"] == "PARSE_ERROR"
+        assert replies[1]["id"] == "1" and replies[1]["status"] == "ok"
 
     def test_a_client_that_never_reads_delays_no_other(self, monkeypatch):
         monkeypatch.setattr(server_module, "MAX_UNSENT_BYTES", 4096)
@@ -838,3 +910,31 @@ class TestServedProbability:
                 if fusion is not None:  # the rationale names fused features only
                     fused = {FEATURE_DESCRIPTIONS[name] for name in fusion.f_final}
                     assert set(reply["rationale"]) <= fused
+
+
+class TestUnservableModel:
+    """A model that cannot take the extracted vector is refused when the
+    server starts, not answered INTERNAL on every request."""
+
+    def test_a_model_of_another_width_is_refused(self):
+        model = train_linear(make_ternary_dataset(n=100, n_features=16, seed=0))
+        with pytest.raises(UnservableModel, match="takes 16 features"):
+            PhishingServer(model)
+
+    def test_a_model_trained_on_reordered_columns_is_refused(self):
+        ds = make_ternary_dataset(n=100, seed=0)
+        reordered = Dataset(ds.X[:, ::-1], ds.y, ds.feature_names[::-1])
+        with pytest.raises(UnservableModel, match="canonical features"):
+            PhishingServer(train_linear(reordered))
+
+    def test_a_model_without_names_takes_the_canonical_order(self):
+        model = LinearModel(weights=np.ones(len(CANONICAL_FEATURES)), bias=0.0)
+        assert call(PhishingServer(model), "classify_url",
+                    {"url": "http://a.com"})["status"] == "ok"
+
+    def test_serve_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        save_model(train_linear(make_ternary_dataset(n=100, n_features=16, seed=0)), path)
+        assert cli.main(["serve", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the model takes 16 features")

@@ -560,7 +560,7 @@ class TestGbt:
 
         losses = [bce(logits)]
         for tree, weight in zip(model.members, model.weights):
-            logits = logits + weight * tree.predict_value(ds.X)
+            logits = logits + weight * tree.predict_proba(ds.X)
             losses.append(bce(logits))
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
@@ -575,7 +575,7 @@ class TestGbt:
         model = train_gbt(ds, n_rounds=5, max_depth=2)
         manual = np.full(len(ds), model.base_score)
         for tree, weight in zip(model.members, model.weights):
-            manual += weight * tree.predict_value(ds.X)
+            manual += weight * tree.predict_proba(ds.X)
         assert np.allclose(model.decision_function(ds.X), manual)
         # the vectorised walk adds the trees in the loop's order, bit for bit
         assert np.array_equal(model.decision_function(ds.X), manual)
