@@ -62,6 +62,17 @@ class Standardizer:
         return self.fit(X).transform(X)
 
 
+def standardization(mean, scale, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A model's `mean` and `scale` over d features as float arrays; None
+    is the identity. Either of another shape raises PhishguardError."""
+    mean = np.asarray(np.zeros(d) if mean is None else mean, dtype=float)
+    scale = np.asarray(np.ones(d) if scale is None else scale, dtype=float)
+    if mean.shape != (d,) or scale.shape != (d,):
+        raise PhishguardError(f"mean and scale must hold {d} values, one per weight; "
+                              f"got shapes {mean.shape} and {scale.shape}")
+    return mean, scale
+
+
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)

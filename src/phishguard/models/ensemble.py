@@ -35,6 +35,10 @@ class Ensemble(Scorer):
         if len(self.weights) != len(self.members) or not np.all(
                 np.isfinite([*self.weights, self.base_score])):
             raise PhishguardError("ensemble needs one finite weight per member, finite base_score")
+        # every member reads the rows the ensemble takes
+        widths = sorted({member.n_features for member in self.members})
+        if len(widths) > 1:
+            raise PhishguardError(f"ensemble members take different numbers of features: {widths}")
 
     @property
     def n_features(self) -> int:

@@ -19,7 +19,8 @@ from ..errors import (
     PhishguardError,
     SingleClassDataset,
 )
-from .common import Scorer, Standardizer, TrainConfig, sigmoid, stratified_fold_indices
+from .common import (Scorer, Standardizer, TrainConfig, sigmoid, standardization,
+                     stratified_fold_indices)
 
 LOSSES = ("logistic", "hinge", "squared")
 REGULARIZERS = ("none", "l1", "l2", "elastic")
@@ -41,9 +42,10 @@ class LinearModel(Scorer):
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        d = len(self.weights)
-        self.mean = np.asarray(np.zeros(d) if self.mean is None else self.mean, dtype=float)
-        self.scale = np.asarray(np.ones(d) if self.scale is None else self.scale, dtype=float)
+        if self.weights.ndim != 1:
+            raise PhishguardError(f"linear weights must be a vector, not of shape "
+                                  f"{self.weights.shape}")
+        self.mean, self.scale = standardization(self.mean, self.scale, len(self.weights))
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.bias):
             raise PhishguardError("non-finite linear model parameters")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..datasets import Dataset
 from ..errors import NonFiniteLoss, PhishguardError
-from .common import Scorer, Standardizer, TrainConfig, sigmoid
+from .common import Scorer, Standardizer, TrainConfig, sigmoid, standardization
 
 
 @dataclass
@@ -29,11 +29,18 @@ class MlpModel(Scorer):
     def __post_init__(self):
         self.weights = [np.asarray(W, dtype=float) for W in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
-        if self.weights[-1].shape[1] != 1:
+        if not self.weights or any(W.ndim != 2 for W in self.weights):
+            raise PhishguardError("an MLP needs one or more 2-D weight matrices")
+        shapes = [W.shape for W in self.weights]
+        if shapes[-1][1] != 1:
             raise PhishguardError("output layer must have one unit")
-        d = self.weights[0].shape[0]
-        self.mean = np.asarray(np.zeros(d) if self.mean is None else self.mean, dtype=float)
-        self.scale = np.asarray(np.ones(d) if self.scale is None else self.scale, dtype=float)
+        # each layer takes the units of the one before it
+        if any(fan_out != fan_in for (_, fan_out), (fan_in, _) in zip(shapes, shapes[1:])):
+            raise PhishguardError(f"MLP layers do not chain: weight shapes {shapes}")
+        if [b.shape for b in self.biases] != [(fan_out,) for _, fan_out in shapes]:
+            raise PhishguardError(f"MLP biases {[b.shape for b in self.biases]} do not "
+                                  f"match the layers' units {[s[1] for s in shapes]}")
+        self.mean, self.scale = standardization(self.mean, self.scale, shapes[0][0])
 
     @property
     def n_features(self) -> int:

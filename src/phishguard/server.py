@@ -4,9 +4,18 @@ Each request is processed in an immutable context (`phishguard.context`)
 holding the extracted features, model output and predicted label for
 that request only. Contexts are appended to an audit log, which keeps
 the last `AUDIT_LOG_SIZE`, and are never read by other requests'
-inference paths. `explain_url` attributions, which depend on nothing but
-the feature vector, are computed once per distinct vector. Transports:
-stdio and TCP. TCP is served from one thread by one selector loop
+inference paths. What depends on nothing but the feature vector is
+computed once per distinct vector and kept in a memo of the last
+`VECTOR_MEMO_SIZE` vectors: `classify_url`'s model outcome (probability,
+label and rationale) and `explain_url`'s attributions. Both memos are
+exact, because the model and the fusion weights are fixed: a hit returns
+the bits a new computation would, so replies are byte-identical.
+Extraction, PCS (which depends on the claimed provenance), a fresh
+context in the audit log and JSON encoding still run on every request.
+The 23 ternary-coded features make repeats the rule: in the first 30,000
+requests of the benchmark's seed-1 streams, 98.9% (serve-linear) and
+99.4% (serve-gbt) of classify requests repeat an earlier vector.
+Transports: stdio and TCP. TCP is served from one thread by one selector loop
 (`TcpTransport`), which answers each line as it completes; the number
 of connections, the length of a line and each connection's unsent
 replies are bounded by module constants.
@@ -24,6 +33,7 @@ import time
 import traceback
 import uuid
 from collections import deque
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,8 +51,9 @@ TOOLS = ("server_info", "extract_features", "classify_url", "explain_url")
 
 SERVER_VERSION = "phishguard/0.1.0"
 
-# distinct vectors whose explain_url attributions a server keeps
-EXPLAIN_MEMO_SIZE = 1024
+# distinct vectors whose classify_url outcome, and whose explain_url
+# attributions, a server keeps
+VECTOR_MEMO_SIZE = 1024
 # the most recent contexts the audit log keeps
 AUDIT_LOG_SIZE = 1024
 # TCP connections served at once; more wait in the listen backlog
@@ -75,9 +86,11 @@ class PhishingServer:
         # deque.append is atomic, so threads that call handle_line at once
         # need no lock
         self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
-        # an explanation is a pure function of the vector's bits: the
-        # model is fixed and LIME's seed and background are too
-        self._attributions = functools.lru_cache(maxsize=EXPLAIN_MEMO_SIZE)(
+        # an outcome and an explanation are pure functions of the vector's
+        # bits: the model and fusion weights are fixed, and LIME's seed
+        # and background are too
+        self._outcomes = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)(self._score)
+        self._attributions = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)(
             self._fit_attributions)
 
     # -- context lifecycle -------------------------------------------------
@@ -85,7 +98,7 @@ class PhishingServer:
     def create_context(self, request_id: str, url: str,
                        provenance: str = "Unknown") -> IsolatedContext:
         vector = to_canonical_vector(extract_features(url, self.resolver))
-        outcome = classify_with_fusion(vector, self.model, self.fusion)
+        outcome = self._outcomes(vector.tobytes())
         context = IsolatedContext.from_outcome(
             outcome, context_id=uuid.uuid4().hex, request_ref=request_id,
             names=CANONICAL_FEATURES, vector=vector, provenance=provenance,
@@ -137,6 +150,12 @@ class PhishingServer:
                 for n, v, a in ranked
             ],
         }
+
+    def _score(self, key: bytes) -> MappingProxyType:
+        """The read-only `classify_with_fusion` outcome of the float64
+        vector `key`, its rationale a tuple."""
+        outcome = classify_with_fusion(np.frombuffer(key), self.model, self.fusion)
+        return MappingProxyType({**outcome, "rationale": tuple(outcome["rationale"])})
 
     def _fit_attributions(self, key: bytes) -> tuple[str, np.ndarray]:
         """(method, read-only attributions) of the float64 vector `key`."""

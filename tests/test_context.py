@@ -177,7 +177,8 @@ class TestTracedLookups:
     """The benchmark's tracer wraps these functions where the server and
     the harness look them up, so every call must go through them."""
 
-    def test_one_fusion_and_one_pcs_call_per_classify(self, monkeypatch):
+    def test_one_fusion_call_per_distinct_vector_and_one_pcs_call_per_classify(
+            self, monkeypatch):
         calls = {"classify_with_fusion": 0, "provenance_score": 0}
         for module in (server, robustness):
             for name in calls:
@@ -185,10 +186,12 @@ class TestTracedLookups:
         reference = make_ternary_dataset(n=50, seed=1, provenance=("UCI",))
         phishing_server = PhishingServer(train_linear(make_ternary_dataset(n=300, seed=0)),
                                          pcs=PcsConfig(reference))
-        for i, url in enumerate(URLS):
+        # http://b.com extracts to the vector of http://a.com
+        urls = (*URLS, "http://b.com", URLS[0])
+        for i, url in enumerate(urls):
             phishing_server.handle_line(json.dumps(
                 {"id": f"r{i}", "tool": "classify_url", "arguments": {"url": url}}))
-        assert calls == {"classify_with_fusion": len(URLS), "provenance_score": len(URLS)}
+        assert calls == {"classify_with_fusion": len(URLS), "provenance_score": len(urls)}
 
     def test_one_fusion_call_per_built_context(self, monkeypatch):
         calls = {"classify_with_fusion": 0, "provenance_score": 0}

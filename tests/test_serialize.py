@@ -195,6 +195,28 @@ def _ragged_layer(doc):
     doc["params"]["weights"][0][0].pop()
 
 
+def _short_standardization(doc):
+    doc["params"]["mean"] = doc["params"]["mean"][:5]
+    doc["params"]["scale"] = doc["params"]["scale"][:5]
+
+
+def _weights_a_matrix(doc):
+    doc["params"]["weights"] = [doc["params"]["weights"]]
+
+
+def _unchained_layers(doc):
+    # layers (23, 8) then (7, 1)
+    doc["params"]["weights"][1] = doc["params"]["weights"][1][:7]
+
+
+def _wider_member(doc):
+    # a member that takes 30 features and splits on feature 25, which a
+    # 23-wide row does not have
+    member = doc["params"]["members"][0]
+    member["n_features"] = 30
+    member["feature"][0] = 25
+
+
 def _v1_root_without_children(doc):
     del doc["params"]["members"][0]["root"]["left"]
 
@@ -270,6 +292,11 @@ MALFORMED = [
     ("gbt", _weights_as("null", None)),
     ("gbt", _weights_as("nan", float("nan"))),
     ("gbt", _set_param("base_score", float("inf"), "infinite")),
+    # fields of the right types that disagree in shape with each other
+    ("linear", _short_standardization),
+    ("linear", _weights_a_matrix),
+    ("mlp", _unchained_layers),
+    ("gbt", _wider_member),
 ]
 
 
@@ -299,6 +326,9 @@ MALFORMED_FILES = {
     "nested_too_deep": "[" * 100000,
     "missing_defaulted_field": ("gbt", _missing_defaulted("base_score")),
     "tree_deeper_than_the_stack": _deep_v1_text(),
+    "short_standardization": ("linear", _short_standardization),
+    "unchained_layers": ("mlp", _unchained_layers),
+    "wider_member": ("gbt", _wider_member),
 }
 
 

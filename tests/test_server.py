@@ -43,7 +43,7 @@ from phishguard.context import (
     classify_with_fusion,
     provenance_score,
 )
-from phishguard.server import EXPLAIN_MEMO_SIZE, TOOLS, PhishingServer
+from phishguard.server import TOOLS, VECTOR_MEMO_SIZE, PhishingServer
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -582,6 +582,10 @@ def explain_line(url, request_id="e"):
     return json.dumps({"id": request_id, "tool": "explain_url", "arguments": {"url": url}})
 
 
+def classify_line(url, request_id="c"):
+    return json.dumps({"id": request_id, "tool": "classify_url", "arguments": {"url": url}})
+
+
 @functools.cache
 def served_model(kind):
     ds = make_ternary_dataset(n=200, seed=5)
@@ -594,7 +598,7 @@ def served_model(kind):
     }[kind](ds)
 
 
-EXPLAIN_URLS = [
+MEMO_URLS = [
     "https://www.paypal.com/signin",
     "http://192.168.1.1/login",
     "http://secure-paypal.bit.ly//redirect@evil",
@@ -604,19 +608,44 @@ EXPLAIN_URLS = [
 ]
 
 
+def handle_at_once(server, lines):
+    """The replies to `lines`, each handled by its own thread, all
+    started together and switching often, so that threads interleave
+    inside a memo's miss path."""
+    results = [None] * len(lines)
+    start = threading.Barrier(len(lines), timeout=30)
+
+    def worker(i):
+        start.wait()
+        results[i] = server.handle_line(lines[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(lines))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 class TestExplainMemo:
     @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "gbt", "mlp"])
     def test_warm_server_replies_as_a_fresh_one(self, kind):
         model = served_model(kind)
         warm = PhishingServer(model)
-        for url in EXPLAIN_URLS:
+        for url in MEMO_URLS:
             warm.handle_line(explain_line(url))
-        for url in EXPLAIN_URLS:
+        for url in MEMO_URLS:
             fresh = PhishingServer(model).handle_line(explain_line(url))
             assert warm.handle_line(explain_line(url)) == fresh
         info = warm._attributions.cache_info()
         assert (info.misses, info.currsize) == (4, 4)
-        assert info.hits == 2 * len(EXPLAIN_URLS) - 4
+        assert info.hits == 2 * len(MEMO_URLS) - 4
 
     def test_golden_replies_on_a_warm_server(self):
         recorded = json.loads((DATA / "explain_replies.json").read_text())
@@ -636,15 +665,15 @@ class TestExplainMemo:
 
         monkeypatch.setattr(server_module, "shap_linear", counting)
         server = make_server()
-        for url in EXPLAIN_URLS * 2:
+        for url in MEMO_URLS * 2:
             assert json.loads(server.handle_line(explain_line(url)))["status"] == "ok"
         assert len(fits) == len(set(fits)) == 4
 
     def test_bounded_to_the_most_recent_vectors(self):
-        assert EXPLAIN_MEMO_SIZE == 1024
+        assert VECTOR_MEMO_SIZE == 1024
         server = make_server()
         # each length of URL is a distinct URL_Length, so a distinct vector
-        for i in range(EXPLAIN_MEMO_SIZE + 5):
+        for i in range(VECTOR_MEMO_SIZE + 5):
             server.handle_line(explain_line("http://a.com/" + "x" * i))
         info = server._attributions.cache_info()
         assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
@@ -666,26 +695,96 @@ class TestExplainMemo:
         serial_server = PhishingServer(model)
         serial = [serial_server.handle_line(line) for line in lines]
         server = PhishingServer(model)
-        results = [None] * 32
-        start = threading.Barrier(32, timeout=30)
-
-        def worker(i):
-            start.wait()
-            results[i] = server.handle_line(lines[i])
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(32)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the memo's miss path
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == serial
+        assert handle_at_once(server, lines) == serial
         assert server._attributions.cache_info().currsize == 8
+
+
+class TestOutcomeMemo:
+    """`classify_url` scores each distinct vector once; a hit answers
+    what a fresh server would."""
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "gbt", "mlp"])
+    def test_warm_server_replies_as_a_fresh_one(self, kind):
+        model = served_model(kind)
+        warm = PhishingServer(model)
+        for url in MEMO_URLS:
+            warm.handle_line(classify_line(url))
+        for url in MEMO_URLS:
+            fresh = PhishingServer(model).handle_line(classify_line(url))
+            assert warm.handle_line(classify_line(url)) == fresh
+        info = warm._outcomes.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        assert info.hits == 2 * len(MEMO_URLS) - 4
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "gbt", "mlp"])
+    def test_audit_log_carries_the_model_probability_on_a_warm_server(self, kind):
+        model = served_model(kind)
+        server = PhishingServer(model)
+        for url in MEMO_URLS * 2:
+            call(server, "classify_url", {"url": url})
+            vector = to_canonical_vector(extract_features(url))
+            context = server.audit_log[-1]
+            assert np.array_equal(context.vector, vector)
+            # single row against single row, as TestServedProbability
+            assert context.probability == float(model.predict_proba(vector))
+            outcome = classify_with_fusion(vector, model, None)
+            assert (context.label, context.rationale) == (outcome["y_hat"],
+                                                          tuple(outcome["rationale"]))
+        assert server._outcomes.cache_info().hits == 2 * len(MEMO_URLS) - 4
+
+    def test_one_fusion_call_per_distinct_vector(self, monkeypatch):
+        scored = []
+
+        def counting(x, model, fusion):
+            scored.append(np.asarray(x).tobytes())
+            return classify_with_fusion(x, model, fusion)
+
+        monkeypatch.setattr(server_module, "classify_with_fusion", counting)
+        server = make_server()
+        for url in MEMO_URLS * 2:
+            assert json.loads(server.handle_line(classify_line(url)))["status"] == "ok"
+        assert len(scored) == len(set(scored)) == 4
+        assert len(server.audit_log) == 2 * len(MEMO_URLS)
+        # the paypal.com and paypel.com URLs share a vector, so one score
+        paypal, paypel = (to_canonical_vector(extract_features(url)).tobytes()
+                          for url in ("https://www.paypal.com/signin",
+                                      "https://www.paypel.com/signin"))
+        assert paypal == paypel and scored.count(paypal) == 1
+
+    def test_bounded_to_the_most_recent_vectors(self):
+        assert VECTOR_MEMO_SIZE == 1024
+        server = make_server()
+        # each length of URL is a distinct URL_Length, so a distinct vector
+        for i in range(VECTOR_MEMO_SIZE + 5):
+            server.handle_line(classify_line("http://a.com/" + "x" * i))
+        info = server._outcomes.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
+
+    def test_cached_outcomes_cannot_be_mutated(self):
+        server = make_server()
+        url = "http://secure-paypal.bit.ly//redirect@evil"
+        first = call(server, "classify_url", {"url": url})
+        vector = to_canonical_vector(extract_features(url, server.resolver))
+        outcome = server._outcomes(vector.tobytes())
+        assert server._outcomes.cache_info().hits == 1
+        assert outcome["rationale"]
+        with pytest.raises(TypeError):
+            outcome["probability"] = 0.0
+        with pytest.raises(AttributeError):
+            outcome["rationale"].append("tampered")
+        assert server.audit_log[-1].rationale is outcome["rationale"]
+        assert call(server, "classify_url", {"url": url}) == first
+
+    def test_32_threads_match_serial(self):
+        model = served_model("gbt")
+        urls = [f"http://site{i}.example.com/" + "p" * i for i in range(8)]
+        lines = [classify_line(urls[i % 8], f"c{i}") for i in range(32)]
+        serial_server = PhishingServer(model)
+        serial = [serial_server.handle_line(line) for line in lines]
+        server = PhishingServer(model)
+        assert handle_at_once(server, lines) == serial
+        assert server._outcomes.cache_info().currsize == 8
+        assert len(server.audit_log) == 32
 
 
 class TestIsolatedContext:
