@@ -2,37 +2,3 @@
 explanations, MCP-style serving, and a robustness harness."""
 
 __version__ = "0.1.0"
-
-from .features import (
-    CANONICAL_FEATURES,
-    LEXICAL_FEATURES,
-    RESOLVED_FEATURES,
-    OfflineResolver,
-    PrecomputedResolver,
-    UrlParts,
-    extract_features,
-    extract_lexical,
-    parse_url,
-    resolve_remaining,
-    to_canonical_vector,
-)
-from .datasets import Dataset, align_features, class_distribution, load_csv, save_csv
-
-__all__ = [
-    "CANONICAL_FEATURES",
-    "LEXICAL_FEATURES",
-    "RESOLVED_FEATURES",
-    "OfflineResolver",
-    "PrecomputedResolver",
-    "UrlParts",
-    "extract_features",
-    "extract_lexical",
-    "parse_url",
-    "resolve_remaining",
-    "to_canonical_vector",
-    "Dataset",
-    "align_features",
-    "class_distribution",
-    "load_csv",
-    "save_csv",
-]

@@ -76,7 +76,7 @@ TRAINERS = {
                                              l1=1e-3, l2=1e-3, cfg=TrainConfig(seed=seed)),
     "svm": lambda ds, seed: train_linear(ds, loss="hinge", regularization="l2", l2=1e-3,
                                          cfg=TrainConfig(seed=seed)),
-    "tree": lambda ds, seed: train_tree(ds, max_depth=12, seed=seed),
+    "tree": lambda ds, seed: train_tree(ds, max_depth=12),
     "forest": lambda ds, seed: train_forest(ds, n_trees=100, mode="bagging", seed=seed),
     "extra": lambda ds, seed: train_forest(ds, n_trees=100, mode="extra", seed=seed),
     "gbt": lambda ds, seed: train_gbt(ds, n_rounds=500, learning_rate=0.1, max_depth=4),

@@ -26,8 +26,6 @@ from .features import CANONICAL_FEATURES
 from .models.common import Standardizer
 from .models.linear import LinearModel
 
-LABEL_NAMES = ("legitimate", "phishing")  # indexed by y_hat
-
 # Human-readable rationale strings for phishing-leaning feature values.
 FEATURE_DESCRIPTIONS = {
     "having_IP_Address": "IP address present in host",
@@ -122,7 +120,7 @@ class PcsConfig:
                                       dtype=np.intp, count=len(provenance))
 
 
-def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float, bool, str]:
+def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float, bool]:
     """Fraction of the k nearest reference samples sharing the claimed
     provenance; flagged when below the threshold.
 
@@ -153,7 +151,7 @@ def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float
         matches = np.count_nonzero(pcs._codes[nearest] == pcs._code_of[claimed])
         score = float(matches / pcs.k)
     # Python scalars, so that a reply carrying them encodes as JSON
-    return score, bool(score < pcs.threshold), claimed
+    return score, bool(score < pcs.threshold)
 
 
 def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
@@ -181,7 +179,6 @@ def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
         name = names[j]
         rationale.append(FEATURE_DESCRIPTIONS.get(name, name))
     return {
-        "label": LABEL_NAMES[label],
         "y_hat": label,
         "probability": probability,
         "rationale": rationale,

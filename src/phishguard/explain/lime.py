@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -93,10 +92,7 @@ def lime_explain(
     if kernel_width is None:
         kernel_width = 0.75 * np.sqrt(d)
 
-    plan = _perturbation_plan
-    if not isinstance(seed, Integral):
-        plan = plan.__wrapped__  # None or a Generator draws afresh each call
-    flips, rows = plan(seed, n_perturb, d, len(B))
+    flips, rows = _perturbation_plan(seed, n_perturb, d, len(B))
     draws = B[rows, np.arange(d)]
     Z = np.where(flips, draws, x)
     if np.all(Z == Z[0]):

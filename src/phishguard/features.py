@@ -256,11 +256,3 @@ def to_canonical_vector(values: dict[str, float]) -> np.ndarray:
     if missing:
         raise MissingFeature(missing)
     return np.array([float(values[name]) for name in CANONICAL_FEATURES])
-
-
-def from_canonical_vector(vector) -> dict[str, float]:
-    """Rebind a canonical vector to its feature names."""
-    vector = np.asarray(vector)
-    if vector.shape != (len(CANONICAL_FEATURES),):
-        raise MissingFeature(CANONICAL_FEATURES)
-    return {name: float(v) for name, v in zip(CANONICAL_FEATURES, vector)}

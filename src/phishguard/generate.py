@@ -193,24 +193,17 @@ FEATURE_DOMAIN_GENERATORS = {
 }
 
 
-def generate_feature_rich_domains(
-    cfg: GenerationConfig, features: tuple[str, ...] | None = None
-) -> tuple[list[str], dict[str, int]]:
-    """Generate >= T domains per targeted lexical feature and report how
-    often each feature fires across the whole output (counted with the
-    extractor itself)."""
+def generate_feature_rich_domains(cfg: GenerationConfig) -> tuple[list[str], dict[str, int]]:
+    """Generate >= T domains per lexical feature that FEATURE_DOMAIN_GENERATORS
+    targets and report how often each fires across the whole output
+    (counted with the extractor itself)."""
     if cfg.per_feature_target < 1:
         raise PhishguardError("per_feature_target must be >= 1")
-    features = features or tuple(FEATURE_DOMAIN_GENERATORS)
-    unknown = set(features) - set(FEATURE_DOMAIN_GENERATORS)
-    if unknown:
-        raise PhishguardError(f"no generator for features: {sorted(unknown)}")
 
     rng = random.Random(cfg.seed)
     urls: list[str] = []
     seen: set[str] = set()
-    for feature in features:
-        gen = FEATURE_DOMAIN_GENERATORS[feature]
+    for feature, gen in FEATURE_DOMAIN_GENERATORS.items():
         produced, attempts = 0, 0
         budget = 100 * cfg.per_feature_target
         while produced < cfg.per_feature_target:
@@ -226,10 +219,10 @@ def generate_feature_rich_domains(
             produced += 1
     rng.shuffle(urls)
 
-    report = {feature: 0 for feature in features}
+    report = {feature: 0 for feature in FEATURE_DOMAIN_GENERATORS}
     for url in urls:
         lexical = extract_lexical(parse_url(url))
-        for feature in features:
+        for feature in report:
             if lexical[feature] == 1:
                 report[feature] += 1
     return urls, report

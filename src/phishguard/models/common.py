@@ -58,9 +58,6 @@ class Standardizer:
     def transform(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) / self.scale
 
-    def fit_transform(self, X) -> np.ndarray:
-        return self.fit(X).transform(X)
-
 
 def standardization(mean, scale, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A model's `mean` and `scale` over d features as float arrays; None

@@ -73,9 +73,7 @@ def train_forest(
     n_trees: int = 100,
     mode: str = "bagging",
     max_depth: int = 12,
-    min_samples_leaf: int = 1,
     seed: int = 0,
-    bootstrap: bool | None = None,
 ) -> Ensemble:
     """Bagging: bootstrap samples + sqrt(d) feature subset per split.
     Extra: full sample, uniformly random thresholds."""
@@ -83,11 +81,11 @@ def train_forest(
         raise PhishguardError("n_trees must be >= 1")
     if mode not in ("bagging", "extra"):
         raise PhishguardError(f"unknown forest mode {mode!r}")
-    if bootstrap is None:
-        bootstrap = mode == "bagging"
+    bagging = mode == "bagging"
     rng = np.random.default_rng(seed)
     n, d = ds.X.shape
-    # each tree draws its bootstrap sample, then its splits, from its own rng
+    # each tree draws from its own rng: a bagged tree its bootstrap sample,
+    # then its splits
     rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in range(n_trees)]
     # the trees grow in lockstep and share one binning of the whole
     # matrix, which holds every level of any sample's columns
@@ -95,12 +93,11 @@ def train_forest(
         np.asarray(ds.X, dtype=float),
         ds.y.astype(float),
         rngs,
-        samples=[r.integers(0, n, size=n) for r in rngs] if bootstrap else None,
+        samples=[r.integers(0, n, size=n) for r in rngs] if bagging else None,
         task="classify",
         max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        split_mode="best" if mode == "bagging" else "random",
-        n_feature_subset=max(1, int(np.sqrt(d))) if mode == "bagging" else None,
+        split_mode="best" if bagging else "random",
+        n_feature_subset=max(1, int(np.sqrt(d))) if bagging else None,
     )
     members = [DecisionTree(**nodes, n_features=d, max_depth=max_depth,
                             feature_names=ds.feature_names) for nodes in trees]
@@ -117,7 +114,6 @@ def train_gbt(
     n_rounds: int = 100,
     learning_rate: float = 0.1,
     max_depth: int = 4,
-    min_samples_leaf: int = 1,
 ) -> Ensemble:
     """Gradient boosting on logistic loss.
 
@@ -148,7 +144,6 @@ def train_gbt(
             residual,
             task="regress",
             max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf,
             leaf_value_fn=newton_leaf,
             feature_names=ds.feature_names,
             _bins=bins,

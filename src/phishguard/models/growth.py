@@ -107,7 +107,6 @@ def grow_trees(
     samples=None,
     task: str,
     max_depth: int,
-    min_samples_leaf: int,
     split_mode: str,
     n_feature_subset: int | None = None,
     leaf_value_fn=None,
@@ -116,7 +115,9 @@ def grow_trees(
     """Node arrays, in preorder, of one tree per entry of `rngs`, each
     tree's generator (None for a tree that draws nothing). Tree t trains
     on the rows `samples[t]` of X (float), in that order (a bootstrap
-    sample repeats rows), or on every row if `samples` is None.
+    sample repeats rows), or on every row if `samples` is None. A node
+    is a leaf when it holds one row, its targets are all equal or it is
+    at `max_depth`, or when no feature splits it.
 
     Each step searches a frontier of nodes at once: the next group of
     each tree in turn, while the rows taken fit in one matrix column. A
@@ -166,7 +167,7 @@ def grow_trees(
             pure = (ones == 0) | (ones == sizes)
         else:
             pure = np.minimum.reduceat(ys, starts[:-1]) == np.maximum.reduceat(ys, starts[:-1])
-        leaf = pure | (depth >= max_depth) | (sizes < 2 * min_samples_leaf)
+        leaf = pure | (depth >= max_depth) | (sizes < 2)
         if leaf.any():
             make_leaves(owner, ids, depth, rows, starts, np.flatnonzero(leaf), ys)
         del ys
@@ -218,7 +219,7 @@ def grow_trees(
             features = np.sort([rngs[t].choice(d, size=n_feature_subset, replace=False)
                                 for t in owner.tolist()], axis=1)
         split, feature, threshold = bins.best_splits(
-            rows, starts, features, ys, task, min_samples_leaf,
+            rows, starts, features, ys, task,
             [rngs[t] for t in owner.tolist()] if random else None)
         del ys
         at = np.flatnonzero(split)

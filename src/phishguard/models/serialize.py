@@ -34,14 +34,22 @@ FORMAT_VERSION = 2
 KINDS = {cls.kind: cls for cls in (LinearModel, DecisionTree, Ensemble, MlpModel)}
 
 # the JSON types a field may hold, by its annotation (a bool is no
-# number); the constructors turn arrays into numpy arrays themselves
-_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
-               "np.ndarray": (list,), "DecisionTree": (dict,)}
+# number); an array is a list of numbers, or of such lists, at every
+# depth, which the constructors turn into a numpy array
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "DecisionTree": (dict,)}
 
 
 def _holds(annotation: str, value) -> bool:
     if annotation.startswith("list["):
         return isinstance(value, list) and all(_holds(annotation[5:-1], item) for item in value)
+    if annotation == "np.ndarray":
+        if not isinstance(value, list):
+            return False
+        # one type lookup per item: a large array is checked at C speed
+        types = set(map(type, value))
+        if list in types:
+            return types == {list} and all(_holds(annotation, item) for item in value)
+        return types <= {int, float}
     return type(value) is not bool and isinstance(value, _JSON_TYPES[annotation])
 
 

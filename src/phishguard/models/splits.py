@@ -96,7 +96,7 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, cells, starts, features, ys, task, min_leaf, rngs):
+    def best_splits(self, cells, starts, features, ys, task, rngs):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
         with targets `ys[starts[i]:starts[i + 1]]` (read only for `width`
@@ -132,12 +132,12 @@ class _Bins:
             a, b = starts[i], starts[j]
             split[i:j], feature[i:j], threshold[i:j] = self._search(
                 cells[a:b], sizes[i:j], None if features is None else features[i:j],
-                None if ys is None else ys[a:b], task, min_leaf, step,
+                None if ys is None else ys[a:b], task, step,
                 None if rngs is None else rngs[i:j])
             i = j
         return split, feature, threshold
 
-    def _search(self, rows, sizes, features, ys, task, min_leaf, step, rngs):
+    def _search(self, rows, sizes, features, ys, task, step, rngs):
         """best_splits of a run of nodes: node i holds the next `sizes[i]`
         of `rows`. Segment s is node s // k on its feature s % k, of k;
         histograms are counted `step` features at a time."""
@@ -227,10 +227,10 @@ class _Bins:
         left -= edges[owner]
         nl = left[:, 0] + left[:, 1] if w == 2 else left[:, 0]
         m = sizes[owner // k]
-        # with min_leaf <= 1 every midpoint is valid: the present levels on
-        # either side hold a row each; a draw may leave the right empty
-        if min_leaf > 1 or rngs is not None:
-            valid = np.flatnonzero((nl >= min_leaf) & (nl <= m - min_leaf))
+        # every midpoint leaves a row on each side, since the present levels
+        # on either side hold one each; a draw may leave the right empty
+        if rngs is not None:
+            valid = np.flatnonzero((nl >= 1) & (nl < m))
             if len(valid) == 0:
                 return split, 0, 0.0
             at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))

@@ -154,7 +154,6 @@ def build_tree(
     *,
     task: str = "classify",
     max_depth: int = 8,
-    min_samples_leaf: int = 1,
     split_mode: str = "best",
     rng: np.random.Generator | None = None,
     n_feature_subset: int | None = None,
@@ -164,40 +163,24 @@ def build_tree(
 ) -> DecisionTree:
     """Greedy top-down tree induction.
 
-    leaf_value_fn(indices) may override the leaf value, the mean of y;
-    it gets each leaf's rows in ascending order, and boosting uses it
-    for Newton leaf estimates. `_bins`, the binning of X from
-    `_Bins.of`, lets boosting bin its matrix once for every round.
+    A tree with `split_mode="random"` (extra-trees) or a feature subset
+    draws from `rng`. leaf_value_fn(indices) may override the leaf
+    value, the mean of y; it gets each leaf's rows in ascending order,
+    and boosting uses it for Newton leaf estimates. `_bins`, the binning
+    of X from `_Bins.of`, lets boosting bin its matrix once for every
+    round.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if split_mode == "random" and rng is None:
-        rng = np.random.default_rng(0)
     [nodes] = grow_trees(
         X, y, [rng],
-        task=task, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-        split_mode=split_mode, n_feature_subset=n_feature_subset,
-        leaf_value_fn=leaf_value_fn, bins=_bins,
+        task=task, max_depth=max_depth, split_mode=split_mode,
+        n_feature_subset=n_feature_subset, leaf_value_fn=leaf_value_fn, bins=_bins,
     )
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth,
                         task=task, feature_names=feature_names)
 
 
-def train_tree(
-    ds: Dataset,
-    max_depth: int = 8,
-    min_samples_leaf: int = 1,
-    split_mode: str = "best",
-    seed: int = 0,
-) -> DecisionTree:
-    rng = np.random.default_rng(seed) if split_mode == "random" else None
-    return build_tree(
-        ds.X,
-        ds.y,
-        task="classify",
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        split_mode=split_mode,
-        rng=rng,
-        feature_names=ds.feature_names,
-    )
+def train_tree(ds: Dataset, max_depth: int = 8) -> DecisionTree:
+    """A classification tree on every row, with the best split at each node."""
+    return build_tree(ds.X, ds.y, max_depth=max_depth, feature_names=ds.feature_names)

@@ -212,7 +212,7 @@ def mitigate(pre: ContextSet, post: ContextSet, pcs: PcsConfig | None) -> Contex
         snapshot = pre_map[ctx.context_id]
         flagged = ctx.seal_digest() != snapshot.seal_digest()
         if not flagged and pcs is not None:
-            _, flagged, _ = provenance_score(ctx.vector, pcs, ctx.provenance)
+            _, flagged = provenance_score(ctx.vector, pcs, ctx.provenance)
         restored.append(snapshot if flagged else ctx)
     return ContextSet(restored, "post_mitigation")
 

@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .context import LABEL_NAMES, IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
+from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .errors import MalformedUrl, PhishguardError, UnservableModel
 from .explain import FusionWeights, lime_explain, shap_linear
 from .features import (
@@ -50,6 +50,8 @@ from .models.linear import LinearModel
 TOOLS = ("server_info", "extract_features", "classify_url", "explain_url")
 
 SERVER_VERSION = "phishguard/0.1.0"
+
+LABEL_NAMES = ("legitimate", "phishing")  # indexed by a context's label
 
 # distinct vectors whose classify_url outcome, and whose explain_url
 # attributions, a server keeps
@@ -125,7 +127,7 @@ class PhishingServer:
         claimed = arguments.get("provenance", "Unknown")
         context = self.create_context(request_id, url, claimed)
         if self.pcs is not None:
-            pcs_value, flagged, _ = provenance_score(context.vector, self.pcs, claimed)
+            pcs_value, flagged = provenance_score(context.vector, self.pcs, claimed)
         else:
             pcs_value, flagged = 1.0, False
         return {
@@ -210,7 +212,10 @@ class PhishingServer:
     # -- transports ----------------------------------------------------------
 
     def serve_stdio(self, stdin=None, stdout=None) -> None:
-        stdin = stdin or sys.stdin
+        """Answer each line of `stdin`, by default standard input decoded
+        as TCP decodes a line: UTF-8, with invalid bytes replaced."""
+        if stdin is None:
+            stdin = (line.decode("utf-8", "replace") for line in sys.stdin.buffer)
         stdout = stdout or sys.stdout
         for line in stdin:
             line = line.strip()

@@ -469,14 +469,6 @@ class TestLimeScoresDistinctRows:
             with pytest.raises(ValueError):
                 array[0, 0] = 1
 
-    def test_unseeded_plan_drawn_per_call(self):
-        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=23)
-        B = np.random.default_rng(1).choice([-1.0, 0.0, 1.0], size=(30, 23))
-        scorer = lambda X: np.tanh(np.asarray(X)).sum(axis=1)
-        a = lime_explain(scorer, x, B, seed=None)
-        b = lime_explain(scorer, x, B, seed=None)
-        assert not np.array_equal(a.weights, b.weights)
-
 
 class TestFusion:
     IG = {"a": 0.8, "b": 0.4, "c": 0.1, "d": 0.0}

@@ -46,9 +46,7 @@ class TestSyntheticUrls:
 class TestFeatureRichDomains:
     def test_per_feature_floor(self):
         cfg = GenerationConfig(legit_urls=BASES, per_feature_target=3, seed=2)
-        urls, report = generate_feature_rich_domains(
-            cfg, features=("having_At_Symbol",)
-        )
+        urls, report = generate_feature_rich_domains(cfg)
         with_at = [u for u in urls if "@" in u]
         assert len(with_at) >= 3
         assert report["having_At_Symbol"] >= 3
@@ -61,17 +59,14 @@ class TestFeatureRichDomains:
 
     def test_two_features_at_least_double(self):
         cfg = GenerationConfig(legit_urls=BASES, per_feature_target=2, seed=4)
-        urls, _ = generate_feature_rich_domains(
-            cfg, features=("having_At_Symbol", "having_IP_Address")
-        )
-        assert len(urls) >= 4
+        urls, _ = generate_feature_rich_domains(cfg)
+        assert len(urls) >= 2 * len(FEATURE_DOMAIN_GENERATORS)
 
     def test_report_matches_extractor_oracle(self):
         cfg = GenerationConfig(legit_urls=BASES, per_feature_target=5, seed=11)
-        features = tuple(FEATURE_DOMAIN_GENERATORS)
-        urls, report = generate_feature_rich_domains(cfg, features=features)
+        urls, report = generate_feature_rich_domains(cfg)
         # independent recount straight through the extractor
-        recount = count_feature_triggers(urls, features)
+        recount = count_feature_triggers(urls, tuple(FEATURE_DOMAIN_GENERATORS))
         assert recount == report
 
     def test_shuffle_deterministic(self):

@@ -1,15 +1,34 @@
-"""Every name a module imports is used in it. No linter is installed
-with the project, so this check is a test: each non-`__init__` module
-under `src/` is parsed with `ast`, and an imported name that the
-module's code and annotations never read fails it."""
+"""Every name a module imports is used in it, and every public function
+or class has a caller. No linter is installed with the project, so these
+checks are tests: each non-`__init__` module under `src/` is parsed with
+`ast`, and an imported name that the module's code and annotations never
+read fails it, as does a public top-level `def` or `class` that no code
+of the program (`src/`, `perfbench/` or `demos/`) names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+# the program's code; a package `__init__` only re-exports, and tests
+# are no callers
+CALLERS = sorted(p for folder in ("src", "perfbench", "demos")
+                 for p in (ROOT / folder).rglob("*.py")
+                 if p.name != "__init__.py" and "tests" not in p.relative_to(ROOT).parts)
+# public names that no code of the program calls, kept for their readers
+UNCALLED = {
+    "OfflineResolver": "the resolver protocol's offline default, for deployments",
+    "PrecomputedResolver": "the resolver protocol's lookup table, for deployments",
+    "count_feature_triggers": "the oracle of generate_feature_rich_domains' report",
+    "average_fold_coefficients": "the paper's coefficient-based feature selection",
+    "select_features_by_coefficient": "the paper's coefficient-based feature selection",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +55,52 @@ def test_the_check_finds_an_unused_import():
     source = ("from dataclasses import dataclass, field\nimport os.path\n\n"
               "@dataclass\nclass A:\n    x: int = 0\n")
     assert unused_imports(source) == ["field (line 1)", "os (line 2)"]
+
+
+def public_definitions(source: str) -> list[str]:
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def named(source: str) -> set[str]:
+    """The names that `source` reads or writes, bare or as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_public_names(modules: list[str], callers: list[str]) -> list[str]:
+    used = set().union(*map(named, callers))
+    return sorted(name for source in modules for name in public_definitions(source)
+                  if name not in used)
+
+
+def test_every_public_name_has_a_caller():
+    callers = [p.read_text() for p in CALLERS]
+    unused = unused_public_names([p.read_text() for p in MODULES], callers)
+    assert sorted(set(unused) - UNCALLED.keys()) == []
+    # an allowed name that gains a caller leaves the list
+    assert sorted(UNCALLED.keys() - set(unused)) == []
+
+
+def test_the_check_finds_an_unused_public_name():
+    module = ("def used():\n    pass\n\ndef _private():\n    pass\n\n"
+              "class Unused:\n    def method(self):\n        pass\n\ndef uncalled():\n    pass\n")
+    caller = "from m import used\nimport m\n\nused()\nm.method\n"
+    assert unused_public_names([module], [caller]) == ["Unused", "uncalled"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    # `phishguard` re-exports nothing: a subcommand pays only for the
+    # modules it imports
+    probe = ("import sys, phishguard; print(sorted(name for name in sys.modules "
+             "if name == 'numpy' or name.startswith('phishguard.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"

@@ -190,6 +190,6 @@ class TestSelectFeatures:
 
 def test_standardizer_constant_column():
     X = np.array([[1.0, 5.0], [1.0, 7.0]])
-    Z = Standardizer().fit_transform(X)
+    Z = Standardizer().fit(X).transform(X)
     assert np.array_equal(Z[:, 0], [0.0, 0.0])
     assert Z[:, 1] == pytest.approx([-1.0, 1.0])

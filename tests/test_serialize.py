@@ -264,6 +264,18 @@ def _weights_as(label, item):
     return corrupt
 
 
+def _array_item(label, item, *path):
+    """Set the array item at `path` under params to `item`; the last
+    node of a tree's arrays is a leaf, its first the root."""
+    def corrupt(doc):
+        array = doc["params"]
+        for key in path[:-1]:
+            array = array[key]
+        array[path[-1]] = item
+    corrupt.__name__ = f"_{label}"
+    return corrupt
+
+
 MALFORMED = [
     ("linear", _missing_field),
     ("linear", _unknown_field),
@@ -292,12 +304,29 @@ MALFORMED = [
     ("gbt", _weights_as("null", None)),
     ("gbt", _weights_as("nan", float("nan"))),
     ("gbt", _set_param("base_score", float("inf"), "infinite")),
+    # an array holds JSON numbers at every depth, as its constructor
+    # would otherwise convert what it finds
+    ("gbt", _array_item("null_leaf_value", None, "members", 0, "value", -1)),
+    ("gbt", _array_item("null_root_threshold", None, "members", 0, "threshold", 0)),
+    ("linear", _array_item("string_in_mean", "1.5", "mean", 0)),
+    ("linear", _array_item("bool_in_mean", True, "mean", 0)),
+    ("linear", _array_item("null_in_mean", None, "mean", 0)),
+    ("mlp", _array_item("null_weight", None, "weights", 0, 0, 0)),
+    ("mlp", _array_item("bool_bias", False, "biases", 1, 0)),
     # fields of the right types that disagree in shape with each other
     ("linear", _short_standardization),
     ("linear", _weights_a_matrix),
     ("mlp", _unchained_layers),
     ("gbt", _wider_member),
 ]
+
+
+def test_nan_leaf_value_loads():
+    # a regression tree fitted to NaN targets writes JSON NaN
+    doc = model_to_dict(fitted_models()[1]["tree"])
+    doc["params"]["value"][-1] = float("nan")
+    tree = model_from_dict(json.loads(json.dumps(doc)))
+    assert np.isnan(tree.value[-1])
 
 
 def malformed_doc(name, corrupt):
@@ -329,6 +358,8 @@ MALFORMED_FILES = {
     "short_standardization": ("linear", _short_standardization),
     "unchained_layers": ("mlp", _unchained_layers),
     "wider_member": ("gbt", _wider_member),
+    "null_leaf_value": ("gbt", _array_item("null_leaf_value", None, "members", 0, "value", -1)),
+    "null_weight": ("mlp", _array_item("null_weight", None, "weights", 0, 0, 0)),
 }
 
 

@@ -3,7 +3,9 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -105,7 +107,7 @@ class TestProtocol:
                       {"url": "http://secure-paypal.bit.ly//redirect@evil"})["result"]
         assert len(outcomes) == 1
         (outcome,) = outcomes
-        assert result["label"] == outcome["label"]
+        assert result["label"] == ("legitimate", "phishing")[outcome["y_hat"]]
         assert result["probability"] == f"{outcome['probability']:.6f}"
         assert result["rationale"] == outcome["rationale"]
 
@@ -327,6 +329,26 @@ class TestStdioTransport:
         assert len(replies) == 2
         assert replies[0]["id"] is None and replies[0]["error"]["code"] == "PARSE_ERROR"
         assert replies[1]["status"] == "ok"
+
+    def test_invalid_utf8_is_answered_as_tcp_answers_it(self, tmp_path):
+        # Python reads stdin strictly in any UTF-8 locale but C/POSIX; the
+        # invalid line must get its reply and the server keep serving
+        server = make_server()
+        save_model(server.model, tmp_path / "m.json")
+        lines = b"\xff\xfe\n" + request_line("1", "server_info")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "PYTHONIOENCODING": "utf-8:strict"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phishguard.cli", "serve", "--model", str(tmp_path / "m.json"),
+             "--transport", "stdio"],
+            input=lines, capture_output=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        replies = proc.stdout.splitlines()
+        assert len(replies) == 2
+        with serving(server) as tcp, connect(tcp) as conn:
+            conn.sendall(lines)
+            assert read_lines(conn, 2) == replies
 
 
 def request_line(request_id, tool, arguments=None) -> bytes:
@@ -818,7 +840,7 @@ def scan_score(x, pcs, claimed):
     nearest = np.argsort(distances, kind="stable")[: pcs.k]
     matches = sum(1 for i in nearest if pcs.reference.provenance[i] == claimed)
     score = matches / pcs.k
-    return score, score < pcs.threshold, claimed
+    return score, score < pcs.threshold
 
 
 class TestProvenanceScore:
@@ -830,19 +852,19 @@ class TestProvenanceScore:
 
     def test_all_neighbors_match(self):
         pcs = PcsConfig(self.reference(), k=3, threshold=0.5)
-        score, flagged, _ = provenance_score([0.05, 0.05], pcs, "UCI")
+        score, flagged = provenance_score([0.05, 0.05], pcs, "UCI")
         assert score == 1.0
         assert not flagged
 
     def test_no_neighbors_match(self):
         pcs = PcsConfig(self.reference(), k=3, threshold=0.5)
-        score, flagged, _ = provenance_score([0.05, 0.05], pcs, "Mendeley")
+        score, flagged = provenance_score([0.05, 0.05], pcs, "Mendeley")
         assert score == 0.0
         assert flagged
 
     def test_fractional_score(self):
         pcs = PcsConfig(self.reference(), k=5, threshold=0.7)
-        score, flagged, _ = provenance_score([0.0, 0.0], pcs, "UCI")
+        score, flagged = provenance_score([0.0, 0.0], pcs, "UCI")
         assert score == pytest.approx(3 / 5)
         assert flagged  # 0.6 < 0.7
 
@@ -852,7 +874,7 @@ class TestProvenanceScore:
         X = np.array([[0.0], [np.nan], [0.0], [0.0]])
         ref = Dataset(X, np.zeros(4, dtype=int), ("a",), ("A", "B", "A", "B"))
         pcs = PcsConfig(ref, k=2)
-        assert provenance_score([0.0], pcs, "A") == (0.5, False, "A")
+        assert provenance_score([0.0], pcs, "A") == (0.5, False)
         assert provenance_score([0.0], pcs, "A") == scan_score([0.0], pcs, "A")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing cells
@@ -953,8 +975,8 @@ class TestClassifyWithFusion:
                             feature_names=("a",))
         up = classify_with_fusion(np.array([1.0]), model, None)
         down = classify_with_fusion(np.array([-1.0]), model, None)
-        assert up["label"] == "phishing" and up["y_hat"] == 1
-        assert down["label"] == "legitimate" and down["y_hat"] == 0
+        assert up["y_hat"] == 1
+        assert down["y_hat"] == 0
 
 
 PARITY_URLS = (

@@ -144,8 +144,8 @@ def _random_threshold(rng):
     return scan
 
 
-def reference_tree(X, y, *, task="classify", max_depth=8, min_samples_leaf=1,
-                   rng=None, n_feature_subset=None, split_mode="best"):
+def reference_tree(X, y, *, task="classify", max_depth=8, rng=None, n_feature_subset=None,
+                   split_mode="best"):
     """build_tree as it was before binning: every candidate column of
     every node is sorted and scanned on its own (or, with
     split_mode="random", offers one threshold drawn from `rng`), nodes
@@ -166,12 +166,12 @@ def reference_tree(X, y, *, task="classify", max_depth=8, min_samples_leaf=1,
             nodes[name].append(None)
         ys = y[indices]
         best = None
-        if depth < max_depth and len(indices) >= 2 * min_samples_leaf and not np.all(ys == ys[0]):
+        if depth < max_depth and len(indices) >= 2 and not np.all(ys == ys[0]):
             features = np.arange(d)
             if rng is not None and n_feature_subset is not None and n_feature_subset < d:
                 features = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
             for j in features:
-                found = scan(X[indices, j], ys, min_samples_leaf)
+                found = scan(X[indices, j], ys, 1)
                 if found is not None and (best is None or found[0] < best[0] - 1e-15):
                     best = (found[0], int(j), found[1])
         if best is None:
@@ -224,7 +224,6 @@ def random_split_problem(rng):
     settings = {
         "task": task,
         "max_depth": int(rng.integers(0, 9)),
-        "min_samples_leaf": int(rng.choice([1, 1, 2, 5])),
         "n_feature_subset": int(rng.integers(1, X.shape[1] + 1)) if rng.random() < 0.4 else None,
     }
     return X, y, settings
@@ -235,14 +234,11 @@ def document(tree):
     return json.dumps(model_to_dict(tree))
 
 
-def reference_forest(ds, *, n_trees, max_depth, min_samples_leaf, seed, mode="bagging",
-                     bootstrap=None):
+def reference_forest(ds, *, n_trees, max_depth, seed, mode="bagging"):
     """train_forest with its trees built one at a time: each tree draws its
-    bootstrap sample (if any) from its own seeded rng, and reference_tree
+    bootstrap sample (bagging) from its own seeded rng, and reference_tree
     grows it on that sample, drawing feature subsets (bagging) or
     thresholds (extra) from the same rng."""
-    if bootstrap is None:
-        bootstrap = mode == "bagging"
     rng = np.random.default_rng(seed)
     n, d = ds.X.shape
     if mode == "bagging":
@@ -252,10 +248,9 @@ def reference_forest(ds, *, n_trees, max_depth, min_samples_leaf, seed, mode="ba
     members = []
     for _ in range(n_trees):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
-        sample = tree_rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        sample = tree_rng.integers(0, n, size=n) if mode == "bagging" else np.arange(n)
         members.append(reference_tree(ds.X[sample], ds.y[sample], max_depth=max_depth,
-                                      min_samples_leaf=min_samples_leaf, rng=tree_rng,
-                                      **draws))
+                                      rng=tree_rng, **draws))
     return Ensemble(members=members, weights=[1.0 / n_trees] * n_trees, mode=mode,
                     feature_names=ds.feature_names)
 
@@ -443,37 +438,23 @@ class TestForest:
         forest = train_forest(ds, n_trees=30, mode="extra", seed=0)
         assert np.mean(forest.predict(ds.X) == ds.y) > 0.8
 
-    def test_single_tree_forest_without_bootstrap_equals_tree(self):
-        ds = make_ternary_dataset(n=150, seed=7)
-        forest = train_forest(ds, n_trees=1, mode="bagging", seed=0,
-                              bootstrap=False)
-        # a degenerate one-tree forest is still feature-subsampled, so just
-        # check probabilities average correctly (weight 1.0 on one member)
-        member = forest.members[0]
-        assert np.array_equal(forest.predict_proba(ds.X),
-                              member.predict_proba(ds.X))
-
     @pytest.mark.parametrize("n_trees", [1, 3, 7])
     @pytest.mark.parametrize("max_depth", [0, 3, 12])
-    @pytest.mark.parametrize("min_samples_leaf", [1, 5])
-    def test_bagging_matches_trees_built_one_by_one(self, n_trees, max_depth, min_samples_leaf):
+    def test_bagging_matches_trees_built_one_by_one(self, n_trees, max_depth):
         for seed in (0, 1, 2):
             ds = forest_problem(seed)
-            settings = dict(n_trees=n_trees, max_depth=max_depth,
-                            min_samples_leaf=min_samples_leaf, seed=seed + 10)
+            settings = dict(n_trees=n_trees, max_depth=max_depth, seed=seed + 10)
             assert document(train_forest(ds, mode="bagging", **settings)) == \
                 document(reference_forest(ds, **settings)), seed
 
     @pytest.mark.parametrize("n_trees", [1, 3, 7])
-    @pytest.mark.parametrize("bootstrap", [False, True])
-    def test_extra_matches_trees_built_one_by_one(self, n_trees, bootstrap):
+    def test_extra_matches_trees_built_one_by_one(self, n_trees):
         for seed in (0, 1, 2):
             ds = forest_problem(seed)
             X = ds.X.copy()
             X[np.random.default_rng(seed).random(len(X)) < 0.1, 3] = np.nan
             ds = Dataset(X, ds.y, ds.feature_names)
-            settings = dict(n_trees=n_trees, max_depth=12, min_samples_leaf=1 + 2 * seed,
-                            seed=seed + 10, bootstrap=bootstrap)
+            settings = dict(n_trees=n_trees, max_depth=12, seed=seed + 10)
             assert document(train_forest(ds, mode="extra", **settings)) == \
                 document(reference_forest(ds, mode="extra", **settings)), seed
 
