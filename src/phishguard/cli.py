@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -15,37 +16,43 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .context import PcsConfig
-from .datasets import Dataset, class_distribution, load_csv, save_csv
+from .datasets import Dataset, align_features, class_distribution, load_csv, save_csv
 from .errors import NonFiniteReference, PhishguardError, TooManyFeatures, UnmappableFeature
-from .explain import (
-    fuse_weights,
-    information_gain_all,
-    lime_explain,
-    shap_exact,
-    shap_linear,
-)
 from .features import CANONICAL_FEATURES
-from .generate import (
-    DEFAULT_RULES,
-    GenerationConfig,
-    generate_feature_rich_domains,
-    generate_synthetic_urls,
-)
-from .metrics import accuracy_metric, auc_metric, confusion, cross_validate, metrics_table, prf1
-from .models import (
-    TrainConfig,
-    save_model,
-    load_model,
-    train_forest,
-    train_gbt,
-    train_linear,
-    train_mlp,
-    train_tree,
-)
-from .models.linear import LinearModel
-from .robustness import STRATEGIES, AttackSpec, report_table, run_strategy
-from .server import serve
+
+# Names from the heavier modules, imported on first use by the PEP 562
+# `__getattr__` below: a subcommand pays only for the modules it runs.
+# Handlers look each name up on this module when they run, so that a
+# wrapper set on, say, `phishguard.cli.train_linear` after import runs.
+_LAZY = {name: module for module, names in (
+    ("context", "PcsConfig"),
+    ("explain", "fuse_weights information_gain_all lime_explain shap_exact shap_linear"),
+    ("generate", "DEFAULT_RULES GenerationConfig generate_feature_rich_domains "
+                 "generate_synthetic_urls"),
+    ("metrics", "accuracy_metric auc_metric confusion cross_validate metrics_table prf1"),
+    ("models", "TrainConfig save_model load_model train_forest train_gbt train_linear "
+               "train_mlp train_tree"),
+    ("models.linear", "LinearModel"),
+    ("robustness", "AttackSpec report_table run_strategy"),
+    ("server", "serve"),
+) for name in names.split()}
+
+# `robustness.STRATEGIES`, spelled out so that building the parser
+# imports no robustness code; a test keeps the two equal
+STRATEGIES = ("isolation", "validation", "hybrid")
+
+# this module as its handlers see it (`python -m phishguard.cli` runs it
+# as `__main__`, where importing `phishguard.cli` would load a 2nd copy)
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
                     started: float) -> None:
@@ -62,26 +69,26 @@ def _write_manifest(out_dir: Path, subcommand: str, args: argparse.Namespace,
     )
 
 
-# `train --model` kind -> trainer(ds, seed). Each entry looks its trainer
-# up in this module when called, so a wrapper installed on, say,
-# `phishguard.cli.train_linear` sees the fit.
+# `train --model` kind -> trainer(ds, seed)
 TRAINERS = {
-    "logistic": lambda ds, seed: train_linear(ds, loss="logistic", cfg=TrainConfig(seed=seed)),
-    "ridge": lambda ds, seed: train_linear(ds, loss="squared", regularization="l2", l2=1.0,
-                                           cfg=TrainConfig(seed=seed)),
-    "sgd": lambda ds, seed: train_linear(
-        ds, loss="logistic", cfg=TrainConfig(seed=seed, max_epochs=30, learning_rate=0.05),
+    "logistic": lambda ds, seed: _cli.train_linear(ds, loss="logistic",
+                                                   cfg=_cli.TrainConfig(seed=seed)),
+    "ridge": lambda ds, seed: _cli.train_linear(ds, loss="squared", regularization="l2", l2=1.0,
+                                                cfg=_cli.TrainConfig(seed=seed)),
+    "sgd": lambda ds, seed: _cli.train_linear(
+        ds, loss="logistic", cfg=_cli.TrainConfig(seed=seed, max_epochs=30, learning_rate=0.05),
         sgd=True),
-    "elastic": lambda ds, seed: train_linear(ds, loss="logistic", regularization="elastic",
-                                             l1=1e-3, l2=1e-3, cfg=TrainConfig(seed=seed)),
-    "svm": lambda ds, seed: train_linear(ds, loss="hinge", regularization="l2", l2=1e-3,
-                                         cfg=TrainConfig(seed=seed)),
-    "tree": lambda ds, seed: train_tree(ds, max_depth=12),
-    "forest": lambda ds, seed: train_forest(ds, n_trees=100, mode="bagging", seed=seed),
-    "extra": lambda ds, seed: train_forest(ds, n_trees=100, mode="extra", seed=seed),
-    "gbt": lambda ds, seed: train_gbt(ds, n_rounds=500, learning_rate=0.1, max_depth=4),
-    "mlp": lambda ds, seed: train_mlp(ds, [32, 1], TrainConfig(seed=seed, max_epochs=300,
-                                                               learning_rate=0.01)),
+    "elastic": lambda ds, seed: _cli.train_linear(ds, loss="logistic", regularization="elastic",
+                                                  l1=1e-3, l2=1e-3,
+                                                  cfg=_cli.TrainConfig(seed=seed)),
+    "svm": lambda ds, seed: _cli.train_linear(ds, loss="hinge", regularization="l2", l2=1e-3,
+                                              cfg=_cli.TrainConfig(seed=seed)),
+    "tree": lambda ds, seed: _cli.train_tree(ds, max_depth=12),
+    "forest": lambda ds, seed: _cli.train_forest(ds, n_trees=100, mode="bagging", seed=seed),
+    "extra": lambda ds, seed: _cli.train_forest(ds, n_trees=100, mode="extra", seed=seed),
+    "gbt": lambda ds, seed: _cli.train_gbt(ds, n_rounds=500, learning_rate=0.1, max_depth=4),
+    "mlp": lambda ds, seed: _cli.train_mlp(ds, [32, 1], _cli.TrainConfig(
+        seed=seed, max_epochs=300, learning_rate=0.01)),
 }
 MODEL_KINDS = tuple(TRAINERS)
 
@@ -96,8 +103,6 @@ def cmd_ingest(args) -> int:
     started = time.time()
     ds = load_csv(args.csv_in, provenance=args.provenance)
     try:
-        from .datasets import align_features
-
         ds = align_features([ds], list(CANONICAL_FEATURES), [str(args.csv_in)])[0]
     except UnmappableFeature:
         pass  # keep the original columns when the canonical set is absent
@@ -114,18 +119,18 @@ def cmd_generate(args) -> int:
     started = time.time()
     legit = [u.strip() for u in Path(args.legit_urls).read_text().splitlines()
              if u.strip()] if args.legit_urls else ["https://example.com/login"]
-    cfg = GenerationConfig(
+    cfg = _cli.GenerationConfig(
         legit_urls=legit,
         target_count=args.count,
-        rules=DEFAULT_RULES,
+        rules=_cli.DEFAULT_RULES,
         seed=args.seed,
         per_feature_target=args.per_feature,
         domain_base=args.domain_base,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    urls = generate_synthetic_urls(cfg)
-    domains, report = generate_feature_rich_domains(cfg)
+    urls = _cli.generate_synthetic_urls(cfg)
+    domains, report = _cli.generate_feature_rich_domains(cfg)
     (out / "phishing_links.txt").write_text("\n".join(urls + domains) + "\n")
     (out / "legitimate_links.txt").write_text("\n".join(legit) + "\n")
     (out / "feature_report.txt").write_text(
@@ -140,21 +145,22 @@ def cmd_train(args) -> int:
     started = time.time()
     ds = load_csv(args.dataset)
     trainer = lambda d: _train_model(d, args.model, args.seed)
-    cv = cross_validate(trainer, ds, {"accuracy": accuracy_metric, "auc": auc_metric},
-                        k=args.folds, seed=args.seed)
+    cv = _cli.cross_validate(trainer, ds, {"accuracy": _cli.accuracy_metric,
+                                           "auc": _cli.auc_metric},
+                             k=args.folds, seed=args.seed)
     acc, auc = cv["accuracy"], cv["auc"]
 
     model = _train_model(ds, args.model, args.seed)
     predictions = model.predict(ds.X)
-    stats = prf1(confusion(ds.y, predictions))
+    stats = _cli.prf1(_cli.confusion(ds.y, predictions))
     stats["auc"] = auc.mean
     stats["accuracy"] = acc.mean
-    print(metrics_table({args.model: stats}))
+    print(_cli.metrics_table({args.model: stats}))
     print(f"cv accuracy {acc.mean:.4f} +- {acc.std:.4f}, cv auc {auc.mean:.4f}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
+    _cli.save_model(model, out)
     _write_manifest(out.parent, "train", args, started)
     return 0
 
@@ -173,7 +179,7 @@ def cmd_explain(args) -> int:
     started = time.time()
     ds = load_csv(args.dataset)
     if args.method == "ig":
-        scores = information_gain_all(ds)
+        scores = _cli.information_gain_all(ds)
         ranked = sorted(scores.items(), key=lambda t: -t[1])
         print(_render_bars(ranked))
         _write_manifest(Path(args.out_dir), "explain", args, started)
@@ -184,21 +190,20 @@ def cmd_explain(args) -> int:
     if not -len(ds) <= args.index < len(ds):
         raise PhishguardError(f"--index {args.index} is outside the {len(ds)} "
                               "rows left after duplicate removal")
-    model = load_model(args.model)
+    model = _cli.load_model(args.model)
     x = ds.X[args.index]
     background = ds.X.mean(axis=0)
     if args.method == "shap":
-        if isinstance(model, LinearModel):
-            explanation = shap_linear(model, x, background)
+        if isinstance(model, _cli.LinearModel):
+            explanation = _cli.shap_linear(model, x, background)
         else:
             try:
-                explanation = shap_exact(model, x, background)
+                explanation = _cli.shap_exact(model, x, background)
             except TooManyFeatures as exc:
                 raise TooManyFeatures(f"{exc}; use --method lime") from exc
         values = explanation.attributions
     else:  # lime
-        explanation = lime_explain(model.predict_proba, x, ds.X,
-                                   seed=args.seed)
+        explanation = _cli.lime_explain(model.predict_proba, x, ds.X, seed=args.seed)
         values = explanation.weights
     pairs = sorted(zip(ds.feature_names, values), key=lambda t: -abs(t[1]))
     print(_render_bars(pairs))
@@ -221,12 +226,12 @@ def _build_fusion_and_pcs(args, model):
     fusion, pcs = None, None
     if args.dataset:
         ds = _load_reference(args.dataset, args.provenance)
-        ig = information_gain_all(ds)
+        ig = _cli.information_gain_all(ds)
         background = ds.X.mean(axis=0)
-        if isinstance(model, LinearModel):
+        if isinstance(model, _cli.LinearModel):
             rng = np.random.default_rng(args.seed)
             sample = ds.X[rng.choice(len(ds), size=min(50, len(ds)), replace=False)]
-            magnitudes = np.abs([shap_linear(model, row, background).attributions
+            magnitudes = np.abs([_cli.shap_linear(model, row, background).attributions
                                  for row in sample])
             # one 1-D mean per feature: the same sum, in the same order, as
             # a mean over a list of the feature's magnitudes
@@ -234,29 +239,29 @@ def _build_fusion_and_pcs(args, model):
                           for name, column in zip(ds.feature_names, magnitudes.T)}
         else:
             importance = {name: 1.0 for name in ds.feature_names}
-        fusion = fuse_weights(ig, importance, alpha=args.alpha)
-        pcs = PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)
+        fusion = _cli.fuse_weights(ig, importance, alpha=args.alpha)
+        pcs = _cli.PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)
     return fusion, pcs
 
 
 def cmd_serve(args) -> int:
-    model = load_model(args.model)
+    model = _cli.load_model(args.model)
     fusion, pcs = _build_fusion_and_pcs(args, model)
-    serve(args.transport, model, fusion, pcs, port=args.port)
+    _cli.serve(args.transport, model, fusion, pcs, port=args.port)
     return 0
 
 
 def cmd_robustness(args) -> int:
     started = time.time()
     ds = _load_reference(args.dataset, args.provenance)
-    model = load_model(args.model)
-    spec = AttackSpec(contamination_rate=args.rate, delta=args.delta, seed=args.seed)
-    pcs = PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)
+    model = _cli.load_model(args.model)
+    spec = _cli.AttackSpec(contamination_rate=args.rate, delta=args.delta, seed=args.seed)
+    pcs = _cli.PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)
     rows = {}
     for strategy in args.strategies:
-        rows[strategy] = run_strategy(ds, model, strategy, spec, pcs=pcs,
-                                      n_contexts=args.contexts)
-    print(report_table(rows))
+        rows[strategy] = _cli.run_strategy(ds, model, strategy, spec, pcs=pcs,
+                                           n_contexts=args.contexts)
+    print(_cli.report_table(rows))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "robustness.json").write_text(json.dumps(

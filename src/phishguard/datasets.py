@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ def resolve_alias(name: str, available: dict[str, str]) -> str | None:
 
 def load_csv(path, provenance: str = "Unknown") -> Dataset:
     """Load a labeled CSV, remap Result {-1,1} to {0,1}, drop exact
-    duplicate rows (first occurrence wins)."""
+    duplicate rows (first occurrence wins). Each cell goes through
+    `float` into one array; the first faulty row in file order raises."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -110,71 +112,78 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
         except StopIteration:
             raise EmptyDataset(f"{path} is empty")
         header = [h.strip() for h in header]
-        label_col = None
-        for candidate in LABEL_COLUMNS:
-            if candidate in header:
-                label_col = header.index(candidate)
-                break
+        label_col = next((header.index(c) for c in LABEL_COLUMNS if c in header), None)
         if label_col is None:
             raise MissingLabelColumn(f"{path}: no 'label' or 'Result' column")
         feature_names = tuple(h for i, h in enumerate(header) if i != label_col)
+        faults: list[PhishguardError] = []
+        rows = _numeric_rows(reader, header, faults)
+        table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, len(header) + 1)
 
-        rows, labels = [], []
-        for row_idx, row in enumerate(reader):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise RaggedRow(row_idx, len(row), len(header))
-            try:
-                values = list(map(float, row))
-            except ValueError:
-                _raise_non_numeric(row_idx, row, header)
-            label = values.pop(label_col)
-            if label == -1:
-                label = 0
-            elif label not in (0, 1):
-                raise InvalidLabel(row_idx, label)
-            rows.append(values)
-            labels.append(int(label))
-
-    if not rows:
+    labels = table[:, label_col]
+    invalid = ~np.isin(labels, (-1, 0, 1))
+    if invalid.any():
+        row = table[np.argmax(invalid)]
+        raise InvalidLabel(int(row[-1]), float(row[label_col]))
+    if faults:
+        raise faults[0]
+    if not len(table):
         raise EmptyDataset(f"{path} has a header but no rows")
 
-    X = np.array(rows)
-    y = np.array(labels)
-    # dedup on (features, label), keeping first occurrence
-    seen = set()
-    keep = []
-    for i, key in enumerate(zip(map(np.ndarray.tobytes, X), y.tolist())):
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    X, y = X[keep], y[keep]
-    return Dataset(X, y, feature_names, (provenance,) * len(y))
+    X = np.delete(table, [label_col, len(header)], axis=1)
+    y = np.where(labels == -1, 0, labels).astype(int)
+    # the first row of each distinct (X bits, y) pair, which a stable sort
+    # puts first: -0.0 and 0.0 differ, NaNs of equal bits are equal
+    bits = X.view(np.uint64)
+    order = np.lexsort((y, *bits.T))
+    bits, ys = bits[order], y[order]
+    first = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1) | (ys[1:] != ys[:-1])]
+    keep = np.sort(order[first])
+    return Dataset(X[keep], y[keep], feature_names, (provenance,) * len(keep))
 
 
-def _raise_non_numeric(row_idx: int, row: list[str], header: list[str]):
-    """Raise NonNumericCell for the first cell of `row` that is not a
-    number."""
+def _numeric_rows(reader, header: list[str], faults: list):
+    """Each non-blank row of `reader` as its floats, then its reader index.
+    A ragged row or a cell that is not a number ends the rows, with its
+    exception appended to `faults`: it is the file's first fault unless
+    an earlier row has an invalid label."""
+    for row_idx, row in enumerate(reader):
+        if not "".join(row).strip():
+            continue
+        if len(row) != len(header):
+            faults.append(RaggedRow(row_idx, len(row), len(header)))
+            return
+        try:
+            values = [*map(float, row), row_idx]
+        except ValueError:
+            faults.append(_non_numeric(row_idx, row, header))
+            return
+        yield values
+
+
+def _non_numeric(row_idx: int, row: list[str], header: list[str]) -> NonNumericCell:
+    """NonNumericCell for the first cell of a failed `row` that is no number."""
     for col_idx, cell in enumerate(row):
         try:
             float(cell)
         except ValueError:
-            raise NonNumericCell(row_idx, header[col_idx], cell)
+            break
+    return NonNumericCell(row_idx, header[col_idx], cell)
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset back out with the label as the final column."""
+    """Write a dataset back out with the label as the final column and a
+    whole-number cell as an int; int64 holds one below 2**53 exactly."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.feature_names) + ["label"])
-        for row, label in zip(ds.X.tolist(), ds.y.tolist()):
-            writer.writerow([_format_cell(v) for v in row] + [int(label)])
-
-
-def _format_cell(v: float):
-    return int(v) if v.is_integer() else v
+        X = ds.X
+        if np.all((np.abs(X) < 2**53) & (X == np.trunc(X))):
+            writer.writerows(np.column_stack([X.astype(np.int64), ds.y]).tolist())
+            return
+        for row, label in zip(X.tolist(), ds.y.tolist()):
+            writer.writerow([int(v) if v.is_integer() else v for v in row] + [int(label)])
 
 
 def class_distribution(ds: Dataset) -> tuple[int, int]:

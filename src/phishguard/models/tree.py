@@ -107,10 +107,10 @@ class DecisionTree(Scorer):
     scores_rows_independently = True
 
     def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.feature = _node_indices(self.feature)
         self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.intp)
-        self.right = np.asarray(self.right, dtype=np.intp)
+        self.left = _node_indices(self.left)
+        self.right = _node_indices(self.right)
         self.value = np.asarray(self.value, dtype=float)
         _check_nodes(self)
 
@@ -122,6 +122,16 @@ class DecisionTree(Scorer):
         """p(phishing) for a classify tree; the fitted value for a
         regress tree."""
         return self._stack.leaf_values(X)[0]
+
+
+def _node_indices(values) -> np.ndarray:
+    """`values` as indices. A model file may hold any JSON number there:
+    one that is no whole number in range is refused, not truncated."""
+    values = np.asarray(values)
+    in_range = values.dtype.kind == "f" and np.all(abs(values) < 2**62)
+    if values.dtype.kind != "i" and not (in_range and np.all(values == np.trunc(values))):
+        raise PhishguardError("tree node arrays must hold whole numbers")
+    return values.astype(np.intp, copy=False)
 
 
 def _check_nodes(tree: DecisionTree) -> None:

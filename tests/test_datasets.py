@@ -2,8 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import csv_reference
 from phishguard.datasets import (
+    LABEL_COLUMNS,
     Dataset,
     align_features,
     class_distribution,
@@ -15,6 +19,7 @@ from phishguard.errors import (
     EmptyDataset,
     MissingLabelColumn,
     NonNumericCell,
+    PhishguardError,
     RaggedRow,
     UnmappableFeature,
 )
@@ -162,3 +167,123 @@ def test_concatenate(toy_dataset):
     both = concatenate([toy_dataset, toy_dataset])
     assert len(both) == 2 * len(toy_dataset)
     assert both.feature_names == toy_dataset.feature_names
+
+
+# ------------------------------------------------- the reference codec
+
+# cells that float() reads, that it does not, and that it reads to a
+# label outside {-1, 0, 1}
+NUMBER_CELLS = ["0", "1", "-1", "1.0", "-0.0", "0.0", " 1 ", "1_000", "٣", "nan",
+                "-nan", "inf", "-inf", "1e20", "2", "0.5", "-1e-300", '"1"', '"-1"', '" 0 "']
+OTHER_CELLS = ["", " ", "x", '"1,0"', "1__0", "--1", '"a ""b"""']
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with a label column and 0-3 features, whose rows may be
+    blank, whitespace-only, all empty cells, ragged or faulty, and which
+    repeats rows, under labels -1 and 0 too."""
+    n_features = draw(st.integers(0, 3))
+    header = [f"f{i}" for i in range(n_features)]
+    header.insert(draw(st.integers(0, n_features)), draw(st.sampled_from(LABEL_COLUMNS)))
+    cell = st.one_of(st.sampled_from(NUMBER_CELLS),
+                     st.sampled_from(NUMBER_CELLS + OTHER_CELLS),
+                     st.floats().map(repr))
+    row = st.one_of(
+        st.lists(cell, min_size=len(header), max_size=len(header)).map(",".join),
+        st.lists(st.sampled_from(["0", "1", "-1"]), min_size=len(header),
+                 max_size=len(header)).map(",".join),
+        st.sampled_from(["", "   ", "\t", ",".join([""] * len(header)),
+                         ",".join([" "] * len(header))]),
+        st.lists(cell, min_size=0, max_size=len(header) + 2).map(",".join),
+    )
+    lines = draw(st.lists(row, max_size=12))
+    if lines and draw(st.booleans()):
+        # the same cells again, and under the other legitimate label
+        lines.append(draw(st.sampled_from(lines)))
+        twin = lines[-1].split(",")
+        if len(twin) == len(header):
+            label = header.index(next(c for c in header if c in LABEL_COLUMNS))
+            twin = [{"0": "-0.0"}.get(c, c) for c in twin]
+            twin[label] = {"-1": "0", "0": "-1"}.get(twin[label], twin[label])
+            lines.append(",".join(twin))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([",".join(header), *lines]) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except PhishguardError as exc:
+        return exc
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_load_csv_agrees_with_the_reference(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = outcome(lambda p: csv_reference.load_csv(p, provenance="UCI"), path)
+    got = outcome(lambda p: load_csv(p, provenance="UCI"), path)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+        return
+    assert not isinstance(got, Exception), got
+    for name in ("X", "y"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (got.feature_names, got.provenance) == (expected.feature_names, expected.provenance)
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("f,label\n1,2\n1\n", "label 2.0 at row 0"),
+    ("f,label\n1,0\n1\nx,5\n", "row 1 has 1 cells"),
+    ("f,label\n\n1,0\n1,0\n\nx,5\n1\n", "value 'x' at row 4"),
+    ("f,label\n,\n\n1,0\n\n1,nan\nx,1\n", "label nan at row 4"),
+    ("f,label\n1,٣\n1,-1\n", "label 3.0 at row 0"),
+], ids=["label_before_ragged", "ragged_before_non_numeric", "non_numeric_before_ragged",
+        "label_after_blank_rows", "non_ascii_digit_label"])
+def test_the_first_fault_in_row_order_raises(tmp_path, text, fault):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PhishguardError) as err:
+        load_csv(path)
+    assert fault in str(err.value)
+    assert str(err.value) == str(outcome(csv_reference.load_csv, path))
+
+
+def test_dedup_follows_the_bits_and_the_remapped_label(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("f,g,label\n1,nan,-1\n1,nan,0\n-0.0,1,1\n0.0,1,1\n1,nan,1\n-0.0,1,1\n",
+                    encoding="utf-8")
+    ds = load_csv(path)
+    assert ds.y.tolist() == [0, 1, 1, 1]
+    assert [str(v) for v in ds.X[:, 0]] == ["1.0", "-0.0", "0.0", "1.0"]
+
+
+def save_text(save, ds, path):
+    save(ds, path)
+    return path.read_bytes()
+
+
+CELLS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, -0.0, 7.0, 2.0**53 - 1]),
+                  st.sampled_from([0.5, float("nan"), float("inf"), -float("inf"), 1e20,
+                                   2.0**53, -(2.0**53), 1e-300]),
+                  st.floats())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 6), d=st.integers(0, 4), integral=st.booleans())
+def test_save_csv_agrees_with_the_reference(tmp_path, data, n, d, integral):
+    # whole numbers, some too large to be written through an int64
+    whole = st.one_of(st.integers(-(2**53) + 1, 2**53 - 1).map(float),
+                      st.sampled_from([-0.0, 2.0**53, 1e20, 2.0**63, -1e300]))
+    cells = whole if integral else CELLS
+    X = np.array(data.draw(st.lists(st.lists(cells, min_size=d, max_size=d),
+                                    min_size=n, max_size=n)), dtype=float).reshape(n, d)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
+    ds = Dataset(X, y, tuple(f"f{i}" for i in range(d)))
+    assert (save_text(save_csv, ds, tmp_path / "a.csv")
+            == save_text(csv_reference.save_csv, ds, tmp_path / "b.csv"))

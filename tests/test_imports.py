@@ -13,6 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_ternary_dataset
+from phishguard import cli, robustness
+from phishguard.datasets import save_csv
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
@@ -104,3 +108,37 @@ def test_importing_the_package_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+HEAVY = ("server", "robustness", "generate", "context", "explain", "models", "metrics")
+
+
+def loaded_after(argv: list[str]) -> list[str]:
+    """The heavier phishguard modules in `sys.modules` of a fresh process
+    after `import phishguard.cli` and, if `argv` is given, `cli.main(argv)`."""
+    probe = ("import sys; from phishguard import cli; argv = sys.argv[1:]\n"
+             "assert not argv or cli.main(argv) == 0\n"
+             f"print([m for m in {HEAVY!r} if 'phishguard.' + m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+@pytest.fixture
+def small_csv(tmp_path):
+    save_csv(make_ternary_dataset(n=40, seed=1), tmp_path / "d.csv")
+    return tmp_path / "d.csv"
+
+
+def test_the_cli_imports_only_what_its_subcommand_runs(small_csv, tmp_path):
+    assert loaded_after([]) == []
+    assert loaded_after(["ingest", str(small_csv), "--out", str(tmp_path / "clean.csv")]) == []
+    trained = loaded_after(["train", str(small_csv), "--model", "tree", "--folds", "2",
+                            "--out", str(tmp_path / "m.json")])
+    assert {"models", "metrics"} <= set(trained)
+    assert not {"server", "robustness", "generate"} & set(trained)
+
+
+def test_the_parser_offers_the_robustness_strategies():
+    assert cli.STRATEGIES == robustness.STRATEGIES

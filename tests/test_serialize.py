@@ -217,6 +217,18 @@ def _wider_member(doc):
     member["feature"][0] = 25
 
 
+def _root_index(field, value):
+    """Re-save a format-1 tree and set its root's `field` to `value`: a
+    fraction that `np.intp` would truncate to a valid index, or a number
+    that no index can be."""
+    def corrupt(doc):
+        doc = model_to_dict(model_from_dict(doc))
+        doc["params"][field][0] = value
+        return doc
+    corrupt.__name__ = f"_{field}_{value}"
+    return corrupt
+
+
 def _v1_root_without_children(doc):
     del doc["params"]["members"][0]["root"]["left"]
 
@@ -318,6 +330,12 @@ MALFORMED = [
     ("linear", _weights_a_matrix),
     ("mlp", _unchained_layers),
     ("gbt", _wider_member),
+    # node and feature indices are whole numbers in range
+    ("tree_v1.json", _root_index("feature", 7.9)),
+    ("tree_v1.json", _root_index("left", 1.7)),
+    ("tree_v1.json", _root_index("right", 2.5)),
+    ("tree_v1.json", _root_index("feature", 1e300)),
+    ("tree_v1.json", _root_index("left", 2**64 - 1)),
 ]
 
 
@@ -360,6 +378,8 @@ MALFORMED_FILES = {
     "wider_member": ("gbt", _wider_member),
     "null_leaf_value": ("gbt", _array_item("null_leaf_value", None, "members", 0, "value", -1)),
     "null_weight": ("mlp", _array_item("null_weight", None, "weights", 0, 0, 0)),
+    "fractional_feature": ("tree_v1.json", _root_index("feature", 7.9)),
+    "fractional_left": ("tree_v1.json", _root_index("left", 1.7)),
 }
 
 
