@@ -34,27 +34,28 @@ for name, gain in top_ig:
     print(f"  {name:>28}: {gain:.4f}")
 
 # --- Shapley values: local, on the logit scale ---------------------------
-closed = shap_linear(model, x, ds)
-sampled = shap_sampled(model.decision_function, x, ds.X.mean(axis=0),
-                       n_samples=2000, seed=0)
-print(f"\nlocal accuracy: base + sum(phi) = {closed.total:.6f}, "
+# absent features take the background mean, whose score is the base
+mean = ds.X.mean(axis=0)
+closed = shap_linear(model, x, mean)
+sampled, errors = shap_sampled(model.decision_function, x, mean, n_samples=2000, seed=0)
+base = float(model.decision_function(mean))
+print(f"\nlocal accuracy: base + sum(phi) = {base + closed.sum():.6f}, "
       f"f(x) = {float(model.decision_function(x)):.6f}")
-j = int(np.argmax(np.abs(closed.attributions)))
+j = int(np.argmax(np.abs(closed)))
 print(f"largest attribution: {ds.feature_names[j]} "
-      f"closed-form {closed.attributions[j]:+.4f}, "
-      f"sampled {sampled.attributions[j]:+.4f} "
-      f"(SE {sampled.standard_errors[j]:.4f})")
+      f"closed-form {closed[j]:+.4f}, "
+      f"sampled {sampled[j]:+.4f} "
+      f"(SE {errors[j]:.4f})")
 
 # --- local surrogate ------------------------------------------------------
-lime = lime_explain(model.predict_proba, x, ds, n_perturb=1000, seed=0)
+lime = lime_explain(model.predict_proba, x, ds.X, n_perturb=1000, seed=0)
 print("\nsurrogate top-3 features:",
-      [ds.feature_names[k] for k in lime.ranking()[:3]])
+      [ds.feature_names[k] for k in np.argsort(-np.abs(lime), kind="stable")[:3]])
 
 # --- fusion: composite per-feature weights --------------------------------
 importance = {
     name: float(np.mean(np.abs(
-        np.array([shap_linear(model, row, ds).attributions[k]
-                  for row in ds.X[:100]])
+        np.array([shap_linear(model, row, mean)[k] for row in ds.X[:100]])
     )))
     for k, name in enumerate(ds.feature_names)
 }

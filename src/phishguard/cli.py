@@ -11,6 +11,7 @@ import importlib
 import json
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .features import CANONICAL_FEATURES
 _LAZY = {name: module for module, names in (
     ("context", "PcsConfig"),
     ("explain", "fuse_weights information_gain_all lime_explain shap_exact shap_linear"),
-    ("generate", "DEFAULT_RULES GenerationConfig generate_feature_rich_domains "
+    ("generate", "GenerationConfig generate_feature_rich_domains "
                  "generate_synthetic_urls"),
     ("metrics", "accuracy_metric auc_metric confusion cross_validate metrics_table prf1"),
     ("models", "TrainConfig save_model load_model train_forest train_gbt train_linear "
@@ -122,7 +123,6 @@ def cmd_generate(args) -> int:
     cfg = _cli.GenerationConfig(
         legit_urls=legit,
         target_count=args.count,
-        rules=_cli.DEFAULT_RULES,
         seed=args.seed,
         per_feature_target=args.per_feature,
         domain_base=args.domain_base,
@@ -190,25 +190,35 @@ def cmd_explain(args) -> int:
     if not -len(ds) <= args.index < len(ds):
         raise PhishguardError(f"--index {args.index} is outside the {len(ds)} "
                               "rows left after duplicate removal")
-    model = _cli.load_model(args.model)
+    model = _load_model_for(args.model, ds)
     x = ds.X[args.index]
     background = ds.X.mean(axis=0)
-    if args.method == "shap":
-        if isinstance(model, _cli.LinearModel):
-            explanation = _cli.shap_linear(model, x, background)
-        else:
-            try:
-                explanation = _cli.shap_exact(model, x, background)
-            except TooManyFeatures as exc:
-                raise TooManyFeatures(f"{exc}; use --method lime") from exc
-        values = explanation.attributions
-    else:  # lime
-        explanation = _cli.lime_explain(model.predict_proba, x, ds.X, seed=args.seed)
-        values = explanation.weights
+    if args.method == "lime":
+        values = _cli.lime_explain(model.predict_proba, x, ds.X, seed=args.seed)
+    elif isinstance(model, _cli.LinearModel):
+        values = _cli.shap_linear(model, x, background)
+    else:
+        try:
+            values = _cli.shap_exact(model.predict_proba, x, background)
+        except TooManyFeatures as exc:
+            raise TooManyFeatures(f"{exc}; use --method lime") from exc
     pairs = sorted(zip(ds.feature_names, values), key=lambda t: -abs(t[1]))
     print(_render_bars(pairs))
     _write_manifest(Path(args.out_dir), "explain", args, started)
     return 0
+
+
+def _load_model_for(path, ds: Dataset):
+    """The model at `path`, refused unless it names no features or was
+    trained on `ds`'s columns in their order."""
+    model = _cli.load_model(path)
+    if model.feature_names:
+        pairs = zip_longest(model.feature_names, ds.feature_names, fillvalue="(none)")
+        for i, (trained, given) in enumerate(pairs):
+            if trained != given:
+                raise PhishguardError(f"the model was trained on other columns: column {i} "
+                                      f"is {trained!r} in the model but {given!r} in the CSV")
+    return model
 
 
 def _load_reference(path, provenance: str) -> Dataset:
@@ -231,7 +241,7 @@ def _build_fusion_and_pcs(args, model):
         if isinstance(model, _cli.LinearModel):
             rng = np.random.default_rng(args.seed)
             sample = ds.X[rng.choice(len(ds), size=min(50, len(ds)), replace=False)]
-            magnitudes = np.abs([_cli.shap_linear(model, row, background).attributions
+            magnitudes = np.abs([_cli.shap_linear(model, row, background)
                                  for row in sample])
             # one 1-D mean per feature: the same sum, in the same order, as
             # a mean over a list of the feature's magnitudes
@@ -254,7 +264,7 @@ def cmd_serve(args) -> int:
 def cmd_robustness(args) -> int:
     started = time.time()
     ds = _load_reference(args.dataset, args.provenance)
-    model = _cli.load_model(args.model)
+    model = _load_model_for(args.model, ds)
     spec = _cli.AttackSpec(contamination_rate=args.rate, delta=args.delta, seed=args.seed)
     pcs = _cli.PcsConfig(ds, k=args.pcs_k, threshold=args.pcs_threshold)
     rows = {}

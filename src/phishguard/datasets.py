@@ -18,8 +18,6 @@ from .errors import (
     UnmappableFeature,
 )
 
-PROVENANCES = ("UCI", "OpenPhish", "EvilGinx", "GenAI", "Unknown")
-
 LABEL_COLUMNS = ("label", "Result")
 
 

@@ -144,9 +144,10 @@ class IdMismatch(PhishguardError):
     pass
 
 
-class ZeroBaseline(PhishguardError):
-    pass
-
-
 class UnservableModel(PhishguardError):
     """A model whose inputs are not the server's extracted feature vector."""
+
+
+class UnservableReference(PhishguardError):
+    """A PCS reference set whose columns are not the server's extracted
+    feature vector."""

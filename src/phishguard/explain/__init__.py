@@ -2,8 +2,8 @@
 
 from .fusion import FusionWeights, fuse_weights
 from .infogain import entropy, information_gain, information_gain_all
-from .lime import LimeExplanation, lime_explain
-from .shapley import ShapExplanation, shap_exact, shap_linear, shap_sampled
+from .lime import lime_explain
+from .shapley import shap_exact, shap_linear, shap_sampled
 
 __all__ = [
     "FusionWeights",
@@ -11,9 +11,7 @@ __all__ = [
     "entropy",
     "information_gain",
     "information_gain_all",
-    "LimeExplanation",
     "lime_explain",
-    "ShapExplanation",
     "shap_exact",
     "shap_linear",
     "shap_sampled",

@@ -12,8 +12,6 @@ from ..errors import EmptyFeatureSets, PhishguardError
 
 @dataclass
 class FusionWeights:
-    alpha: float
-    beta: float
     f_ig: frozenset[str]
     f_xai: frozenset[str]
     f_final: frozenset[str]
@@ -70,8 +68,6 @@ def fuse_weights(
         phi_term = norm_phi.get(name, 0.0) if name in f_xai else 0.0
         weights[name] = alpha * ig_term + beta * phi_term
     return FusionWeights(
-        alpha=alpha,
-        beta=beta,
         f_ig=f_ig,
         f_xai=f_xai,
         f_final=f_final,

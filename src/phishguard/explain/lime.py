@@ -2,29 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..datasets import Dataset
 from ..errors import DegeneratePerturbations
 from ..models.common import Standardizer
-from .shapley import _as_scorer
 
-
-@dataclass
-class LimeExplanation:
-    weights: np.ndarray  # surrogate coefficients, one per feature
-    intercept: float
-    kernel_width: float
-    n_perturbations: int
-    penalty: float
-    seed: int
-
-    def ranking(self) -> list[int]:
-        """Feature indices sorted by |weight| descending."""
-        return sorted(range(len(self.weights)), key=lambda j: -abs(self.weights[j]))
+# the surrogate's ridge penalty
+PENALTY = 1e-3
 
 
 @lru_cache(maxsize=16)
@@ -40,10 +26,10 @@ def _perturbation_plan(seed, n_perturb: int, d: int, n_background: int):
 
 def _scores_rows_independently(scorer) -> bool:
     """Whether the scorer gives a row the same bits in any batch, one row
-    included. Tree models declare it; matrix-vector products (linear,
-    MLP) round a row differently by its place in the batch, and a plain
-    callable is not assumed to."""
-    model = getattr(scorer, "__self__", scorer)
+    included. Tree models declare it, read through a bound method's
+    model; matrix-vector products (linear, MLP) round a row differently
+    by its place in the batch, and a plain callable is not assumed to."""
+    model = getattr(scorer, "__self__", None)
     return getattr(model, "scores_rows_independently", False)
 
 
@@ -68,29 +54,25 @@ def lime_explain(
     x,
     background,
     n_perturb: int = 500,
-    kernel_width: float | None = None,
-    penalty: float = 1e-3,
     seed: int = 0,
-) -> LimeExplanation:
-    """Fit a weighted ridge surrogate around x.
+) -> np.ndarray:
+    """The coefficients, one per feature, of a weighted ridge surrogate
+    fitted around x for a scorer over (n, d) matrices.
 
-    Perturbations resample each feature from its background marginal with
-    probability 1/2; proximity is a Gaussian kernel on the Euclidean
-    distance between standardized vectors. The perturbation plan is drawn
-    once per (seed, n_perturb, d, background rows); a scorer that scores
-    rows independently (tree models) sees each bit-distinct perturbation
-    once, with the same result as scoring them all.
+    Perturbations resample each feature from its marginal in the
+    background matrix with probability 1/2; proximity is a Gaussian
+    kernel of width 0.75 * sqrt(d) on the Euclidean distance between
+    standardized vectors. The perturbation plan is drawn once per (seed,
+    n_perturb, d, background rows); a scorer that scores rows
+    independently (tree models) sees each bit-distinct perturbation once,
+    with the same result as scoring them all.
     """
     if n_perturb < 50:
         raise ValueError("n_perturb must be >= 50")
-    f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
-    B = background.X if isinstance(background, Dataset) else np.asarray(background, dtype=float)
-    if B.ndim == 1:
-        B = B[None, :]
+    B = np.asarray(background, dtype=float)
     d = len(x)
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(d)
+    kernel_width = 0.75 * np.sqrt(d)
 
     flips, rows = _perturbation_plan(seed, n_perturb, d, len(B))
     draws = B[rows, np.arange(d)]
@@ -106,21 +88,14 @@ def lime_explain(
 
     if _scores_rows_independently(scorer):
         first, inverse = _distinct_rows(Z)
-        targets = np.asarray(f(Z[first]), dtype=float)[inverse]
+        targets = np.asarray(scorer(Z[first]), dtype=float)[inverse]
     else:
-        targets = np.asarray(f(Z), dtype=float)
+        targets = np.asarray(scorer(Z), dtype=float)
     # weighted ridge on [Zs | 1]; the intercept column is not penalized
     design = np.hstack([Zs, np.ones((n_perturb, 1))])
     W = proximity[:, None]
     gram = design.T @ (W * design)
-    reg = penalty * np.eye(d + 1)
+    reg = PENALTY * np.eye(d + 1)
     reg[d, d] = 0.0
     coef = np.linalg.solve(gram + reg, design.T @ (proximity * targets))
-    return LimeExplanation(
-        weights=coef[:d],
-        intercept=float(coef[d]),
-        kernel_width=float(kernel_width),
-        n_perturbations=n_perturb,
-        penalty=penalty,
-        seed=seed,
-    )
+    return coef[:d]

@@ -3,42 +3,21 @@ and a Monte-Carlo permutation estimate.
 
 Absent features are imputed with the background mean, so all three
 methods estimate the same quantity and can be checked against each other.
+The scorer is a callable over (n, d) matrices; the background is a
+baseline row, or a matrix whose column means are the baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from ..datasets import Dataset
 from ..errors import DimensionMismatch, TooManyFeatures
 from ..models.linear import LinearModel
 
 
-@dataclass
-class ShapExplanation:
-    base_value: float
-    attributions: np.ndarray
-    method: str  # exact | linear | sampled
-    standard_errors: np.ndarray | None = None
-
-    @property
-    def total(self) -> float:
-        return float(self.base_value + self.attributions.sum())
-
-
-def _as_scorer(scorer):
-    """Accept a trained model or a callable over (n, d) matrices."""
-    if callable(scorer):
-        return scorer
-    return lambda X: np.asarray(scorer.predict_proba(X))
-
-
 def _background_mean(background) -> np.ndarray:
-    if isinstance(background, Dataset):
-        return background.X.mean(axis=0)
     arr = np.asarray(background, dtype=float)
     if arr.ndim == 2:
         return arr.mean(axis=0)
@@ -49,10 +28,9 @@ def _background_mean(background) -> np.ndarray:
 EXACT_FEATURE_CAP = 15
 
 
-def shap_exact(scorer, x, background) -> ShapExplanation:
+def shap_exact(scorer, x, background) -> np.ndarray:
     """Full 2^n subset enumeration with the combinatorial Shapley weight,
     for at most EXACT_FEATURE_CAP features."""
-    f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
     mu = _background_mean(background)
     n = len(x)
@@ -66,7 +44,7 @@ def shap_exact(scorer, x, background) -> ShapExplanation:
     rows = np.tile(mu, (n_subsets, 1))
     masks = (np.arange(n_subsets)[:, None] >> np.arange(n)) & 1
     rows = np.where(masks.astype(bool), x, rows)
-    values = np.asarray(f(rows), dtype=float)
+    values = np.asarray(scorer(rows), dtype=float)
 
     fact = [factorial(i) for i in range(n + 1)]
     size = masks.sum(axis=1)
@@ -79,12 +57,10 @@ def shap_exact(scorer, x, background) -> ShapExplanation:
             [fact[si] * fact[n - si - 1] / fact[n] for si in s]
         )
         phis[j] = float(np.sum(weight * (values[without | bit] - values[without])))
-    return ShapExplanation(
-        base_value=float(values[0]), attributions=phis, method="exact"
-    )
+    return phis
 
 
-def shap_linear(model: LinearModel, x, background) -> ShapExplanation:
+def shap_linear(model: LinearModel, x, background) -> np.ndarray:
     """Closed form on the logit scale: phi_j = w_j (x_j - mu_j), with the
     model's internal standardization folded in."""
     x = np.asarray(x, dtype=float)
@@ -92,16 +68,15 @@ def shap_linear(model: LinearModel, x, background) -> ShapExplanation:
     if len(x) != model.n_features or len(mu) != model.n_features:
         raise DimensionMismatch("x/background dimension differs from the model")
     effective_w = model.weights / model.scale
-    phis = effective_w * (x - mu)
-    base = float(effective_w @ (mu - model.mean) + model.bias)
-    return ShapExplanation(base_value=base, attributions=phis, method="linear")
+    return effective_w * (x - mu)
 
 
-def shap_sampled(scorer, x, background, n_samples: int = 1000, seed: int = 0) -> ShapExplanation:
-    """Monte-Carlo permutation estimate with per-feature standard errors."""
+def shap_sampled(scorer, x, background, n_samples: int = 1000,
+                 seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo permutation estimate: (attributions, per-feature
+    standard errors)."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
-    f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
     mu = _background_mean(background)
     n = len(x)
@@ -111,7 +86,6 @@ def shap_sampled(scorer, x, background, n_samples: int = 1000, seed: int = 0) ->
     sq_sums = np.zeros(n)
     batch = 512
     done = 0
-    base_value = float(np.asarray(f(mu[None, :]))[0])
     while done < n_samples:
         b = min(batch, n_samples - done)
         perms = np.stack([rng.permutation(n) for _ in range(b)])
@@ -119,7 +93,7 @@ def shap_sampled(scorer, x, background, n_samples: int = 1000, seed: int = 0) ->
         # full; state k takes x on the features of rank below k
         ranks = np.argsort(perms, axis=1)
         rows = np.where(ranks[:, None, :] < np.arange(n + 1)[None, :, None], x, mu)
-        values = np.asarray(f(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
+        values = np.asarray(scorer(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
         deltas = np.diff(values, axis=1)  # contribution of perms[:, step]
         for step in range(n):
             js = perms[:, step]
@@ -129,10 +103,4 @@ def shap_sampled(scorer, x, background, n_samples: int = 1000, seed: int = 0) ->
 
     phis = sums / n_samples
     variance = np.maximum(sq_sums / n_samples - phis ** 2, 0.0)
-    se = np.sqrt(variance / n_samples)
-    return ShapExplanation(
-        base_value=base_value,
-        attributions=phis,
-        method=f"sampled(n={n_samples}, seed={seed})",
-        standard_errors=se,
-    )
+    return phis, np.sqrt(variance / n_samples)

@@ -73,14 +73,11 @@ TRANSFORMATION_RULES = {
     "hyphen_brand": _rule_hyphen_brand,
 }
 
-DEFAULT_RULES = tuple(TRANSFORMATION_RULES)
-
 
 @dataclass
 class GenerationConfig:
     legit_urls: list[str]
     target_count: int = 100
-    rules: tuple[str, ...] = DEFAULT_RULES
     seed: int = 0
     per_feature_target: int = 5
     domain_base: str = "example.com"
@@ -88,11 +85,6 @@ class GenerationConfig:
     def __post_init__(self):
         if self.target_count < 1:
             raise PhishguardError("target_count must be >= 1")
-        if not self.rules:
-            raise PhishguardError("rule list must be non-empty")
-        unknown = set(self.rules) - set(TRANSFORMATION_RULES)
-        if unknown:
-            raise PhishguardError(f"unknown rules: {sorted(unknown)}")
 
 
 def normalize_url(url: str) -> str:
@@ -120,6 +112,7 @@ def generate_synthetic_urls(cfg: GenerationConfig) -> list[str]:
     rng = random.Random(cfg.seed)
     bases = [parse_url(u) for u in cfg.legit_urls]
     base_digests = {_digest(u) for u in cfg.legit_urls}
+    rules = tuple(TRANSFORMATION_RULES.values())
 
     unique: list[str] = []
     seen: set[str] = set()
@@ -133,12 +126,10 @@ def generate_synthetic_urls(cfg: GenerationConfig) -> list[str]:
             )
         attempts += 1
         base = rng.choice(bases)
-        variant = TRANSFORMATION_RULES[rng.choice(cfg.rules)](base, rng)
+        variant = rng.choice(rules)(base, rng)
         # optionally chain a second rule for extra variety
         if rng.random() < 0.3:
-            variant = TRANSFORMATION_RULES[rng.choice(cfg.rules)](
-                parse_url(variant), rng
-            )
+            variant = rng.choice(rules)(parse_url(variant), rng)
         h = _digest(variant)
         if h in seen or h in base_digests:
             continue

@@ -58,16 +58,12 @@ def confusion(labels, predictions) -> ConfusionMatrix:
 
 
 def prf1(cm: ConfusionMatrix) -> dict:
-    """Accuracy, precision, recall, F1. 0/0 divisions return 0 and set
-    the `degenerate` flag instead of raising."""
+    """Accuracy, precision, recall, F1. A 0/0 division gives 0."""
     if cm.total == 0:
         raise EmptyInput("empty confusion matrix")
-    degenerate = False
 
     def safe_div(num, den):
-        nonlocal degenerate
         if den == 0:
-            degenerate = True
             return 0.0
         return num / den
 
@@ -79,7 +75,6 @@ def prf1(cm: ConfusionMatrix) -> dict:
         "precision": precision,
         "recall": recall,
         "f1": f1,
-        "degenerate": degenerate,
     }
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .datasets import Dataset
-from .errors import IdMismatch, PhishguardError, ZeroBaseline
+from .errors import IdMismatch, PhishguardError
 from .explain import FusionWeights
 from .features import TERNARY_VALUES
 
@@ -42,7 +42,6 @@ class AttackSpec:
 @dataclass
 class ContextSet:
     contexts: list[IsolatedContext]
-    phase: str  # pre_attack | post_attack | post_mitigation
     links: tuple[tuple[str, str], ...] = ()  # (victim id, source id)
 
     def __post_init__(self):
@@ -56,7 +55,6 @@ class ContextSet:
 
 @dataclass
 class RobustnessRow:
-    strategy: str
     cis: float
     apf: float
     mre: float | None
@@ -78,7 +76,7 @@ def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
             outcome, context_id=f"ctx-{i:04d}", request_ref=f"row-{int(row)}",
             names=ds.feature_names, vector=vector, provenance=ds.provenance[row],
         ))
-    return ContextSet(contexts, "pre_attack")
+    return ContextSet(contexts)
 
 
 def inject_attack(pre: ContextSet, spec: AttackSpec, model,
@@ -121,7 +119,7 @@ def inject_attack(pre: ContextSet, spec: AttackSpec, model,
                 names=names, vector=vector, provenance=ctx.provenance,
                 created_at=ctx.created_at,
             )
-    return ContextSet(post_contexts, "post_attack", tuple(links))
+    return ContextSet(post_contexts, tuple(links))
 
 
 def _context_vector(ctx: IsolatedContext) -> np.ndarray:
@@ -172,10 +170,10 @@ def apf(pre: ContextSet, post: ContextSet) -> float:
 
 
 def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
-        delta: float, seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo |p(x) - p(x + delta*u)| over 5 draws of u, with noise on
-    the fused feature set (every feature when `fusion` is None); returns
-    (csi_raw, csi_stability = 1 - csi_raw)."""
+        delta: float, seed: int = 0) -> float:
+    """The stability 1 - mean |p(x) - p(x + delta*u)| over 5 Monte-Carlo
+    draws of u, with noise on the fused feature set (every feature when
+    `fusion` is None)."""
     if not contexts.contexts:
         raise PhishguardError("no contexts")
     names = contexts.contexts[0].names
@@ -189,14 +187,7 @@ def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
         noise[:, ~fused] = 0.0
         perturbed = np.asarray(model.predict_proba(X + noise))
         diffs.append(np.abs(base - perturbed))
-    raw = float(np.mean(diffs))
-    return raw, 1.0 - raw
-
-
-def mre(cis_pre: float, cis_post_attack: float, cis_post_mitigation: float) -> float:
-    if cis_pre <= 0:
-        raise ZeroBaseline("pre-attack CIS must be positive")
-    return (cis_post_mitigation - cis_post_attack) / cis_pre
+    return 1.0 - float(np.mean(diffs))
 
 
 def mitigate(pre: ContextSet, post: ContextSet, pcs: PcsConfig | None) -> ContextSet:
@@ -214,7 +205,7 @@ def mitigate(pre: ContextSet, post: ContextSet, pcs: PcsConfig | None) -> Contex
         if not flagged and pcs is not None:
             _, flagged = provenance_score(ctx.vector, pcs, ctx.provenance)
         restored.append(snapshot if flagged else ctx)
-    return ContextSet(restored, "post_mitigation")
+    return ContextSet(restored)
 
 
 STRATEGIES = ("isolation", "validation", "hybrid")
@@ -241,11 +232,12 @@ def run_strategy(ds: Dataset, model, strategy: str, spec: AttackSpec,
     else:
         final = mitigate(pre, post, pcs)
         cis_final = cis(pre, final)
-        mre_value = mre(1.0, cis_post_attack, cis_final)
+        # MRE = (CIS_post_mitigation - CIS_post_attack) / CIS_pre, where
+        # CIS_pre, of `pre` against itself, is exactly 1
+        mre_value = cis_final - cis_post_attack
 
-    _, stability = csi(model, final, fusion, spec.delta, seed=spec.seed)
+    stability = csi(model, final, fusion, spec.delta, seed=spec.seed)
     return RobustnessRow(
-        strategy=strategy,
         cis=cis_final,
         apf=apf_value,
         mre=mre_value,

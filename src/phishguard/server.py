@@ -38,7 +38,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
-from .errors import MalformedUrl, PhishguardError, UnservableModel
+from .errors import MalformedUrl, PhishguardError, UnservableModel, UnservableReference
 from .explain import FusionWeights, lime_explain, shap_linear
 from .features import (
     CANONICAL_FEATURES,
@@ -81,6 +81,10 @@ class PhishingServer:
                                   f"not {len(CANONICAL_FEATURES)}")
         if model.feature_names and tuple(model.feature_names) != CANONICAL_FEATURES:
             raise UnservableModel("the model's features are not the canonical features in order")
+        # PCS standardises each query column with the reference's column
+        if pcs is not None and tuple(pcs.reference.feature_names) != CANONICAL_FEATURES:
+            raise UnservableReference("the PCS reference's features are not the canonical "
+                                      "features in order")
         self.model = model
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
@@ -165,13 +169,13 @@ class PhishingServer:
         background = np.zeros(len(vector))
         if isinstance(self.model, LinearModel):
             method = "shap_linear"
-            attributions = shap_linear(self.model, vector, background).attributions
+            attributions = shap_linear(self.model, vector, background)
         else:
             method = "lime"
             attributions = lime_explain(
                 self.model.predict_proba, vector,
                 np.vstack([background, vector]), seed=0,
-            ).weights
+            )
         attributions.flags.writeable = False
         return method, attributions
 

@@ -12,8 +12,9 @@ from conftest import make_ternary_dataset
 import phishguard
 from phishguard import cli
 from phishguard.cli import _train_model, main
-from phishguard.datasets import load_csv, save_csv
+from phishguard.datasets import Dataset, load_csv, save_csv
 from phishguard.errors import DimensionMismatch, NoLogitScale, PhishguardError
+from phishguard.features import CANONICAL_FEATURES
 from phishguard.models import load_model, save_model, sigmoid
 
 
@@ -355,7 +356,7 @@ class TestServeSetup:
         background = ds.X.mean(axis=0)
         expected = {
             name: float(np.mean([
-                abs(shap_linear(model, row, background).attributions[j])
+                abs(shap_linear(model, row, background)[j])
                 for row in sample
             ]))
             for j, name in enumerate(ds.feature_names)
@@ -382,6 +383,62 @@ class TestRobustnessCommand:
         assert set(payload) == {"isolation", "validation", "hybrid"}
         assert payload["isolation"]["mre"] is None
         assert payload["validation"]["cis"] == 1.0
+
+
+def reordered_csv(csv_path, tmp_path, columns, name):
+    """The rows of `csv_path` with its feature columns taken as `columns`."""
+    ds = load_csv(csv_path)
+    path = tmp_path / name
+    save_csv(Dataset(ds.X[:, columns], ds.y, tuple(np.array(ds.feature_names)[columns])), path)
+    return path
+
+
+class TestServeReference:
+    @pytest.mark.parametrize("columns", [slice(0, 10), slice(None, None, -1)],
+                             ids=["narrow", "reversed"])
+    def test_reference_of_other_columns_exits_2(self, csv_path, tmp_path, capsys, columns):
+        model_path = tmp_path / "tree.json"
+        save_model(_train_model(load_csv(csv_path), "tree", 0), model_path)
+        reference = reordered_csv(csv_path, tmp_path, columns, "ref.csv")
+        assert main(["serve", "--model", str(model_path), "--dataset", str(reference)]) == 2
+        err = capsys.readouterr().err
+        assert "the PCS reference's features are not the canonical features in order" in err
+
+
+class TestModelMatchesTheCsv:
+    @pytest.fixture
+    def model_path(self, tmp_path):
+        ds = make_ternary_dataset(n=400, seed=0, provenance=("UCI",))
+        path = tmp_path / "m.json"
+        save_model(_train_model(ds, "logistic", 0), path)
+        save_csv(ds, tmp_path / "data.csv")
+        return path
+
+    @pytest.mark.parametrize("argv", [["explain", "--method", "shap"],
+                                      ["explain", "--method", "lime"],
+                                      ["robustness", "--contexts", "20"]],
+                             ids=["shap", "lime", "robustness"])
+    def test_reversed_columns_exit_2(self, model_path, tmp_path, capsys, argv):
+        rev = reordered_csv(tmp_path / "data.csv", tmp_path, slice(None, None, -1), "rev.csv")
+        assert main([argv[0], str(rev), *argv[1:], "--model", str(model_path),
+                     "--out-dir", str(tmp_path)]) == 2
+        first, last = CANONICAL_FEATURES[0], CANONICAL_FEATURES[-1]
+        assert (f"column 0 is {first!r} in the model but {last!r} in the CSV"
+                in capsys.readouterr().err)
+
+    def test_narrow_csv_names_the_first_missing_column(self, model_path, tmp_path, capsys):
+        narrow = reordered_csv(tmp_path / "data.csv", tmp_path, slice(0, 10), "narrow.csv")
+        assert main(["explain", str(narrow), "--method", "shap", "--model", str(model_path),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert (f"column 10 is {CANONICAL_FEATURES[10]!r} in the model but '(none)' in the CSV"
+                in capsys.readouterr().err)
+
+    def test_a_model_without_names_is_not_checked(self, model_path, tmp_path, capsys):
+        model = load_model(model_path)
+        model.feature_names = ()
+        save_model(model, model_path)
+        assert main(["explain", str(tmp_path / "data.csv"), "--method", "shap",
+                     "--model", str(model_path), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestNonFiniteReference:

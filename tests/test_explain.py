@@ -21,8 +21,7 @@ from phishguard.explain import (
     shap_linear,
     shap_sampled,
 )
-from phishguard.explain.lime import LimeExplanation, _distinct_rows, _perturbation_plan
-from phishguard.explain.shapley import _as_scorer, _background_mean
+from phishguard.explain.lime import _distinct_rows, _perturbation_plan
 from phishguard.features import extract_features, to_canonical_vector
 from phishguard.generate import GenerationConfig, generate_synthetic_urls
 from phishguard.models import (
@@ -99,15 +98,15 @@ class TestShapExact:
             X = np.asarray(X)
             return np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3]
 
-        exp = shap_exact(scorer, x, B)
-        assert exp.total == pytest.approx(float(scorer(x[None, :])[0]), abs=1e-10)
+        phis = shap_exact(scorer, x, B)
+        base = float(scorer(B.mean(axis=0)[None, :])[0])
+        assert base + phis.sum() == pytest.approx(float(scorer(x[None, :])[0]), abs=1e-10)
 
     def test_dummy_feature_zero(self):
         B = np.zeros((10, 3))
         x = np.array([1.0, 2.0, 3.0])
         scorer = linear_logit_scorer([1.0, 0.0, 2.0])
-        exp = shap_exact(scorer, x, B)
-        assert exp.attributions[1] == pytest.approx(0.0, abs=1e-12)
+        assert shap_exact(scorer, x, B)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
         B = np.zeros((10, 2))
@@ -117,8 +116,8 @@ class TestShapExact:
             X = np.asarray(X)
             return X[:, 0] + X[:, 1] + X[:, 0] * X[:, 1]
 
-        exp = shap_exact(scorer, x, B)
-        assert exp.attributions[0] == pytest.approx(exp.attributions[1])
+        phis = shap_exact(scorer, x, B)
+        assert phis[0] == pytest.approx(phis[1])
 
     def test_matches_linear_closed_form(self):
         rng = np.random.default_rng(2)
@@ -127,10 +126,8 @@ class TestShapExact:
         B = rng.normal(size=(40, 6))
         scorer = linear_logit_scorer(w, bias=0.3)
         exact = shap_exact(scorer, x, B)
-        model = LinearModel(weights=w, bias=0.3)
-        closed = shap_linear(model, x, B)
-        assert np.allclose(exact.attributions, closed.attributions, atol=1e-10)
-        assert exact.base_value == pytest.approx(closed.base_value)
+        closed = shap_linear(LinearModel(weights=w, bias=0.3), x, B)
+        assert np.allclose(exact, closed, atol=1e-10)
 
     def test_feature_cap(self):
         with pytest.raises(TooManyFeatures):
@@ -144,15 +141,17 @@ class TestShapLinear:
         ds = make_ternary_dataset(n=200, seed=3)
         model = train_linear(ds)
         x = ds.X[0]
-        exp = shap_linear(model, x, ds)
-        assert exp.total == pytest.approx(float(model.decision_function(x)), abs=1e-10)
+        base = float(model.decision_function(ds.X.mean(axis=0)))
+        phis = shap_linear(model, x, ds.X)
+        assert base + phis.sum() == pytest.approx(float(model.decision_function(x)), abs=1e-10)
 
     def test_efficiency_against_decision_function(self):
         ds = make_ternary_dataset(n=100, seed=4)
         model = train_linear(ds)
+        base = float(model.decision_function(ds.X.mean(axis=0)))
         for i in (0, 17, 55):
-            exp = shap_linear(model, ds.X[i], ds)
-            assert exp.total == pytest.approx(
+            phis = shap_linear(model, ds.X[i], ds.X)
+            assert base + phis.sum() == pytest.approx(
                 float(model.decision_function(ds.X[i])), abs=1e-10
             )
 
@@ -160,9 +159,8 @@ class TestShapLinear:
 def shap_sampled_reference(scorer, x, background, n_samples, seed):
     """shap_sampled as it built each permutation's prefix states, one
     feature and one state at a time; it must match bit for bit."""
-    f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
-    mu = _background_mean(background)
+    mu = np.asarray(background, dtype=float).mean(axis=0)
     n = len(x)
     rng = np.random.default_rng(seed)
     sums = np.zeros(n)
@@ -176,7 +174,7 @@ def shap_sampled_reference(scorer, x, background, n_samples, seed):
             js = perms[:, step]
             for k in range(step + 1, n + 1):
                 rows[np.arange(b), k, js] = x[js]
-        values = np.asarray(f(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
+        values = np.asarray(scorer(rows.reshape(b * (n + 1), n))).reshape(b, n + 1)
         deltas = np.diff(values, axis=1)
         for step in range(n):
             js = perms[:, step]
@@ -199,10 +197,10 @@ class TestShapSampled:
             X = np.asarray(X)
             return np.tanh(X[:, 0]) * X[:, -1] + np.sin(X).sum(axis=1)
 
-        exp = shap_sampled(scorer, x, B, n_samples=n_samples, seed=3)
+        got = shap_sampled(scorer, x, B, n_samples=n_samples, seed=3)
         phis, se = shap_sampled_reference(scorer, x, B, n_samples, 3)
-        assert np.array_equal(exp.attributions, phis)
-        assert np.array_equal(exp.standard_errors, se)
+        assert np.array_equal(got[0], phis)
+        assert np.array_equal(got[1], se)
 
     def test_converges_to_exact(self):
         rng = np.random.default_rng(5)
@@ -214,19 +212,19 @@ class TestShapSampled:
             return X[:, 0] * X[:, 1] + np.tanh(X[:, 2]) - X[:, 4]
 
         exact = shap_exact(scorer, x, B)
-        sampled = shap_sampled(scorer, x, B, n_samples=4000, seed=0)
+        sampled, se = shap_sampled(scorer, x, B, n_samples=4000, seed=0)
         # each estimate must sit within 3 standard errors of the truth
         for j in range(5):
-            bound = 3 * sampled.standard_errors[j] + 1e-9
-            assert abs(sampled.attributions[j] - exact.attributions[j]) <= bound
+            bound = 3 * se[j] + 1e-9
+            assert abs(sampled[j] - exact[j]) <= bound
 
     def test_seed_determinism(self):
         B = np.random.default_rng(0).normal(size=(20, 4))
         x = np.ones(4)
         scorer = linear_logit_scorer([1.0, -1.0, 0.5, 0.0])
-        a = shap_sampled(scorer, x, B, n_samples=500, seed=9)
-        b = shap_sampled(scorer, x, B, n_samples=500, seed=9)
-        assert np.array_equal(a.attributions, b.attributions)
+        a, _ = shap_sampled(scorer, x, B, n_samples=500, seed=9)
+        b, _ = shap_sampled(scorer, x, B, n_samples=500, seed=9)
+        assert np.array_equal(a, b)
 
     def test_linear_case_exact_regardless_of_order(self):
         # for additive scorers every permutation yields the same marginal,
@@ -234,9 +232,9 @@ class TestShapSampled:
         B = np.zeros((5, 3))
         x = np.array([1.0, 2.0, 3.0])
         scorer = linear_logit_scorer([1.0, 1.0, 1.0])
-        exp = shap_sampled(scorer, x, B, n_samples=200, seed=0)
-        assert np.allclose(exp.attributions, x)
-        assert np.allclose(exp.standard_errors, 0.0, atol=1e-12)
+        phis, se = shap_sampled(scorer, x, B, n_samples=200, seed=0)
+        assert np.allclose(phis, x)
+        assert np.allclose(se, 0.0, atol=1e-12)
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
@@ -250,33 +248,27 @@ class TestLime:
         B = rng.normal(size=(200, 4))
         w_true = np.array([2.0, -3.0, 0.5, 0.0])
         scorer = lambda X: sigmoid(np.asarray(X) @ w_true)
-        exp = lime_explain(scorer, np.zeros(4), B, n_perturb=2000, seed=0)
-        assert exp.weights[0] > 0
-        assert exp.weights[1] < 0
-        assert abs(exp.weights[3]) < min(abs(exp.weights[0]), abs(exp.weights[1]))
+        weights = lime_explain(scorer, np.zeros(4), B, n_perturb=2000, seed=0)
+        assert weights[0] > 0
+        assert weights[1] < 0
+        assert abs(weights[3]) < min(abs(weights[0]), abs(weights[1]))
 
     def test_ranking_matches_magnitudes(self):
-        exp_obj = lime_explain(
+        weights = lime_explain(
             lambda X: sigmoid(np.asarray(X) @ np.array([0.1, 5.0, -2.0])),
             np.zeros(3),
             np.random.default_rng(1).normal(size=(100, 3)),
             n_perturb=1500,
             seed=2,
         )
-        assert exp_obj.ranking()[0] == 1
+        assert np.argmax(np.abs(weights)) == 1
 
     def test_seed_determinism(self):
         B = np.random.default_rng(2).normal(size=(50, 3))
         scorer = lambda X: sigmoid(np.asarray(X).sum(axis=1))
         a = lime_explain(scorer, np.zeros(3), B, seed=4)
         b = lime_explain(scorer, np.zeros(3), B, seed=4)
-        assert np.array_equal(a.weights, b.weights)
-        assert a.intercept == b.intercept
-
-    def test_default_kernel_width(self):
-        B = np.random.default_rng(3).normal(size=(50, 9))
-        exp = lime_explain(lambda X: np.zeros(len(X)), np.zeros(9), B, seed=0)
-        assert exp.kernel_width == pytest.approx(0.75 * 3.0)
+        assert np.array_equal(a, b)
 
     def test_degenerate_background(self):
         B = np.zeros((20, 3))
@@ -298,20 +290,14 @@ def perturbations(x, B, n_perturb, seed):
     return np.where(flips, draws, x)
 
 
-def lime_reference(scorer, x, background, n_perturb=500, kernel_width=None,
-                   penalty=1e-3, seed=0):
+def lime_reference(scorer, x, B, n_perturb=500, seed=0):
     """LIME as first written: every perturbation goes to the scorer in one
-    batch. `lime_explain` must reproduce it bit for bit."""
+    batch. `lime_explain` must reproduce its weights bit for bit."""
     if n_perturb < 50:
         raise ValueError("n_perturb must be >= 50")
-    f = _as_scorer(scorer)
     x = np.asarray(x, dtype=float)
-    B = background.X if isinstance(background, Dataset) else np.asarray(background, dtype=float)
-    if B.ndim == 1:
-        B = B[None, :]
     d = len(x)
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(d)
+    kernel_width = 0.75 * np.sqrt(d)
 
     Z = perturbations(x, B, n_perturb, seed)
     if np.all(Z == Z[0]):
@@ -325,21 +311,14 @@ def lime_reference(scorer, x, background, n_perturb=500, kernel_width=None,
     dist_sq = ((Zs - xs) ** 2).sum(axis=1)
     proximity = np.exp(-dist_sq / kernel_width ** 2)
 
-    targets = np.asarray(f(Z), dtype=float)
+    targets = np.asarray(scorer(Z), dtype=float)
     design = np.hstack([Zs, np.ones((n_perturb, 1))])
     W = proximity[:, None]
     gram = design.T @ (W * design)
-    reg = penalty * np.eye(d + 1)
+    reg = 1e-3 * np.eye(d + 1)
     reg[d, d] = 0.0
     coef = np.linalg.solve(gram + reg, design.T @ (proximity * targets))
-    return LimeExplanation(
-        weights=coef[:d],
-        intercept=float(coef[d]),
-        kernel_width=float(kernel_width),
-        n_perturbations=n_perturb,
-        penalty=penalty,
-        seed=seed,
-    )
+    return coef[:d]
 
 
 @pytest.fixture(scope="module")
@@ -361,13 +340,12 @@ SPECIAL_CELLS = np.array([-1.0, 0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 1e300, 
 
 
 def outcome(explain, *args, **kwargs):
-    """An explanation's (weights, intercept), or the error it raised."""
+    """An explanation's weights, or the error it raised."""
     with np.errstate(all="ignore"):
         try:
-            exp = explain(*args, **kwargs)
+            return explain(*args, **kwargs)
         except (np.linalg.LinAlgError, DegeneratePerturbations) as exc:
             return type(exc)
-    return exp.weights, np.array([exp.intercept])
 
 
 class TestLimeMatchesFullBatch:
@@ -392,17 +370,7 @@ class TestLimeMatchesFullBatch:
             if isinstance(want, type):
                 assert got is want
             else:
-                assert np.array_equal(got[0], want[0], equal_nan=True)
-                assert np.array_equal(got[1], want[1], equal_nan=True)
-
-    def test_model_passed_directly(self, lime_scorers):
-        model = lime_scorers["forest"]
-        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], size=23)
-        B = np.vstack([np.zeros(23), x])
-        got = lime_explain(model, x, B)
-        want = lime_reference(model, x, B)
-        assert np.array_equal(got.weights, want.weights)
-        assert got.intercept == want.intercept
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class CountingScorer:
@@ -427,12 +395,12 @@ class TestLimeScoresDistinctRows:
             x = to_canonical_vector(extract_features(url))
             B = np.vstack([np.zeros(len(x)), x])
             scorer = CountingScorer(lime_scorers["gbt"])
-            exp = lime_explain(scorer, x, B, seed=0)
+            weights = lime_explain(scorer.predict_proba, x, B, seed=0)
             distinct = np.unique(perturbations(x, B, 500, 0).view(np.uint64), axis=0)
             assert scorer.batches == [len(distinct)]
             assert len(distinct) < 500
-            assert np.array_equal(exp.weights,
-                                  lime_reference(scorer.model, x, B, seed=0).weights)
+            assert np.array_equal(weights,
+                                  lime_reference(scorer.model.predict_proba, x, B, seed=0))
 
     def test_lone_distinct_row_scored_once(self):
         # NaN != NaN keeps these bit-equal rows from counting as degenerate
@@ -440,11 +408,10 @@ class TestLimeScoresDistinctRows:
         ds = make_ternary_dataset(n=50, n_features=3, informative=3)
         for model in (train_tree(ds), train_forest(ds, n_trees=15)):
             scorer = CountingScorer(model)
-            exp = lime_explain(scorer, x, x[None, :], seed=0)
+            weights = lime_explain(scorer.predict_proba, x, x[None, :], seed=0)
             assert scorer.batches == [1]
-            want = lime_reference(model, x, x[None, :], seed=0)
-            assert np.array_equal(exp.weights, want.weights, equal_nan=True)
-            assert np.array_equal(exp.intercept, want.intercept, equal_nan=True)
+            want = lime_reference(model.predict_proba, x, x[None, :], seed=0)
+            assert np.array_equal(weights, want, equal_nan=True)
 
     @pytest.mark.parametrize("d", [1, 2, 23])
     def test_distinct_rows_exact(self, d):

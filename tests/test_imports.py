@@ -1,9 +1,10 @@
-"""Every name a module imports is used in it, and every public function
-or class has a caller. No linter is installed with the project, so these
-checks are tests: each non-`__init__` module under `src/` is parsed with
-`ast`, and an imported name that the module's code and annotations never
-read fails it, as does a public top-level `def` or `class` that no code
-of the program (`src/`, `perfbench/` or `demos/`) names."""
+"""Every name a module imports is used in it, and every public function,
+class or constant has a caller. No linter is installed with the project,
+so these checks are tests: each non-`__init__` module under `src/` is
+parsed with `ast`, and an imported name that the module's code and
+annotations never read fails it, as does a public top-level `def`,
+`class` or assignment that no code of the program (`src/`, `perfbench/`
+or `demos/`) reads."""
 
 import ast
 import os
@@ -32,6 +33,7 @@ UNCALLED = {
     "count_feature_triggers": "the oracle of generate_feature_rich_domains' report",
     "average_fold_coefficients": "the paper's coefficient-based feature selection",
     "select_features_by_coefficient": "the paper's coefficient-based feature selection",
+    "concatenate": "README's way to build a mixed-provenance PCS reference",
 }
 
 
@@ -62,19 +64,45 @@ def test_the_check_finds_an_unused_import():
 
 
 def public_definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def foreign_imports(tree: ast.AST) -> set[str]:
+    """The names bound by imports of anything but phishguard."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.split(".")[0] != "phishguard"}
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] != "phishguard"):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
 
 
 def named(source: str) -> set[str]:
-    """The names that `source` reads or writes, bare or as attributes."""
+    """The names that `source` reads, bare or as attributes of anything
+    but a name imported from outside phishguard (`np.concatenate` reads
+    numpy's name, not the program's)."""
+    tree = ast.parse(source)
+    foreign = foreign_imports(tree)
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                names.add(node.attr)
     return names
 
 
@@ -95,8 +123,21 @@ def test_every_public_name_has_a_caller():
 def test_the_check_finds_an_unused_public_name():
     module = ("def used():\n    pass\n\ndef _private():\n    pass\n\n"
               "class Unused:\n    def method(self):\n        pass\n\ndef uncalled():\n    pass\n")
-    caller = "from m import used\nimport m\n\nused()\nm.method\n"
+    caller = "from phishguard.m import used\nimport phishguard.m\n\nused()\nphishguard.m.method\n"
     assert unused_public_names([module], [caller]) == ["Unused", "uncalled"]
+
+
+def test_the_check_sees_through_attributes_of_foreign_imports():
+    module = "def concatenate():\n    pass\n\ndef mean():\n    pass\n\ndef choice():\n    pass\n"
+    caller = ("import numpy as np\nfrom os import path\nfrom . import m\n\n"
+              "np.concatenate\nnp.random.choice\npath.mean\nm.choice\n")
+    assert unused_public_names([module], [caller]) == ["concatenate", "mean"]
+
+
+def test_the_check_covers_module_constants():
+    module = "READ = 1\nWRITTEN: int = 2\n_PRIVATE = 3\nA = B = 4\n"
+    caller = "from phishguard.m import READ\n\nprint(READ, B)\nWRITTEN = 5\n"
+    assert unused_public_names([module], [caller]) == ["A", "WRITTEN"]
 
 
 def test_importing_the_package_loads_no_submodule():

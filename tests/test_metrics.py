@@ -51,18 +51,15 @@ class TestPrf1:
         assert stats["recall"] == pytest.approx(2 / 3)
         assert stats["f1"] == pytest.approx(2 / 3)
         assert stats["accuracy"] == pytest.approx(4 / 6)
-        assert stats["degenerate"] is False
 
     def test_degenerate_no_positive_predictions(self):
         stats = prf1(ConfusionMatrix(tp=0, fp=0, fn=3, tn=5))
         assert stats["precision"] == 0.0
         assert stats["f1"] == 0.0
-        assert stats["degenerate"] is True
 
     def test_degenerate_no_positive_labels(self):
         stats = prf1(ConfusionMatrix(tp=0, fp=2, fn=0, tn=5))
         assert stats["recall"] == 0.0
-        assert stats["degenerate"] is True
 
     def test_perfect(self):
         stats = prf1(ConfusionMatrix(tp=4, fp=0, fn=0, tn=4))

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
-from phishguard.errors import IdMismatch, PhishguardError, ZeroBaseline
+from phishguard.errors import IdMismatch, PhishguardError
 from phishguard.explain import FusionWeights
 from phishguard.models import LinearModel
 from phishguard.robustness import (
@@ -16,7 +16,6 @@ from phishguard.robustness import (
     csi,
     inject_attack,
     mitigate,
-    mre,
     report_table,
     run_strategy,
 )
@@ -124,23 +123,22 @@ class TestBuildAndInject:
 class TestCis:
     def test_identical_exactly_one(self):
         a = make_ctx("c1", {"f1": 1.0, "f2": -1.0}, 0.7, 1)
-        pre = ContextSet([a], "pre_attack")
-        post = ContextSet([make_ctx("c1", {"f1": 1.0, "f2": -1.0}, 0.7, 1)],
-                          "post_attack")
+        pre = ContextSet([a])
+        post = ContextSet([make_ctx("c1", {"f1": 1.0, "f2": -1.0}, 0.7, 1)])
         assert cis(pre, post) == 1.0
 
     def test_hand_computed_cosine(self):
         a = make_ctx("c1", {"f1": 1.0, "f2": 0.0}, 0.0, 1)
         b = make_ctx("c1", {"f1": 0.0, "f2": 1.0}, 0.0, 1)
         # vectors [1,0,0] vs [0,1,0]: cosine 0 -> mapped to 0.5
-        value = cis(ContextSet([a], "pre_attack"), ContextSet([b], "post_attack"))
+        value = cis(ContextSet([a]), ContextSet([b]))
         assert value == pytest.approx(0.5)
 
     def test_id_mismatch(self):
         a = make_ctx("c1", {"f1": 1.0}, 0.5, 1)
         b = make_ctx("c2", {"f1": 1.0}, 0.5, 1)
         with pytest.raises(IdMismatch):
-            cis(ContextSet([a], "pre_attack"), ContextSet([b], "post_attack"))
+            cis(ContextSet([a]), ContextSet([b]))
 
 
 class TestApf:
@@ -153,22 +151,22 @@ class TestApf:
         b_pre = make_ctx("B", {"f1": -1.0, "f2": -1.0}, 0.2, 0)
         a_post = make_ctx("A", {"f1": 1.0, "f2": 0.0}, 0.9, 1)
         b_post = make_ctx("B", {"f1": 1.0, "f2": -1.0}, 0.8, 1)
-        pre = ContextSet([a_pre, b_pre], "pre_attack")
-        post = ContextSet([a_post, b_post], "post_attack", (("B", "A"),))
+        pre = ContextSet([a_pre, b_pre])
+        post = ContextSet([a_post, b_post], links=(("B", "A"),))
         assert apf(pre, post) == pytest.approx((2 / 3) / 2)
 
     def test_full_copy_gives_one_over_n(self):
         a_pre = make_ctx("A", {"f1": 1.0, "f2": 0.0}, 0.9, 1)
         b_pre = make_ctx("B", {"f1": -1.0, "f2": -1.0}, 0.2, 0)
         b_post = make_ctx("B", {"f1": 1.0, "f2": 0.0}, 0.9, 1)
-        pre = ContextSet([a_pre, b_pre], "pre_attack")
-        post = ContextSet([a_pre, b_post], "post_attack", (("B", "A"),))
+        pre = ContextSet([a_pre, b_pre])
+        post = ContextSet([a_pre, b_post], links=(("B", "A"),))
         assert apf(pre, post) == pytest.approx(0.5)
 
     def test_no_links_zero(self):
         a = make_ctx("A", {"f1": 1.0}, 0.5, 1)
-        pre = ContextSet([a], "pre_attack")
-        post = ContextSet([make_ctx("A", {"f1": 1.0}, 0.5, 1)], "post_attack")
+        pre = ContextSet([a])
+        post = ContextSet([make_ctx("A", {"f1": 1.0}, 0.5, 1)])
         assert apf(pre, post) == 0.0
 
 
@@ -176,15 +174,13 @@ class TestCsi:
     def test_zero_delta_perfect_stability(self):
         ds, model, fusion = small_world()
         contexts = build_contexts(ds, model, fusion, n=20, seed=0)
-        raw, stability = csi(model, contexts, fusion, delta=0.0)
-        assert raw == 0.0
-        assert stability == 1.0
+        assert csi(model, contexts, fusion, delta=0.0) == 1.0
 
     def test_stability_decreases_with_delta(self):
         ds, model, fusion = small_world()
         contexts = build_contexts(ds, model, fusion, n=30, seed=0)
-        _, tight = csi(model, contexts, fusion, delta=0.05, seed=1)
-        _, loose = csi(model, contexts, fusion, delta=1.0, seed=1)
+        tight = csi(model, contexts, fusion, delta=0.05, seed=1)
+        loose = csi(model, contexts, fusion, delta=1.0, seed=1)
         assert loose < tight <= 1.0
 
     def test_seed_determinism(self):
@@ -199,23 +195,35 @@ class TestCsi:
         ds, model, _ = small_world()
         contexts = build_contexts(ds, model, None, n=20, seed=0)
         names = frozenset(ds.feature_names)
-        zero = FusionWeights(alpha=0.5, beta=0.5, f_ig=names, f_xai=names,
-                             f_final=names, weights=dict.fromkeys(names, 0.0))
-        raw, _ = csi(model, contexts, zero, 0.5, seed=1)
-        assert raw > 0
-        assert (raw, 1.0 - raw) == csi(model, contexts, None, 0.5, seed=1)
+        zero = FusionWeights(f_ig=names, f_xai=names, f_final=names,
+                             weights=dict.fromkeys(names, 0.0))
+        stability = csi(model, contexts, zero, 0.5, seed=1)
+        assert stability < 1.0
+        assert stability == csi(model, contexts, None, 0.5, seed=1)
+
+
+def attacked(ds, model, fusion, spec, n_contexts, block_cross_copies=False):
+    """The pre- and post-attack sets that run_strategy builds from `spec`."""
+    pre = build_contexts(ds, model, fusion, n=n_contexts, seed=spec.seed)
+    return pre, inject_attack(pre, spec, model, fusion, block_cross_copies=block_cross_copies)
 
 
 class TestMre:
     def test_formula(self):
-        assert mre(1.0, 0.8, 0.95) == pytest.approx(0.15)
+        # (CIS_post_mitigation - CIS_post_attack) / CIS_pre, with CIS_pre = 1
+        ds, model, fusion = small_world(n=80)
+        spec = AttackSpec(contamination_rate=0.3, delta=1.0, seed=0)
+        row = run_strategy(ds, model, "hybrid", spec, fusion, n_contexts=50)
+        pre, post = attacked(ds, model, fusion, spec, 50, block_cross_copies=True)
+        assert cis(pre, post) < 1.0
+        assert row.mre == row.cis - cis(pre, post)
 
     def test_no_recovery_zero(self):
-        assert mre(1.0, 0.8, 0.8) == 0.0
-
-    def test_zero_baseline(self):
-        with pytest.raises(ZeroBaseline):
-            mre(0.0, 0.5, 0.9)
+        ds, model, fusion = small_world(n=80)
+        row = run_strategy(ds, model, "validation",
+                           AttackSpec(contamination_rate=0.0, delta=0.0),
+                           fusion, n_contexts=50)
+        assert row.mre == 0.0
 
 
 class TestMitigation:
@@ -227,7 +235,6 @@ class TestMitigation:
         assert cis(pre, post) < 1.0
         restored = mitigate(pre, post, pcs=None)
         assert cis(pre, restored) == 1.0
-        assert restored.phase == "post_mitigation"
 
     def test_untouched_contexts_not_replaced(self):
         ds, model, fusion = small_world()
@@ -250,11 +257,12 @@ class TestRunStrategy:
 
     def test_validation_restores_cis_to_one(self):
         ds, model, fusion = small_world(n=80)
-        row = run_strategy(ds, model, "validation",
-                           AttackSpec(contamination_rate=0.3, delta=1.0, seed=0),
-                           fusion, n_contexts=50)
+        spec = AttackSpec(contamination_rate=0.3, delta=1.0, seed=0)
+        row = run_strategy(ds, model, "validation", spec, fusion, n_contexts=50)
         assert row.cis == 1.0
-        assert row.mre is not None and row.mre >= 0.0
+        pre, post = attacked(ds, model, fusion, spec, 50)
+        assert row.mre == 1.0 - cis(pre, post)
+        assert row.mre > 0.0
 
     def test_hybrid_blocks_and_restores(self):
         ds, model, fusion = small_world(n=80)

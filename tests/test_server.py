@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_ternary_dataset
 from phishguard import cli, server as server_module
 from phishguard.datasets import Dataset, save_csv
-from phishguard.errors import EmptyReferenceSet, PhishguardError, UnservableModel
+from phishguard.errors import (EmptyReferenceSet, PhishguardError, UnservableModel,
+                               UnservableReference)
 from phishguard.explain import FusionWeights, shap_linear
 from phishguard.features import (
     CANONICAL_FEATURES,
@@ -917,8 +918,8 @@ class TestProvenanceScore:
 
 def uniform_fusion(names, weight=1.0):
     names = frozenset(names)
-    return FusionWeights(alpha=0.5, beta=0.5, f_ig=names, f_xai=names,
-                         f_final=names, weights=dict.fromkeys(names, weight))
+    return FusionWeights(f_ig=names, f_xai=names, f_final=names,
+                         weights=dict.fromkeys(names, weight))
 
 
 class TestClassifyWithFusion:
@@ -1059,3 +1060,18 @@ class TestUnservableModel:
         assert cli.main(["serve", "--model", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the model takes 16 features")
+
+
+class TestUnservableReference:
+    """PCS standardises each query column with the reference's column, so
+    a reference that is not the canonical features in order is refused
+    when the server starts."""
+
+    @pytest.mark.parametrize("columns", [slice(0, 10), slice(None, None, -1)],
+                             ids=["narrow", "reversed"])
+    def test_refused(self, columns):
+        ds = make_ternary_dataset(n=50, seed=1, provenance=("UCI",))
+        reference = Dataset(ds.X[:, columns], ds.y,
+                            tuple(np.array(ds.feature_names)[columns]), ds.provenance)
+        with pytest.raises(UnservableReference, match="canonical features in order"):
+            make_server(PcsConfig(reference))
