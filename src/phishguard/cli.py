@@ -35,7 +35,7 @@ _LAZY = {name: module for module, names in (
                "train_mlp train_tree"),
     ("models.linear", "LinearModel"),
     ("robustness", "AttackSpec report_table run_strategy"),
-    ("server", "serve"),
+    ("server", "check_reference serve"),
 ) for name in names.split()}
 
 # `robustness.STRATEGIES`, spelled out so that building the parser
@@ -236,6 +236,8 @@ def _build_fusion_and_pcs(args, model):
     fusion, pcs = None, None
     if args.dataset:
         ds = _load_reference(args.dataset, args.provenance)
+        # refused before a linear model's importances read it as model input
+        _cli.check_reference(ds.feature_names)
         ig = _cli.information_gain_all(ds)
         background = ds.X.mean(axis=0)
         if isinstance(model, _cli.LinearModel):

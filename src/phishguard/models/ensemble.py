@@ -117,9 +117,10 @@ def train_gbt(
 ) -> Ensemble:
     """Gradient boosting on logistic loss.
 
-    Each round fits a regression tree to the negative gradient (y - p)
-    of the current logits; leaf values are Newton estimates
-    sum(residual) / sum(p(1-p)).
+    Each round fits a regression tree to the negative gradient g = y - p
+    of the current logits, with hessians h = p(1 - p) (at least 1e-12):
+    splits maximise XGBoost's second-order gain over each side's sums of
+    g and h, and leaf values are Newton estimates sum(g) / sum(h).
     """
     if n_rounds < 1:
         raise PhishguardError("n_rounds must be >= 1")
@@ -135,16 +136,12 @@ def train_gbt(
         p = sigmoid(logits)
         residual = y - p
         hessian = np.maximum(p * (1.0 - p), 1e-12)
-
-        def newton_leaf(indices):
-            return float(residual[indices].sum() / hessian[indices].sum())
-
         tree = build_tree(
             ds.X,
             residual,
             task="regress",
             max_depth=max_depth,
-            leaf_value_fn=newton_leaf,
+            hessian=hessian,
             feature_names=ds.feature_names,
             _bins=bins,
         )

@@ -14,8 +14,9 @@ renumbered to preorder at the end, so a tree's node arrays are those of
 growing it depth first.
 
 A leaf's value with 0/1 labels is its count of ones over its row count,
-which is the mean exactly; any other mean, and `leaf_value_fn`, get the
-leaf's rows in the tree's order (ascending for a tree on every row).
+which is the mean exactly; any other mean, and a regression leaf's
+sum(y) / sum(hessian), add the leaf's rows in the tree's order
+(ascending for a tree on every row).
 """
 
 from __future__ import annotations
@@ -109,15 +110,16 @@ def grow_trees(
     max_depth: int,
     split_mode: str,
     n_feature_subset: int | None = None,
-    leaf_value_fn=None,
+    hessian=None,
     bins: _Bins | None = None,
 ) -> list[dict]:
     """Node arrays, in preorder, of one tree per entry of `rngs`, each
     tree's generator (None for a tree that draws nothing). Tree t trains
     on the rows `samples[t]` of X (float), in that order (a bootstrap
-    sample repeats rows), or on every row if `samples` is None. A node
-    is a leaf when it holds one row, its targets are all equal or it is
-    at `max_depth`, or when no feature splits it.
+    sample repeats rows), or on every row if `samples` is None, and
+    regression reads each row's `hessian` (1 if None). A node is a leaf
+    when it holds one row, its targets are all equal or it is at
+    `max_depth`, or when no feature splits it.
 
     Each step searches a frontier of nodes at once: the next group of
     each tree in turn, while the rows taken fit in one matrix column. A
@@ -138,6 +140,8 @@ def grow_trees(
     if bins is None:
         bins = _Bins.of(X, y, task)
     two = task == "classify" and bool(np.all((y == 0) | (y == 1)))
+    if task != "classify" and hessian is None:
+        hessian = np.ones(n_rows)
     # per tree, groups of nodes still to split, (rows, nodes, sizes,
     # depth), the last one taken first
     pending = [[] for _ in rngs]
@@ -147,14 +151,14 @@ def grow_trees(
     def make_leaves(owner, ids, depth, rows, starts, at, ys=None):
         """Make the nodes `at` leaves; node i holds rows[starts[i]:starts[i + 1]],
         whose targets are `ys` if given."""
-        if leaf_value_fn is None and two:
+        if two:
             # the mean of 0/1 targets: an exact count over the row count
             ys = y[rows] if ys is None else ys
             values = np.add.reduceat(ys, starts[:-1])[at] / np.diff(starts)[at]
-        elif leaf_value_fn is None:
-            values = [y[rows[a:b]].mean() for a, b in zip(starts[at], starts[at + 1])]
         else:
-            values = [leaf_value_fn(rows[a:b]) for a, b in zip(starts[at], starts[at + 1])]
+            # the mean (a sum over an integer count), or sum(y) / sum(hessian)
+            values = [y[rows[a:b]].sum() / (b - a if hessian is None else hessian[rows[a:b]].sum())
+                      for a, b in zip(starts[at], starts[at + 1])]
         table.add(owner[at], ids[at], depth[at], LEAF, ids[at], values)
 
     def settle(owner, ids, depth, rows, sizes):
@@ -214,14 +218,15 @@ def grow_trees(
         starts = _starts(sizes)
         # the search reads the targets of counted 0/1 labels from the bins
         ys = None if two else y[rows]
+        hs = None if hessian is None else hessian[rows]
         features = None
         if subsets:
             features = np.sort([rngs[t].choice(d, size=n_feature_subset, replace=False)
                                 for t in owner.tolist()], axis=1)
         split, feature, threshold = bins.best_splits(
-            rows, starts, features, ys, task,
+            rows, starts, features, ys, hs,
             [rngs[t] for t in owner.tolist()] if random else None)
-        del ys
+        del ys, hs
         at = np.flatnonzero(split)
         if len(at) < n:
             make_leaves(owner, ids, depth, rows, starts, np.flatnonzero(~split))

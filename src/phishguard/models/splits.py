@@ -23,21 +23,23 @@ than 8 bins per cell (deep nodes over many-valued columns) sorts its
 codes instead of counting every bin, so its cost follows its rows. No
 temporary is a float matrix of rows by features.
 
-The splits are exactly those of sorting each column at each node and
-scanning its prefix sums, so seeded trees and model files do not depend
-on the method:
+Classification splits minimise weighted Gini impurity; regression
+splits (boosting's rounds) maximise XGBoost's second-order gain
+G_L²/H_L + G_R²/H_R - G²/H (Chen & Guestrin, 2016) over each side's
+sums of the rows' targets g and hessians h. The splits are exactly
+those of scanning each column at each node, the oracle kept in
+tests/test_tree_ensemble.py, so model files do not depend on the method:
 - Gini, labels 0 and 1: per-bin counts are integers, so their prefix
   sums equal the scan's cumulative sums, and each score is the same
   floating-point expression of the same numbers.
-- Squared error (boosting residuals) and Gini for other labels: float
-  sums depend on the order of the additions, so each node and feature
-  still adds the node's targets one at a time in stable sorted order (a
-  stable argsort of the small codes) and reads the running sums at bin
-  ends.
+- Other labels, and the gain: `np.bincount(weights=...)` adds each
+  bin's labels, or g and h, in the node's row order, and running sums
+  over a segment's present bins, ascending, give the left side's and
+  (the last) the node's. Float sums depend on the order of additions;
+  this is the scan's.
 - Ties: within a feature the first (lowest threshold) minimum; across
   features, taken in ascending order, a later feature wins only with a
   score lower by more than 1e-15.
-The scan itself is kept in tests/test_tree_ensemble.py as the oracle.
 Extra-trees (`split_mode="random"`, classification only) draw one
 threshold per feature from the node's rng, uniformly between its least
 and greatest present non-NaN level, and score it with the mean-label
@@ -60,7 +62,8 @@ class _Bins:
     Column j's distinct values, ascending (`np.unique`), are its bins,
     `level[start[j]:start[j] + size[j]]`. `key[j]` holds each cell's bin
     number within the column or, when the labels are all 0 or 1 (`width`
-    2), twice that plus the row's label.
+    2), twice that plus the row's label; with `width` 1 a search sums
+    the labels, or targets and hessians, of each bin's rows.
     """
 
     key: np.ndarray  # (features, rows), the smallest unsigned dtype that fits
@@ -96,11 +99,12 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, cells, starts, features, ys, task, rngs):
+    def best_splits(self, cells, starts, features, ys, hs, rngs):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
         with targets `ys[starts[i]:starts[i + 1]]` (read only for `width`
-        1), and is searched over `features[i]` (ascending), or over every
+        1) and hessians `hs[...]` (None for classification), and is
+        searched over `features[i]` (ascending), or over every
         feature if `features` is None. `split[i]` is False where no
         feature splits node i. `rngs` is None, or one generator per node:
         then each feature offers one threshold drawn from the node's
@@ -132,12 +136,12 @@ class _Bins:
             a, b = starts[i], starts[j]
             split[i:j], feature[i:j], threshold[i:j] = self._search(
                 cells[a:b], sizes[i:j], None if features is None else features[i:j],
-                None if ys is None else ys[a:b], task, step,
+                None if ys is None else ys[a:b], None if hs is None else hs[a:b], step,
                 None if rngs is None else rngs[i:j])
             i = j
         return split, feature, threshold
 
-    def _search(self, rows, sizes, features, ys, task, step, rngs):
+    def _search(self, rows, sizes, features, ys, hs, step, rngs):
         """best_splits of a run of nodes: node i holds the next `sizes[i]`
         of `rows`. Segment s is node s // k on its feature s % k, of k;
         histograms are counted `step` features at a time."""
@@ -166,27 +170,40 @@ class _Bins:
             codes = self.key.ravel()[features[node].T * self.key.shape[1] + rows]
             return codes + w * bounds[:-1].reshape(nn, k)[node].T
 
+        # per-bin sums of labels other than 0/1, or of targets g and
+        # hessians h; bincount adds each bin's in the node's row order
+        weights = [] if w == 2 else [ys] if hs is None else [ys, hs]
         if bounds[-1] <= 8 * len(rows) * k:
-            if step == k:
-                hist = np.bincount(index(0, k).ravel(), minlength=w * int(bounds[-1]))
-            else:
-                hist = np.zeros(w * int(bounds[-1]), dtype=np.intp)
-                for c in range(0, k, step):
-                    counts = np.bincount(index(c, min(c + step, k)).ravel())
+            hist = np.zeros(w * int(bounds[-1]), dtype=np.intp)
+            sums = np.zeros((int(bounds[-1]), len(weights)))
+            # each cell's weight, for `step` features of the rows
+            weights = [np.tile(v, step) for v in weights]
+            for c in range(0, k, step):
+                cells = index(c, min(c + step, k)).ravel()
+                if hs is None:
+                    counts = np.bincount(cells)
                     hist[w * bounds[c]:w * bounds[c] + len(counts)] = counts
-                del counts
+                for j, v in enumerate(weights):
+                    counts = np.bincount(cells, weights=v[:len(cells)])
+                    sums[bounds[c]:bounds[c] + len(counts), j] = counts
+            del cells, counts, weights
             hist = hist.reshape(-1, w)
             # a bin is present if it counts a row (with one column, twice)
-            present = np.flatnonzero(hist[:, 0] + hist[:, -1])
-            hist = hist[present]
+            # or, in regression, which counts none, if its hessians sum above 0
+            present = np.flatnonzero(hist[:, 0] + hist[:, -1] if hs is None else sums[:, 1])
+            hist, sums = hist[present], sums[present]
         else:
             # a run with more than 8 bins per cell, as deep nodes over
             # many-valued columns have, sorts its cells instead of counting
             # every bin; both give the same histogram
-            keys, counts = np.unique(index(0, k), return_counts=True)
+            keys, cells, counts = np.unique(index(0, k).ravel(), return_inverse=True,
+                                            return_counts=True)
             present, inverse = np.unique(keys // w, return_inverse=True)
             hist = np.zeros((len(present), w), dtype=np.intp)
             hist[inverse, keys % w] = counts
+            # with weights, w is 1: the keys are the present bins
+            sums = np.array([np.bincount(cells, weights=np.tile(v, k)) for v in weights]).T
+            del cells
         segment = np.searchsorted(bounds, present, side="right") - 1
         level = self.level[(self.start[feature] - bounds[:-1])[segment] + present]
         del present
@@ -215,39 +232,45 @@ class _Bins:
         split = np.zeros(nn, dtype=bool)
         if len(at) == 0:
             return split, 0, 0.0
-        # running counts over the run's present bins; the counts before
-        # segment s, edges[s], are those of the segments before it
-        cum = np.cumsum(hist, axis=0, out=hist)
-        edges = cum[first - 1]
-        edges[0] = 0
         owner = segment[at]
         del segment
-        left = cum[at]
-        del cum, hist
-        left -= edges[owner]
-        nl = left[:, 0] + left[:, 1] if w == 2 else left[:, 0]
-        m = sizes[owner // k]
-        # every midpoint leaves a row on each side, since the present levels
-        # on either side hold one each; a draw may leave the right empty
-        if rngs is not None:
-            valid = np.flatnonzero((nl >= 1) & (nl < m))
-            if len(valid) == 0:
-                return split, 0, 0.0
-            at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))
-        gini = _gini if rngs is None else _mean_gini
-        if w == 2:
-            score = gini(nl, left[:, 1], np.diff(edges[:, 1])[owner], m)
+        if w == 1:
+            # running sums over each segment's present bins, ascending, from
+            # its first (segments of one length together); the last is the node's
+            lengths = np.diff(first)
+            for length in np.flatnonzero(np.bincount(lengths)).tolist():
+                bins = first[:-1][lengths == length, None] + np.arange(length)
+                sums[bins] = np.cumsum(sums[bins], axis=1)
+            total = sums[first[1:] - 1]
+        if hs is not None:
+            # minus the second-order gain, less the node's G²/H
+            g_l, h_l = sums[at].T
+            g_r, h_r = (total[owner] - sums[at]).T
+            score = -(g_l * g_l / h_l + g_r * g_r / h_r)
         else:
-            # each segment's candidates are groups[g]:groups[g + 1]
-            groups = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1], [True])))
-            sums, totals = self._running_sums(rows, _starts(sizes), feature, owner, groups, ys,
-                                              nl, k)
-            if task == "classify":
-                score = gini(nl, sums[:, 0], totals[:, 0], m)
+            # running counts over the run's present bins; the counts before
+            # segment s, edges[s], are those of the segments before it
+            cum = np.cumsum(hist, axis=0, out=hist)
+            edges = cum[first - 1]
+            edges[0] = 0
+            left = cum[at]
+            del cum, hist
+            left -= edges[owner]
+            nl = left[:, 0] + left[:, 1] if w == 2 else left[:, 0]
+            m = sizes[owner // k]
+            # a midpoint leaves a row on each side, as the present levels on
+            # either side hold one each; a draw may leave the right empty
+            if rngs is not None:
+                valid = np.flatnonzero((nl >= 1) & (nl < m))
+                if len(valid) == 0:
+                    return split, 0, 0.0
+                at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))
+            if w == 2:
+                ones_l, ones = left[:, 1], np.diff(edges[:, 1])[owner]
             else:
-                score = _sse(nl, sums, totals, m)
-            del sums, totals, groups
-        del left, nl, m
+                ones_l, ones = sums[at, 0], total[owner, 0]
+            score = (_gini if rngs is None else _mean_gini)(nl, ones_l, ones, m)
+            del left, nl, m, ones_l, ones
         # per segment, the lowest score and its first (lowest threshold)
         # candidate, as np.argmin takes it: the first NaN if there is one
         low = np.full(len(feature), np.inf)
@@ -286,28 +309,6 @@ class _Bins:
         else:
             threshold[split] = drawn.reshape(nn, k)[np.arange(nn), column][split]
         return split, column if features is None else features[np.arange(nn), column], threshold
-
-    def _running_sums(self, rows, node_rows, feature, owner, groups, ys, nl, k):
-        """Running sums of ys and ys**2 after the first `nl` rows of each
-        candidate, and their totals, as (candidates, 2) arrays.
-
-        Float sums depend on the order of the additions, so each segment
-        adds its node's targets one at a time in stable sorted order of
-        its bin numbers, as a scan of the sorted column does; only the
-        reads are per bin. Segment s = owner[groups[g]], with candidates
-        groups[g]:groups[g + 1], is node s // k on feature[s]."""
-        sums = np.empty((len(nl), 2))
-        totals = np.empty((len(nl), 2))
-        for start, stop in zip(groups[:-1].tolist(), groups[1:].tolist()):
-            s = int(owner[start])
-            a, b = node_rows[s // k], node_rows[s // k + 1]
-            values = ys[a:b][np.argsort(self.key[feature[s]][rows[a:b]], kind="stable")]
-            read = nl[start:stop] - 1
-            for j, v in enumerate((values, values ** 2)):
-                running = np.cumsum(v)
-                sums[start:stop, j] = running[read]
-                totals[start:stop, j] = running[-1]
-        return sums, totals
 
 
 def _starts(sizes) -> np.ndarray:
@@ -352,18 +353,6 @@ def _mean_gini(nl, ones_l, ones, n):
         return 1.0 - np.float_power(p, 2) - np.float_power(1 - p, 2)
 
     return (nl * g(ones_l / nl) + (n - nl) * g((ones - ones_l) / (n - nl))) / n
-
-
-def _sse(nl, sums, totals, n):
-    """Squared error of splits with `nl` of `n` rows on the left; `sums`
-    and `totals` hold (sum, sum of squares) of the left side and of all
-    rows."""
-    nr = n - nl
-    sum_l, sq_l = sums[:, 0], sums[:, 1]
-    total_sum, total_sq = totals[:, 0], totals[:, 1]
-    sse_l = sq_l - sum_l ** 2 / nl
-    sse_r = (total_sq - sq_l) - (total_sum - sum_l) ** 2 / nr
-    return sse_l + sse_r
 
 
 def _first_best(candidates):

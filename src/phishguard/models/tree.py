@@ -167,25 +167,25 @@ def build_tree(
     split_mode: str = "best",
     rng: np.random.Generator | None = None,
     n_feature_subset: int | None = None,
-    leaf_value_fn=None,
+    hessian=None,
     feature_names: tuple[str, ...] = (),
     _bins: _Bins | None = None,
 ) -> DecisionTree:
     """Greedy top-down tree induction.
 
     A tree with `split_mode="random"` (extra-trees) or a feature subset
-    draws from `rng`. leaf_value_fn(indices) may override the leaf
-    value, the mean of y; it gets each leaf's rows in ascending order,
-    and boosting uses it for Newton leaf estimates. `_bins`, the binning
-    of X from `_Bins.of`, lets boosting bin its matrix once for every
-    round.
+    draws from `rng`. A regression tree reads each row's `hessian`
+    (positive, default 1): splits maximise the second-order gain, and a
+    leaf's value is sum(y) / sum(hessian), by default the mean. `_bins`,
+    the binning of X from `_Bins.of`, lets boosting bin its matrix once
+    for every round.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     [nodes] = grow_trees(
         X, y, [rng],
         task=task, max_depth=max_depth, split_mode=split_mode,
-        n_feature_subset=n_feature_subset, leaf_value_fn=leaf_value_fn, bins=_bins,
+        n_feature_subset=n_feature_subset, hessian=hessian, bins=_bins,
     )
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth,
                         task=task, feature_names=feature_names)

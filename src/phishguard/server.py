@@ -70,6 +70,14 @@ MAX_UNSENT_BYTES = 1 << 20
 _RECV_BYTES = 4096
 
 
+def check_reference(feature_names) -> None:
+    """Refuse a PCS reference that is not the canonical features in order:
+    PCS standardises each query column with the reference's column."""
+    if tuple(feature_names) != CANONICAL_FEATURES:
+        raise UnservableReference("the PCS reference's features are not the canonical "
+                                  "features in order")
+
+
 class PhishingServer:
     """Tool dispatch plus context bookkeeping; transport-agnostic."""
 
@@ -81,10 +89,8 @@ class PhishingServer:
                                   f"not {len(CANONICAL_FEATURES)}")
         if model.feature_names and tuple(model.feature_names) != CANONICAL_FEATURES:
             raise UnservableModel("the model's features are not the canonical features in order")
-        # PCS standardises each query column with the reference's column
-        if pcs is not None and tuple(pcs.reference.feature_names) != CANONICAL_FEATURES:
-            raise UnservableReference("the PCS reference's features are not the canonical "
-                                      "features in order")
+        if pcs is not None:
+            check_reference(pcs.reference.feature_names)
         self.model = model
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs

@@ -12,7 +12,6 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from conftest import UCI_DEFAULT, UCI_ENV_VAR, make_ternary_dataset, uci_csv_path
 from phishguard.datasets import Dataset, class_distribution, load_csv
@@ -33,7 +32,7 @@ from phishguard.generate import (
     normalize_url,
 )
 from phishguard.metrics import auc_pairwise, confusion, prf1, roc_auc
-from phishguard.models import LinearModel, TrainConfig, train_gbt, train_linear
+from phishguard.models import LinearModel, train_gbt, train_linear
 from phishguard.models.common import stratified_fold_indices
 from phishguard.models.mlp import MlpModel, loss_and_gradients
 from phishguard.models.tree import build_tree
@@ -41,7 +40,6 @@ from phishguard.robustness import (
     AttackSpec,
     apf,
     build_contexts,
-    cis,
     inject_attack,
     run_strategy,
 )

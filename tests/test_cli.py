@@ -70,7 +70,6 @@ class TestIngest:
         ds = make_ternary_dataset(n=50, seed=1)
         src = tmp_path / "dup.csv"
         # duplicate every row by saving twice the data
-        import csv as csvmod
         save_csv(ds, src)
         rows = src.read_text().splitlines()
         src.write_text("\n".join([rows[0]] + rows[1:] + rows[1:]) + "\n")
@@ -400,6 +399,16 @@ class TestServeReference:
         model_path = tmp_path / "tree.json"
         save_model(_train_model(load_csv(csv_path), "tree", 0), model_path)
         reference = reordered_csv(csv_path, tmp_path, columns, "ref.csv")
+        assert main(["serve", "--model", str(model_path), "--dataset", str(reference)]) == 2
+        err = capsys.readouterr().err
+        assert "the PCS reference's features are not the canonical features in order" in err
+
+    def test_narrow_reference_of_a_linear_model_exits_2(self, csv_path, tmp_path, capsys):
+        # the Shapley importances of a linear model read the reference rows
+        # as model input; the reference is refused before them
+        model_path = tmp_path / "linear.json"
+        save_model(_train_model(load_csv(csv_path), "logistic", 0), model_path)
+        reference = reordered_csv(csv_path, tmp_path, slice(0, 10), "ref.csv")
         assert main(["serve", "--model", str(model_path), "--dataset", str(reference)]) == 2
         err = capsys.readouterr().err
         assert "the PCS reference's features are not the canonical features in order" in err

@@ -11,7 +11,6 @@ from phishguard.errors import (
     UnknownFeature,
 )
 from phishguard.explain import (
-    FusionWeights,
     entropy,
     fuse_weights,
     information_gain,

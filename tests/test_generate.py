@@ -1,6 +1,6 @@
 import random
 
-from phishguard.features import extract_lexical, parse_url
+from phishguard.features import parse_url
 from phishguard.generate import (
     FEATURE_DOMAIN_GENERATORS,
     TRANSFORMATION_RULES,

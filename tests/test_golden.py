@@ -7,6 +7,11 @@ nested-node tree code that format 2 replaced: each recipe in
 saved the model, and recorded `predict_proba` on the stored rows as one
 batch and row by row. Some rows sit exactly on split thresholds.
 
+A recipe whose training has changed since keeps its format-1 file, which
+must still load and predict as recorded, and records the model it trains
+now under `retrained`: a format-2 file and its `predict_proba` rows.
+`gbt_v2.json` is the `gbt` recipe with splits by second-order gain.
+
 `explain_replies.json` holds a server's replies over `gbt_v1.json` to
 `explain_url` requests for 42 seeded generated URLs, recorded by the
 LIME that sent all 500 perturbations to the model in one batch. A change
@@ -48,12 +53,13 @@ def test_v1_file_reproduces_predictions(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_retrained_model_equals_v1_file(tmp_path, name):
     entry = GOLDEN["models"][name]
+    golden = entry.get("retrained", entry)
     model = retrain(entry)
-    assert model_to_dict(model) == model_to_dict(load_model(DATA / entry["file"]))
+    assert model_to_dict(model) == model_to_dict(load_model(DATA / golden["file"]))
     path = tmp_path / "model.json"
     save_model(model, path)
     assert json.loads(path.read_text())["version"] == FORMAT_VERSION
-    assert np.array_equal(load_model(path).predict_proba(ROWS), entry["predict_proba"])
+    assert np.array_equal(load_model(path).predict_proba(ROWS), golden["predict_proba"])
 
 
 def test_explain_url_replies_byte_identical():

@@ -1,10 +1,10 @@
 """Every name a module imports is used in it, and every public function,
 class or constant has a caller. No linter is installed with the project,
-so these checks are tests: each non-`__init__` module under `src/` is
-parsed with `ast`, and an imported name that the module's code and
-annotations never read fails it, as does a public top-level `def`,
-`class` or assignment that no code of the program (`src/`, `perfbench/`
-or `demos/`) reads."""
+so these checks are tests: each non-`__init__` module under `src/`, and
+each test file, is parsed with `ast`, and an imported name that the
+file's code and annotations never read fails it, as does, in `src/`, a
+public top-level `def`, `class` or assignment that no code of the
+program (`src/`, `perfbench/` or `demos/`) reads."""
 
 import ast
 import os
@@ -21,6 +21,7 @@ from phishguard.datasets import save_csv
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # the program's code; a package `__init__` only re-exports, and tests
 # are no callers
 CALLERS = sorted(p for folder in ("src", "perfbench", "demos")
@@ -54,6 +55,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import make_ternary_dataset
-from phishguard.datasets import Dataset
 from phishguard.errors import IdMismatch, PhishguardError
 from phishguard.explain import FusionWeights
 from phishguard.models import LinearModel
@@ -19,7 +18,7 @@ from phishguard.robustness import (
     report_table,
     run_strategy,
 )
-from phishguard.context import IsolatedContext, PcsConfig
+from phishguard.context import IsolatedContext
 
 
 def fixed_model(n_features=23):

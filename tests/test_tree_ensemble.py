@@ -9,6 +9,7 @@ import pytest
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
 from phishguard.errors import EmptyDataset, InfiniteCell, PhishguardError
+from phishguard.metrics import auc_metric, cross_validate
 from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
@@ -110,6 +111,37 @@ def _best_threshold_sse(column, y, min_leaf):
     return float(score[best]), threshold
 
 
+def _best_threshold_newton(column, g, h, min_leaf):
+    """The regression split of one column by XGBoost's second-order gain:
+    each level's sums of the targets g and hessians h, added in row order,
+    then running sums over the levels in ascending order."""
+    order = np.argsort(column, kind="stable")
+    # [value, sum of g, sum of h, rows] per level, ascending; NaN last
+    levels = []
+    for v, gi, hi in zip(column[order].tolist(), g[order].tolist(), h[order].tolist()):
+        if not levels or not (v == levels[-1][0] or np.isnan(v) and np.isnan(levels[-1][0])):
+            levels.append([v, 0.0, 0.0, 0])
+        levels[-1][1] += gi
+        levels[-1][2] += hi
+        levels[-1][3] += 1
+    value = np.array([level[0] for level in levels])
+    g_left = np.cumsum([level[1] for level in levels])
+    h_left = np.cumsum([level[2] for level in levels])
+    n_left = np.cumsum([level[3] for level in levels])
+    # a NaN level is never split off, as `<=` sends it right
+    boundaries = np.flatnonzero(value[1:] > value[:-1])
+    boundaries = boundaries[(n_left[boundaries] >= min_leaf)
+                            & (n_left[-1] - n_left[boundaries] >= min_leaf)]
+    if len(boundaries) == 0:
+        return None
+    g_l, h_l = g_left[boundaries], h_left[boundaries]
+    g_r, h_r = g_left[-1] - g_l, h_left[-1] - h_l
+    score = -(g_l * g_l / h_l + g_r * g_r / h_r)
+    best = int(np.argmin(score))
+    i = boundaries[best]
+    return float(score[best]), 0.5 * (value[i] + value[i + 1])
+
+
 def _score_random_threshold(column, y, threshold, min_leaf):
     """Gini of splitting the raw `column` at `threshold`, from each side's
     mean label, as extra-trees scored a drawn threshold before they
@@ -145,19 +177,20 @@ def _random_threshold(rng):
 
 
 def reference_tree(X, y, *, task="classify", max_depth=8, rng=None, n_feature_subset=None,
-                   split_mode="best"):
+                   split_mode="best", hessian=None, criterion="newton"):
     """build_tree as it was before binning: every candidate column of
     every node is sorted and scanned on its own (or, with
     split_mode="random", offers one threshold drawn from `rng`), nodes
     are numbered in preorder and the feature subsets and thresholds are
-    drawn in preorder."""
+    drawn in preorder. A regression split is scored by the second-order
+    gain over `hessian` (each row's 1 if None) or, with criterion="sse",
+    by the squared error that boosting used before; a regression leaf's
+    value is sum(y) / sum(hessian)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
-    if split_mode == "random":
-        scan = _random_threshold(rng)
-    else:
-        scan = _best_threshold_gini if task == "classify" else _best_threshold_sse
+    h = np.ones(len(y)) if hessian is None else np.asarray(hessian, dtype=float)
+    scan = _random_threshold(rng) if split_mode == "random" else _best_threshold_gini
     nodes = {name: [] for name in NODE_ARRAYS}
 
     def grow(indices, depth):
@@ -171,11 +204,17 @@ def reference_tree(X, y, *, task="classify", max_depth=8, rng=None, n_feature_su
             if rng is not None and n_feature_subset is not None and n_feature_subset < d:
                 features = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
             for j in features:
-                found = scan(X[indices, j], ys, 1)
+                if task == "classify":
+                    found = scan(X[indices, j], ys, 1)
+                elif criterion == "sse":
+                    found = _best_threshold_sse(X[indices, j], ys, 1)
+                else:
+                    found = _best_threshold_newton(X[indices, j], ys, h[indices], 1)
                 if found is not None and (best is None or found[0] < best[0] - 1e-15):
                     best = (found[0], int(j), found[1])
         if best is None:
-            row = (LEAF, 0.0, node, node, float(ys.mean()))
+            value = ys.mean() if task == "classify" else ys.sum() / h[indices].sum()
+            row = (LEAF, 0.0, node, node, float(value))
         else:
             _, j, threshold = best
             go_left = X[indices, j] <= threshold
@@ -188,6 +227,26 @@ def reference_tree(X, y, *, task="classify", max_depth=8, rng=None, n_feature_su
 
     grow(np.arange(len(X)), 0)
     return DecisionTree(**nodes, n_features=d, max_depth=max_depth, task=task)
+
+
+def reference_gbt(ds, *, n_rounds, max_depth, criterion="newton"):
+    """train_gbt with each round's tree grown by reference_tree, splits
+    scored by `criterion`."""
+    y = ds.y.astype(float)
+    rate = np.clip(y.mean(), 1e-9, 1 - 1e-9)
+    base_score = float(np.log(rate / (1.0 - rate)))
+    logits = np.full(len(y), base_score)
+    members = []
+    for _ in range(n_rounds):
+        p = sigmoid(logits)
+        g = y - p
+        h = np.maximum(p * (1.0 - p), 1e-12)
+        tree = reference_tree(ds.X, g, task="regress", max_depth=max_depth, hessian=h,
+                              criterion=criterion)
+        logits = logits + 0.1 * tree.predict_proba(ds.X)
+        members.append(tree)
+    return Ensemble(members=members, weights=[0.1] * n_rounds, mode="boosting",
+                    learning_rate=0.1, base_score=base_score, feature_names=ds.feature_names)
 
 
 def random_split_problem(rng):
@@ -226,6 +285,11 @@ def random_split_problem(rng):
         "max_depth": int(rng.integers(0, 9)),
         "n_feature_subset": int(rng.integers(1, X.shape[1] + 1)) if rng.random() < 0.4 else None,
     }
+    if task == "regress":
+        # positive hessians, some at train_gbt's floor of 1e-12
+        hessian = rng.uniform(1e-12, 0.25, size=n)
+        hessian[rng.random(n) < 0.2] = 1e-12
+        settings["hessian"] = hessian
     return X, y, settings
 
 
@@ -550,6 +614,20 @@ class TestGbt:
         ds = make_ternary_dataset(n=300, seed=10)
         model = train_gbt(ds, n_rounds=100, max_depth=4)
         assert np.mean(model.predict(ds.X) == ds.y) > 0.9
+
+    def test_matches_trees_built_by_the_oracle(self):
+        ds = make_ternary_dataset(n=300, seed=12)
+        assert document(train_gbt(ds, n_rounds=8, max_depth=3)) == \
+            document(reference_gbt(ds, n_rounds=8, max_depth=3))
+
+    def test_cv_auc_not_worse_than_squared_error_splits(self):
+        # splits by second-order gain replaced splits by squared error
+        ds = make_ternary_dataset(n=600, seed=14)
+        auc = {"auc": auc_metric}
+        newton = cross_validate(lambda part: train_gbt(part, n_rounds=20, max_depth=3), ds, auc)
+        sse = cross_validate(lambda part: reference_gbt(part, n_rounds=20, max_depth=3,
+                                                        criterion="sse"), ds, auc)
+        assert newton["auc"].mean >= sse["auc"].mean - 0.005
 
     def test_decision_function_matches_manual_sum(self):
         ds = make_ternary_dataset(n=100, seed=11)
