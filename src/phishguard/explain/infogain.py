@@ -21,7 +21,8 @@ def entropy(labels) -> float:
 def _discretize(column: np.ndarray) -> np.ndarray:
     """Ternary features pass through; many-valued numeric columns are
     binned into terciles."""
-    distinct = np.unique(column)
+    # np.unique without return_counts imports numpy.ma
+    distinct, _ = np.unique(column, return_counts=True)
     if len(distinct) <= 3:
         return column
     lo, hi = np.quantile(column, [1 / 3, 2 / 3])
@@ -37,9 +38,9 @@ def information_gain(ds: Dataset, feature: str) -> float:
     h_y = entropy(ds.y)
     conditional = 0.0
     n = len(ds)
-    for value in np.unique(column):
-        mask = column == value
-        conditional += (mask.sum() / n) * entropy(ds.y[mask])
+    for value, count in zip(*np.unique(column, return_counts=True)):
+        # a NaN value matches no row, and an empty group has entropy 0
+        conditional += (count / n) * entropy(ds.y[column == value])
     return h_y - conditional
 
 

@@ -33,7 +33,7 @@ def stratified_fold_indices(y, k: int, seed: int) -> list[np.ndarray]:
         raise PhishguardError("k must be >= 2")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in sorted(np.unique(y).tolist()):
+    for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         for pos, sample in enumerate(idx):

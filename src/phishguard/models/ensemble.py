@@ -132,10 +132,13 @@ def train_gbt(
     bins = _Bins.of(ds.X, y, "regress")
 
     members = []
+    update = np.empty(len(y))
     for _ in range(n_rounds):
         p = sigmoid(logits)
         residual = y - p
         hessian = np.maximum(p * (1.0 - p), 1e-12)
+        # growth writes each row's leaf value, which a walk of the new
+        # tree over the matrix would read
         tree = build_tree(
             ds.X,
             residual,
@@ -144,10 +147,8 @@ def train_gbt(
             hessian=hessian,
             feature_names=ds.feature_names,
             _bins=bins,
+            _fitted=update,
         )
-        # the tree's fitted values, scored without `predict_proba`, which
-        # then sees only served and evaluated predictions
-        update = tree._proba(ds.X)
         logits = logits + learning_rate * update
         if not np.all(np.isfinite(logits)):
             raise NonFiniteLoss("boosting diverged")

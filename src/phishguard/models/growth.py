@@ -1,17 +1,16 @@
-"""Growing CART trees a frontier of nodes at a time (`grow_trees`),
-after XGBoost's depth-wise `hist` growth.
+"""Growing CART trees a depth at a time (`grow_trees`), after XGBoost's
+depth-wise `hist` growth.
 
-Each step searches every node of the frontier together (`splits`), then
-sends every frontier row to its child with one gather and compare. A
-tree that draws nothing from an rng (`train_tree`, every boosting
-round) puts a whole depth in one frontier. The trees of a bagged forest
-draw a feature subset at every node, in the preorder of depth-first
-growth, so they grow in lockstep instead: one node of each tree per
-step, each tree's nodes taken in that preorder, so every tree makes the
-same draws as when grown alone. Extra-trees, which draw their
-thresholds, grow the same way. Nodes are numbered as they are made and
-renumbered to preorder at the end, so a tree's node arrays are those of
-growing it depth first.
+Each step searches the next depth of one or more trees together
+(`splits`), then sends every row of those nodes to its child with one
+gather and compare. A tree that draws from its rng (a bagged tree's
+feature subsets, extra-trees' thresholds) makes its draws depth by
+depth, node by node within a depth (each split's left child before its
+right), whatever trees share its step: a random forest needs each
+node's subset uniform and independent of the others, not drawn in any
+particular order (Breiman, 2001). Nodes are numbered as they are made
+and renumbered to preorder at the end, so a tree's node arrays are
+those of growing it depth first.
 
 A leaf's value with 0/1 labels is its count of ones over its row count,
 which is the mean exactly; any other mean, and a regression leaf's
@@ -48,7 +47,9 @@ class _NodeTable:
     def add(self, *columns):
         m = len(columns[1])
         if self.count + m > len(self.rows):
-            grown = np.empty(max(2 * len(self.rows), self.count + m), dtype=self.FIELDS)
+            # by a quarter, not double: a whole depth's nodes may arrive
+            # at once, while the old and new arrays are both held
+            grown = np.empty(max(len(self.rows) * 5 // 4, self.count + m), dtype=self.FIELDS)
             grown[:self.count] = self.rows[:self.count]
             self.rows = grown
         block = self.rows[self.count:self.count + m]
@@ -112,6 +113,7 @@ def grow_trees(
     n_feature_subset: int | None = None,
     hessian=None,
     bins: _Bins | None = None,
+    fitted=None,
 ) -> list[dict]:
     """Node arrays, in preorder, of one tree per entry of `rngs`, each
     tree's generator (None for a tree that draws nothing). Tree t trains
@@ -119,15 +121,14 @@ def grow_trees(
     sample repeats rows), or on every row if `samples` is None, and
     regression reads each row's `hessian` (1 if None). A node is a leaf
     when it holds one row, its targets are all equal or it is at
-    `max_depth`, or when no feature splits it.
+    `max_depth`, or when no feature splits it. `fitted`, an array of
+    one float per row, receives each row's leaf value when one tree
+    grows on every row.
 
-    Each step searches a frontier of nodes at once: the next group of
-    each tree in turn, while the rows taken fit in one matrix column. A
-    tree that draws from its rng at every node (a feature subset, or
-    extra-trees' thresholds) offers one node at a time, in preorder, so
-    its draws come in the order of growing it depth first; any other
-    tree offers every node of its next depth. Nodes are numbered as they
-    are made and renumbered to preorder at the end.
+    Each step searches the next depth of each tree in turn, while the
+    rows taken fit in one matrix column. A tree draws its nodes' feature
+    subsets in one call per depth, before the search, and extra-trees'
+    thresholds in one call per run of the search (`_Bins.best_splits`).
     """
     n_rows, d = X.shape
     if n_rows == 0:
@@ -136,34 +137,38 @@ def grow_trees(
     if random and task != "classify":
         raise PhishguardError("split_mode='random' (extra-trees) supports task='classify' only")
     subsets = rngs[0] is not None and n_feature_subset is not None and n_feature_subset < d
-    one_at_a_time = random or subsets
     if bins is None:
         bins = _Bins.of(X, y, task)
     two = task == "classify" and bool(np.all((y == 0) | (y == 1)))
     if task != "classify" and hessian is None:
         hessian = np.ones(n_rows)
-    # per tree, groups of nodes still to split, (rows, nodes, sizes,
-    # depth), the last one taken first
-    pending = [[] for _ in rngs]
+    # per tree, the nodes of its next depth, (rows, nodes, sizes, depth),
+    # or None
+    pending = [None] * len(rngs)
     table = _NodeTable()
     made = len(rngs)  # node numbers given out; tree t's root is node t
 
     def make_leaves(owner, ids, depth, rows, starts, at, ys=None):
         """Make the nodes `at` leaves; node i holds rows[starts[i]:starts[i + 1]],
         whose targets are `ys` if given."""
+        sizes = np.diff(starts)
         if two:
             # the mean of 0/1 targets: an exact count over the row count
             ys = y[rows] if ys is None else ys
-            values = np.add.reduceat(ys, starts[:-1])[at] / np.diff(starts)[at]
+            values = np.add.reduceat(ys, starts[:-1])[at] / sizes[at]
         else:
             # the mean (a sum over an integer count), or sum(y) / sum(hessian)
             values = [y[rows[a:b]].sum() / (b - a if hessian is None else hessian[rows[a:b]].sum())
                       for a, b in zip(starts[at], starts[at + 1])]
         table.add(owner[at], ids[at], depth[at], LEAF, ids[at], values)
+        if fitted is not None:
+            leaf = np.zeros(len(sizes), dtype=bool)
+            leaf[at] = True
+            fitted[rows[np.repeat(leaf, sizes)]] = np.repeat(values, sizes[at])
 
     def settle(owner, ids, depth, rows, sizes):
-        """New nodes, in order of their trees: leaves get their values, the
-        others wait in their tree's pending list."""
+        """New nodes of one depth, in order of their trees: leaves get
+        their values, the others are their tree's next depth."""
         starts = _starts(sizes)
         ys = y[rows]
         if two:
@@ -176,44 +181,37 @@ def grow_trees(
             make_leaves(owner, ids, depth, rows, starts, np.flatnonzero(leaf), ys)
         del ys
         grow = np.flatnonzero(~leaf)
-        if one_at_a_time:
-            # pushed last to first, so that each tree takes them in preorder
-            for i in grow[::-1].tolist():
-                pending[owner[i]].append((rows[starts[i]:starts[i + 1]].copy(), ids[i:i + 1],
-                                          sizes[i:i + 1], depth[i]))
-        elif len(grow) == len(sizes) and owner[0] == owner[-1]:
-            pending[owner[0]].append((rows, ids, sizes, depth[0]))
+        if len(grow) == len(sizes) and owner[0] == owner[-1]:
+            pending[owner[0]] = (rows, ids, sizes, depth[0])
         else:
             for t in dict.fromkeys(owner[grow].tolist()):
                 mine = grow[owner[grow] == t]
                 keep = np.zeros(len(sizes), dtype=bool)
                 keep[mine] = True
-                pending[t].append((rows[np.repeat(keep, sizes)], ids[mine], sizes[mine],
-                                   depth[mine[0]]))
+                pending[t] = (rows[np.repeat(keep, sizes)], ids[mine], sizes[mine], depth[mine[0]])
 
     for t in range(len(rngs)):
         rows = np.arange(n_rows) if samples is None else samples[t]
         settle(np.array([t]), np.array([t]), np.zeros(1, dtype=np.intp), rows,
                np.array([len(rows)]))
 
-    queue = deque(t for t in range(len(rngs)) if pending[t])
+    queue = deque(t for t in range(len(rngs)) if pending[t] is not None)
     while queue:
-        # the next group of each tree in turn, within one matrix column of rows
+        # the next depth of each tree in turn, within one matrix column of rows
         trees, groups, total = [], [], 0
-        while queue and (not groups or total + len(pending[queue[0]][-1][0]) <= n_rows):
+        while queue and (not groups or total + len(pending[queue[0]][0]) <= n_rows):
             trees.append(queue.popleft())
-            groups.append(pending[trees[-1]].pop())
+            groups.append(pending[trees[-1]])
+            pending[trees[-1]] = None
             total += len(groups[-1][0])
-        if len(groups) == 1:
-            rows, ids, sizes, depth = groups[0]
-            owner = np.full(len(ids), trees[0])
-            depth = np.full(len(ids), depth)
-        else:
-            rows, ids, sizes, depth = zip(*groups)
-            counts = [len(part) for part in ids]
-            rows, ids, sizes = np.concatenate(rows), np.concatenate(ids), np.concatenate(sizes)
-            owner, depth = np.repeat(trees, counts), np.repeat(depth, counts)
+        rows, ids, sizes, depth = zip(*groups)
         del groups
+        counts = [len(part) for part in ids]
+        if len(trees) == 1:
+            rows, ids, sizes = rows[0], ids[0], sizes[0]
+        else:
+            rows, ids, sizes = np.concatenate(rows), np.concatenate(ids), np.concatenate(sizes)
+        owner, depth = np.repeat(trees, counts), np.repeat(depth, counts)
         n = len(sizes)
         starts = _starts(sizes)
         # the search reads the targets of counted 0/1 labels from the bins
@@ -221,11 +219,14 @@ def grow_trees(
         hs = None if hessian is None else hessian[rows]
         features = None
         if subsets:
-            features = np.sort([rngs[t].choice(d, size=n_feature_subset, replace=False)
-                                for t in owner.tolist()], axis=1)
+            # one uniform key per (node, feature) in one call per tree; a
+            # node's n_feature_subset smallest keys pick a uniform subset
+            keys = np.concatenate([rngs[t].random((m, d)) for t, m in zip(trees, counts)])
+            features = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :n_feature_subset],
+                               axis=1)
+            del keys
         split, feature, threshold = bins.best_splits(
-            rows, starts, features, ys, hs,
-            [rngs[t] for t in owner.tolist()] if random else None)
+            rows, starts, features, ys, hs, rngs if random else None, owner)
         del ys, hs
         at = np.flatnonzero(split)
         if len(at) < n:
@@ -247,6 +248,6 @@ def grow_trees(
                    counts)
             del kept
         del rows
-        queue.extend(t for t in trees if pending[t])
+        queue.extend(t for t in trees if pending[t] is not None)
     del bins
     return table.trees(len(rngs))

@@ -115,9 +115,9 @@ def train_linear(
     elif regularization == "l2":
         l1 = 0.0
 
-    classes = np.unique(ds.y)
+    classes = sorted(set(ds.y.tolist()))
     if len(classes) < 2:
-        raise SingleClassDataset(f"labels present: {classes.tolist()}")
+        raise SingleClassDataset(f"labels present: {classes}")
 
     scaler = Standardizer().fit(ds.X)
     X = scaler.transform(ds.X)

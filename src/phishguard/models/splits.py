@@ -41,9 +41,10 @@ tests/test_tree_ensemble.py, so model files do not depend on the method:
   features, taken in ascending order, a later feature wins only with a
   score lower by more than 1e-15.
 Extra-trees (`split_mode="random"`, classification only) draw one
-threshold per feature from the node's rng, uniformly between its least
-and greatest present non-NaN level, and score it with the mean-label
-Gini of the raw-column scorer they used before.
+threshold per feature of each node, uniformly between its least and
+greatest present non-NaN level, and score it with the mean-label Gini
+of the raw-column scorer they used before. A tree's draws for a run of
+nodes are one call to its rng, node by node and features in order.
 """
 
 from __future__ import annotations
@@ -99,16 +100,16 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, cells, starts, features, ys, hs, rngs):
+    def best_splits(self, cells, starts, features, ys, hs, rngs, owner):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
         with targets `ys[starts[i]:starts[i + 1]]` (read only for `width`
         1) and hessians `hs[...]` (None for classification), and is
         searched over `features[i]` (ascending), or over every
         feature if `features` is None. `split[i]` is False where no
-        feature splits node i. `rngs` is None, or one generator per node:
-        then each feature offers one threshold drawn from the node's
-        generator (extra-trees) instead of every midpoint.
+        feature splits node i. `rngs` is None, or the trees' generators:
+        then each feature offers one threshold drawn from
+        `rngs[owner[i]]` (extra-trees) instead of every midpoint.
 
         Nodes are searched in runs: a node with more cells (rows times
         features) than the matrix has rows is a run of its own, counted a
@@ -137,14 +138,15 @@ class _Bins:
             split[i:j], feature[i:j], threshold[i:j] = self._search(
                 cells[a:b], sizes[i:j], None if features is None else features[i:j],
                 None if ys is None else ys[a:b], None if hs is None else hs[a:b], step,
-                None if rngs is None else rngs[i:j])
+                rngs, owner[i:j])
             i = j
         return split, feature, threshold
 
-    def _search(self, rows, sizes, features, ys, hs, step, rngs):
+    def _search(self, rows, sizes, features, ys, hs, step, rngs, owner):
         """best_splits of a run of nodes: node i holds the next `sizes[i]`
-        of `rows`. Segment s is node s // k on its feature s % k, of k;
-        histograms are counted `step` features at a time."""
+        of `rows` and draws from `rngs[owner[i]]`. Segment s is node s // k
+        on its feature s % k, of k; histograms are counted `step` features
+        at a time."""
         w = self.width
         nn = len(sizes)
         k = len(self.key) if features is None else features.shape[1]
@@ -217,18 +219,19 @@ class _Bins:
             at = np.flatnonzero((segment[1:] == segment[:-1]) & (level[1:] > level[:-1]))
         else:
             # one draw per segment whose present levels differ, node by
-            # node, features in order: one uniform call per node draws what
+            # node, features in order: one uniform call per tree draws what
             # a call per feature would. The candidate splits after the last
             # present bin at or below the draw (a NaN level never is one).
             lo = np.fmin.reduceat(level, first[:-1])
             hi = np.fmax.reduceat(level, first[:-1])
             drawn = np.full(len(feature), np.nan)
-            draw = (lo < hi).reshape(nn, k)
-            for i, rng in enumerate(rngs):
-                s = np.flatnonzero(draw[i]) + i * k
-                drawn[s] = rng.uniform(lo[s], hi[s])
+            draw = lo < hi
+            tree = np.repeat(owner, k)
+            for t in dict.fromkeys(owner.tolist()):
+                s = np.flatnonzero(draw & (tree == t))
+                drawn[s] = rngs[t].uniform(lo[s], hi[s])
             below = np.add.reduceat(level <= drawn[segment], first[:-1])
-            at = (first[:-1] + below - 1)[draw.ravel()]
+            at = (first[:-1] + below - 1)[draw]
         split = np.zeros(nn, dtype=bool)
         if len(at) == 0:
             return split, 0, 0.0

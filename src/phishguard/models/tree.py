@@ -2,9 +2,9 @@
 (regression) splits, plus the random-threshold mode of extra-trees
 (classification only).
 
-Trees are grown in `growth` (`grow_trees`), a frontier of nodes at a
-time. Every tree, extra-trees included, finds its splits in `splits`
-from histograms of the matrix binned once.
+Trees are grown in `growth` (`grow_trees`), a depth at a time. Every
+tree, extra-trees included, finds its splits in `splits` from
+histograms of the matrix binned once.
 
 A tree is five parallel node arrays, in preorder (node 0 is the root):
 `feature`, `threshold`, `left`, `right` and `value`. An internal node
@@ -170,22 +170,24 @@ def build_tree(
     hessian=None,
     feature_names: tuple[str, ...] = (),
     _bins: _Bins | None = None,
+    _fitted: np.ndarray | None = None,
 ) -> DecisionTree:
     """Greedy top-down tree induction.
 
     A tree with `split_mode="random"` (extra-trees) or a feature subset
-    draws from `rng`. A regression tree reads each row's `hessian`
-    (positive, default 1): splits maximise the second-order gain, and a
-    leaf's value is sum(y) / sum(hessian), by default the mean. `_bins`,
-    the binning of X from `_Bins.of`, lets boosting bin its matrix once
-    for every round.
+    draws from `rng`, depth by depth. A regression tree reads each row's
+    `hessian` (positive, default 1): splits maximise the second-order
+    gain, and a leaf's value is sum(y) / sum(hessian), by default the
+    mean. For boosting, `_bins`, the binning of X from `_Bins.of`, bins
+    its matrix once for every round, and `_fitted` receives each row's
+    leaf value.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     [nodes] = grow_trees(
         X, y, [rng],
         task=task, max_depth=max_depth, split_mode=split_mode,
-        n_feature_subset=n_feature_subset, hessian=hessian, bins=_bins,
+        n_feature_subset=n_feature_subset, hessian=hessian, bins=_bins, fitted=_fitted,
     )
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth,
                         task=task, feature_names=feature_names)

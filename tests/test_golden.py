@@ -10,7 +10,9 @@ batch and row by row. Some rows sit exactly on split thresholds.
 A recipe whose training has changed since keeps its format-1 file, which
 must still load and predict as recorded, and records the model it trains
 now under `retrained`: a format-2 file and its `predict_proba` rows.
-`gbt_v2.json` is the `gbt` recipe with splits by second-order gain.
+`gbt_v2.json` is the `gbt` recipe with splits by second-order gain;
+`forest_v2.json` and `extra_v2.json` are the `forest` and `extra`
+recipes with each tree's draws made depth by depth.
 
 `explain_replies.json` holds a server's replies over `gbt_v1.json` to
 `explain_url` requests for 42 seeded generated URLs, recorded by the

@@ -14,7 +14,7 @@ from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
 from phishguard.models.serialize import model_to_dict
-from phishguard.models.splits import _mean_gini
+from phishguard.models.splits import _Bins, _mean_gini
 from phishguard.models.tree import LEAF, NODE_ARRAYS, DecisionTree
 
 
@@ -177,55 +177,102 @@ def _random_threshold(rng):
 
 
 def reference_tree(X, y, *, task="classify", max_depth=8, rng=None, n_feature_subset=None,
-                   split_mode="best", hessian=None, criterion="newton"):
+                   split_mode="best", hessian=None, criterion="newton", draw_order="breadth"):
     """build_tree as it was before binning: every candidate column of
     every node is sorted and scanned on its own (or, with
-    split_mode="random", offers one threshold drawn from `rng`), nodes
-    are numbered in preorder and the feature subsets and thresholds are
-    drawn in preorder. A regression split is scored by the second-order
-    gain over `hessian` (each row's 1 if None) or, with criterion="sse",
-    by the squared error that boosting used before; a regression leaf's
-    value is sum(y) / sum(hessian)."""
+    split_mode="random", offers one threshold drawn from `rng`), and
+    nodes are numbered in preorder. A regression split is scored by the
+    second-order gain over `hessian` (each row's 1 if None) or, with
+    criterion="sse", by the squared error that boosting used before; a
+    regression leaf's value is sum(y) / sum(hessian).
+
+    With draw_order="breadth" the tree is grown depth by depth, and the
+    nodes to split at a depth are taken in order (each split's left
+    child before its right): first each draws d uniform keys and keeps
+    the features of its n_feature_subset smallest, then each draws its
+    thresholds, features in order. So a tree with both draws makes, per
+    depth, all its subset keys and then all its thresholds. With
+    draw_order="preorder", as forests drew before, the tree is grown
+    depth first and each node draws its subset with `rng.choice` and
+    then its thresholds."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     d = X.shape[1]
     h = np.ones(len(y)) if hessian is None else np.asarray(hessian, dtype=float)
     scan = _random_threshold(rng) if split_mode == "random" else _best_threshold_gini
-    nodes = {name: [] for name in NODE_ARRAYS}
+    subsets = rng is not None and n_feature_subset is not None and n_feature_subset < d
 
-    def grow(indices, depth):
-        node = len(nodes["feature"])
-        for name in NODE_ARRAYS:
-            nodes[name].append(None)
-        ys = y[indices]
+    def splits(node):
+        ys = y[node["rows"]]
+        return node["depth"] < max_depth and len(ys) >= 2 and not np.all(ys == ys[0])
+
+    def split(node, features):
+        """Give `node` its best split over `features` and its two
+        children, or leave it a leaf."""
+        indices = node["rows"]
         best = None
-        if depth < max_depth and len(indices) >= 2 and not np.all(ys == ys[0]):
-            features = np.arange(d)
-            if rng is not None and n_feature_subset is not None and n_feature_subset < d:
-                features = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
-            for j in features:
-                if task == "classify":
-                    found = scan(X[indices, j], ys, 1)
-                elif criterion == "sse":
-                    found = _best_threshold_sse(X[indices, j], ys, 1)
-                else:
-                    found = _best_threshold_newton(X[indices, j], ys, h[indices], 1)
-                if found is not None and (best is None or found[0] < best[0] - 1e-15):
-                    best = (found[0], int(j), found[1])
-        if best is None:
-            value = ys.mean() if task == "classify" else ys.sum() / h[indices].sum()
-            row = (LEAF, 0.0, node, node, float(value))
-        else:
+        for j in features:
+            if task == "classify":
+                found = scan(X[indices, j], y[indices], 1)
+            elif criterion == "sse":
+                found = _best_threshold_sse(X[indices, j], y[indices], 1)
+            else:
+                found = _best_threshold_newton(X[indices, j], y[indices], h[indices], 1)
+            if found is not None and (best is None or found[0] < best[0] - 1e-15):
+                best = (found[0], int(j), found[1])
+        if best is not None:
             _, j, threshold = best
             go_left = X[indices, j] <= threshold
-            left = grow(indices[go_left], depth + 1)
-            right = grow(indices[~go_left], depth + 1)
-            row = (j, threshold, left, right, 0.0)
-        for name, item in zip(NODE_ARRAYS, row):
-            nodes[name][node] = item
-        return node
+            node["split"] = (j, threshold)
+            node["children"] = [{"rows": indices[side], "depth": node["depth"] + 1}
+                                for side in (go_left, ~go_left)]
 
-    grow(np.arange(len(X)), 0)
+    root = {"rows": np.arange(len(X)), "depth": 0}
+    if draw_order == "preorder":
+        def grow(node):
+            if splits(node):
+                features = range(d)
+                if subsets:
+                    features = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
+                split(node, features)
+                for child in node.get("children", ()):
+                    grow(child)
+
+        grow(root)
+    else:
+        level = [root]
+        while level:
+            level = [node for node in level if splits(node)]
+            features = [range(d)] * len(level)
+            if subsets:
+                keys = [rng.random(d) for _ in level]
+                features = [sorted(sorted(range(d), key=key.__getitem__)[:n_feature_subset])
+                            for key in keys]
+            for node, chosen in zip(level, features):
+                split(node, chosen)
+            level = [child for node in level for child in node.get("children", ())]
+
+    nodes = {name: [] for name in NODE_ARRAYS}
+
+    def number(node):
+        """Append `node` and its subtrees in preorder; its index."""
+        index = len(nodes["feature"])
+        for name in NODE_ARRAYS:
+            nodes[name].append(None)
+        if "split" in node:
+            j, threshold = node["split"]
+            left, right = (number(child) for child in node["children"])
+            row = (j, threshold, left, right, 0.0)
+        else:
+            indices = node["rows"]
+            ys = y[indices]
+            value = ys.mean() if task == "classify" else ys.sum() / h[indices].sum()
+            row = (LEAF, 0.0, index, index, float(value))
+        for name, item in zip(NODE_ARRAYS, row):
+            nodes[name][index] = item
+        return index
+
+    number(root)
     return DecisionTree(**nodes, n_features=d, max_depth=max_depth, task=task)
 
 
@@ -298,11 +345,11 @@ def document(tree):
     return json.dumps(model_to_dict(tree))
 
 
-def reference_forest(ds, *, n_trees, max_depth, seed, mode="bagging"):
+def reference_forest(ds, *, n_trees, max_depth, seed, mode="bagging", draw_order="breadth"):
     """train_forest with its trees built one at a time: each tree draws its
     bootstrap sample (bagging) from its own seeded rng, and reference_tree
     grows it on that sample, drawing feature subsets (bagging) or
-    thresholds (extra) from the same rng."""
+    thresholds (extra) from the same rng in `draw_order`."""
     rng = np.random.default_rng(seed)
     n, d = ds.X.shape
     if mode == "bagging":
@@ -314,7 +361,7 @@ def reference_forest(ds, *, n_trees, max_depth, seed, mode="bagging"):
         tree_rng = np.random.default_rng(rng.integers(2 ** 63))
         sample = tree_rng.integers(0, n, size=n) if mode == "bagging" else np.arange(n)
         members.append(reference_tree(ds.X[sample], ds.y[sample], max_depth=max_depth,
-                                      rng=tree_rng, **draws))
+                                      rng=tree_rng, draw_order=draw_order, **draws))
     return Ensemble(members=members, weights=[1.0 / n_trees] * n_trees, mode=mode,
                     feature_names=ds.feature_names)
 
@@ -521,6 +568,30 @@ class TestForest:
             settings = dict(n_trees=n_trees, max_depth=12, seed=seed + 10)
             assert document(train_forest(ds, mode="extra", **settings)) == \
                 document(reference_forest(ds, mode="extra", **settings)), seed
+
+    @pytest.mark.parametrize("mode", ["bagging", "extra"])
+    def test_cv_auc_not_worse_than_preorder_draws(self, mode):
+        # trees draw depth by depth where they drew in depth-first preorder
+        ds = make_ternary_dataset(n=600, seed=15)
+        auc = {"auc": auc_metric}
+        settings = dict(n_trees=10, max_depth=8, mode=mode, seed=5)
+        breadth = cross_validate(lambda part: train_forest(part, **settings), ds, auc)
+        preorder = cross_validate(lambda part: reference_forest(part, **settings,
+                                                                draw_order="preorder"), ds, auc)
+        assert breadth["auc"].mean >= preorder["auc"].mean - 0.005
+
+    def test_one_search_per_depth_of_each_tree(self, monkeypatch):
+        # a bagged tree offers a whole depth to each split search
+        calls = []
+        search = _Bins.best_splits
+
+        def counted(*args):
+            calls.append(None)
+            return search(*args)
+
+        monkeypatch.setattr(_Bins, "best_splits", counted)
+        train_forest(make_ternary_dataset(n=2000, seed=16), n_trees=5, max_depth=12)
+        assert 0 < len(calls) <= 5 * 13
 
     def test_extra_trees_fit_nan_cells(self):
         ds = make_ternary_dataset(n=300, seed=3)
