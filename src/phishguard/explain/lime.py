@@ -24,15 +24,6 @@ def _perturbation_plan(seed, n_perturb: int, d: int, n_background: int):
     return flips, rows
 
 
-def _scores_rows_independently(scorer) -> bool:
-    """Whether the scorer gives a row the same bits in any batch, one row
-    included. Tree models declare it, read through a bound method's
-    model; matrix-vector products (linear, MLP) round a row differently
-    by its place in the batch, and a plain callable is not assumed to."""
-    model = getattr(scorer, "__self__", None)
-    return getattr(model, "scores_rows_independently", False)
-
-
 def _distinct_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse): the index of one row per bit-distinct row of Z,
     and each row's place in `first`, so Z[first][inverse] is Z bit for
@@ -63,9 +54,10 @@ def lime_explain(
     background matrix with probability 1/2; proximity is a Gaussian
     kernel of width 0.75 * sqrt(d) on the Euclidean distance between
     standardized vectors. The perturbation plan is drawn once per (seed,
-    n_perturb, d, background rows); a scorer that scores rows
-    independently (tree models) sees each bit-distinct perturbation once,
-    with the same result as scoring them all.
+    n_perturb, d, background rows). The scorer must score a row to the
+    same bits in any batch, as every model's `predict_proba` does
+    (`models.common.Scorer`): it sees each bit-distinct perturbation
+    once, with the same result as scoring them all.
     """
     if n_perturb < 50:
         raise ValueError("n_perturb must be >= 50")
@@ -86,11 +78,8 @@ def lime_explain(
     dist_sq = ((Zs - xs) ** 2).sum(axis=1)
     proximity = np.exp(-dist_sq / kernel_width ** 2)
 
-    if _scores_rows_independently(scorer):
-        first, inverse = _distinct_rows(Z)
-        targets = np.asarray(scorer(Z[first]), dtype=float)[inverse]
-    else:
-        targets = np.asarray(scorer(Z), dtype=float)
+    first, inverse = _distinct_rows(Z)
+    targets = np.asarray(scorer(Z[first]), dtype=float)[inverse]
     # weighted ridge on [Zs | 1]; the intercept column is not penalized
     design = np.hstack([Zs, np.ones((n_perturb, 1))])
     W = proximity[:, None]

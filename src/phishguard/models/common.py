@@ -61,12 +61,15 @@ class Standardizer:
 
 def standardization(mean, scale, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A model's `mean` and `scale` over d features as float arrays; None
-    is the identity. Either of another shape raises PhishguardError."""
+    is the identity. Either of another shape, a non-finite mean or a
+    scale not finite and above 0 raises PhishguardError."""
     mean = np.asarray(np.zeros(d) if mean is None else mean, dtype=float)
     scale = np.asarray(np.ones(d) if scale is None else scale, dtype=float)
     if mean.shape != (d,) or scale.shape != (d,):
         raise PhishguardError(f"mean and scale must hold {d} values, one per weight; "
                               f"got shapes {mean.shape} and {scale.shape}")
+    if not (np.all(np.isfinite(mean)) and np.all((0 < scale) & (scale < np.inf))):
+        raise PhishguardError("mean must be finite and scale finite and above 0")
     return mean, scale
 
 
@@ -82,13 +85,18 @@ def sigmoid(z):
 
 class Scorer:
     """The scoring surface every model kind shares. A subclass scores a
-    matrix: `_logits(X)`, whose sigmoid the base takes, or `_proba(X)`;
-    a model of the second sort has no `decision_function` (NoLogitScale).
-    The base accepts one row or a matrix, checks the width and gives a
-    single row back as a scalar."""
+    C-ordered matrix: `_logits(X)`, whose sigmoid the base takes, or
+    `_proba(X)`; a model of the second sort has no `decision_function`
+    (NoLogitScale). The base accepts one row or a matrix, checks the
+    width and gives a single row back as a scalar.
+
+    A row scores to the same bits in any batch, alone included: each
+    subclass reduces a row on its own (a tree walk, or `np.einsum`,
+    whose loops follow the layout, where BLAS `@` rounds a row by its
+    place in the batch)."""
 
     def _score(self, method, x):
-        X = np.asarray(x, dtype=float)
+        X = np.asarray(x, dtype=float, order="C")
         single = X.ndim == 1
         if single:
             X = X[None, :]

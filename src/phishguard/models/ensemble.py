@@ -25,11 +25,10 @@ class Ensemble(Scorer):
     feature_names: tuple[str, ...] = ()
 
     kind = "ensemble"
-    # each row's trees are summed in training order, whatever else is in
-    # the batch
-    scores_rows_independently = True
 
     def __post_init__(self):
+        if self.mode not in ("bagging", "extra", "boosting"):
+            raise PhishguardError(f"unknown ensemble mode {self.mode!r}")
         if not self.members:
             raise PhishguardError("ensemble needs at least one member")
         if len(self.weights) != len(self.members) or not np.all(

@@ -54,7 +54,7 @@ class LinearModel(Scorer):
         return len(self.weights)
 
     def _logits(self, X):
-        return ((X - self.mean) / self.scale) @ self.weights + self.bias
+        return np.einsum("ij,j->i", (X - self.mean) / self.scale, self.weights) + self.bias
 
 
 def _loss_and_grad(w, b, X, y, loss: str, l2: float):

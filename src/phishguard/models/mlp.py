@@ -40,6 +40,8 @@ class MlpModel(Scorer):
         if [b.shape for b in self.biases] != [(fan_out,) for _, fan_out in shapes]:
             raise PhishguardError(f"MLP biases {[b.shape for b in self.biases]} do not "
                                   f"match the layers' units {[s[1] for s in shapes]}")
+        if not all(np.all(np.isfinite(p)) for p in (*self.weights, *self.biases)):
+            raise PhishguardError("non-finite MLP weights or biases")
         self.mean, self.scale = standardization(self.mean, self.scale, shapes[0][0])
 
     @property
@@ -60,8 +62,12 @@ class MlpModel(Scorer):
         return activations, pre
 
     def _logits(self, X):
-        # the output unit's pre-activation
-        return self._forward((X - self.mean) / self.scale)[1][-1][:, 0]
+        """The output unit's pre-activation. Training's `_forward` keeps
+        `@`; scoring reduces each row on its own with einsum."""
+        h = (X - self.mean) / self.scale
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.maximum(np.einsum("ij,jk->ik", h, W) + b, 0.0)
+        return np.einsum("ij,jk->ik", h, self.weights[-1])[:, 0] + self.biases[-1][0]
 
 
 def bce_loss(y_true, y_prob) -> float:

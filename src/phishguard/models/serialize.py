@@ -125,8 +125,10 @@ def _build(cls, params, names: tuple[str, ...]):
 def model_from_dict(doc):
     if not isinstance(doc, dict):
         raise PhishguardError("a model file must hold a JSON object")
-    if doc.get("version") not in (1, FORMAT_VERSION):
-        raise PhishguardError(f"unsupported model format version {doc.get('version')}")
+    version = doc.get("version")
+    # a bool is no version, though True == 1
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise PhishguardError(f"unsupported model format version {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise PhishguardError(f"unknown model kind {kind!r}")

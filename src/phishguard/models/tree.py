@@ -103,8 +103,6 @@ class DecisionTree(Scorer):
     feature_names: tuple[str, ...] = ()
 
     kind = "tree"
-    # the walk gives each row the same bits whatever else is in the batch
-    scores_rows_independently = True
 
     def __post_init__(self):
         self.feature = _node_indices(self.feature)

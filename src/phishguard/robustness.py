@@ -22,7 +22,6 @@ import numpy as np
 from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
 from .datasets import Dataset
 from .errors import IdMismatch, PhishguardError
-from .explain import FusionWeights
 from .features import TERNARY_VALUES
 
 
@@ -62,8 +61,7 @@ class RobustnessRow:
     wall_clock_s: float = 0.0
 
 
-def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
-                   n: int = 200, seed: int = 0) -> ContextSet:
+def build_contexts(ds: Dataset, model, n: int = 200, seed: int = 0) -> ContextSet:
     """Seeded sample of dataset rows turned into contexts."""
     rng = np.random.default_rng(seed)
     take = min(n, len(ds))
@@ -71,7 +69,7 @@ def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
     contexts = []
     for i, row in enumerate(rows):
         vector = ds.X[row]
-        outcome = classify_with_fusion(vector, model, fusion)
+        outcome = classify_with_fusion(vector, model, None)
         contexts.append(IsolatedContext.from_outcome(
             outcome, context_id=f"ctx-{i:04d}", request_ref=f"row-{int(row)}",
             names=ds.feature_names, vector=vector, provenance=ds.provenance[row],
@@ -80,7 +78,6 @@ def build_contexts(ds: Dataset, model, fusion: FusionWeights | None = None,
 
 
 def inject_attack(pre: ContextSet, spec: AttackSpec, model,
-                  fusion: FusionWeights | None = None,
                   block_cross_copies: bool = False) -> ContextSet:
     """Contaminate a seeded subset of contexts, each into a new context
     (the others are shared with `pre`); re-runs inference on the victims."""
@@ -113,7 +110,7 @@ def inject_attack(pre: ContextSet, spec: AttackSpec, model,
                 noisy = vector[i] + noise[offset]
                 vector[i] = min(TERNARY_VALUES, key=lambda t: abs(t - noisy))
         if not block_cross_copies or spec.delta > 0:
-            outcome = classify_with_fusion(vector, model, fusion)
+            outcome = classify_with_fusion(vector, model, None)
             post_contexts[v] = IsolatedContext.from_outcome(
                 outcome, context_id=ctx.context_id, request_ref=ctx.request_ref,
                 names=names, vector=vector, provenance=ctx.provenance,
@@ -169,22 +166,17 @@ def apf(pre: ContextSet, post: ContextSet) -> float:
     return total / n
 
 
-def csi(model, contexts: ContextSet, fusion: FusionWeights | None,
-        delta: float, seed: int = 0) -> float:
+def csi(model, contexts: ContextSet, delta: float, seed: int = 0) -> float:
     """The stability 1 - mean |p(x) - p(x + delta*u)| over 5 Monte-Carlo
-    draws of u, with noise on the fused feature set (every feature when
-    `fusion` is None)."""
+    draws of u, with noise on every feature."""
     if not contexts.contexts:
         raise PhishguardError("no contexts")
-    names = contexts.contexts[0].names
-    fused = np.array([fusion is None or name in fusion.f_final for name in names])
     rng = np.random.default_rng(seed)
     diffs = []
     X = np.stack([c.vector for c in contexts.contexts])
     base = np.asarray(model.predict_proba(X))
     for _ in range(5):
         noise = rng.uniform(-1.0, 1.0, size=X.shape) * delta
-        noise[:, ~fused] = 0.0
         perturbed = np.asarray(model.predict_proba(X + noise))
         diffs.append(np.abs(base - perturbed))
     return 1.0 - float(np.mean(diffs))
@@ -212,16 +204,15 @@ STRATEGIES = ("isolation", "validation", "hybrid")
 
 
 def run_strategy(ds: Dataset, model, strategy: str, spec: AttackSpec,
-                 fusion: FusionWeights | None = None,
                  pcs: PcsConfig | None = None,
                  n_contexts: int = 200) -> RobustnessRow:
     """One (dataset, strategy) row of the robustness report."""
     if strategy not in STRATEGIES:
         raise PhishguardError(f"unknown strategy {strategy!r}")
     started = time.perf_counter()
-    pre = build_contexts(ds, model, fusion, n=n_contexts, seed=spec.seed)
+    pre = build_contexts(ds, model, n=n_contexts, seed=spec.seed)
     isolate = strategy in ("isolation", "hybrid")
-    post = inject_attack(pre, spec, model, fusion, block_cross_copies=isolate)
+    post = inject_attack(pre, spec, model, block_cross_copies=isolate)
 
     cis_post_attack = cis(pre, post)
     apf_value = apf(pre, post)
@@ -236,7 +227,7 @@ def run_strategy(ds: Dataset, model, strategy: str, spec: AttackSpec,
         # CIS_pre, of `pre` against itself, is exactly 1
         mre_value = cis_final - cis_post_attack
 
-    stability = csi(model, final, fusion, spec.delta, seed=spec.seed)
+    stability = csi(model, final, spec.delta, seed=spec.seed)
     return RobustnessRow(
         cis=cis_final,
         apf=apf_value,

@@ -239,6 +239,20 @@ class TestModelKinds:
             with pytest.raises(DimensionMismatch):
                 model.predict_proba(wrong)
 
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_a_row_scores_to_the_same_bits_in_any_batch(self, kind):
+        # what is served, cross-validated and explained by LIME's distinct
+        # perturbations is one row's score, whatever batch holds the row
+        model = _train_model(make_ternary_dataset(n=120, seed=2), kind, 0)
+        X = np.random.default_rng(5).choice([-1.0, 0.0, 1.0], size=(200, 23))
+        full = model.predict_proba(X)
+        for n in range(1, len(X)):
+            assert np.array_equal(model.predict_proba(X[:n]), full[:n]), n
+        for i, row in enumerate(X):
+            assert model.predict_proba(row.copy()) == full[i], i
+        assert np.array_equal(model.predict_proba(np.asfortranarray(X)), full)
+        assert np.array_equal(model.predict_proba(X[::2]), full[::2])
+
 
 class TestExplain:
     def test_ig_ranking(self, csv_path, tmp_path, capsys):

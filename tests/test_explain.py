@@ -327,8 +327,7 @@ def lime_scorers():
         "gbt": train_gbt(ds, n_rounds=15, max_depth=3),
         "forest": train_forest(ds, n_trees=12, max_depth=5, seed=1),
         "tree": train_tree(ds, max_depth=6),
-        # the CLI's MLP shape: over 32 hidden units BLAS rounds a row's
-        # output by its place in the batch, which 8 units rarely show
+        # the CLI's MLP shape
         "mlp": train_mlp(ds, [32, 1], TrainConfig(seed=2, max_epochs=20)),
         "linear": train_linear(ds),
         "lambda": lambda X: np.tanh(np.asarray(X)).sum(axis=1),
@@ -373,9 +372,7 @@ class TestLimeMatchesFullBatch:
 
 
 class CountingScorer:
-    """A tree model that records the size of every batch it scores."""
-
-    scores_rows_independently = True
+    """A model that records the size of every batch it scores."""
 
     def __init__(self, model):
         self.model = model
@@ -393,13 +390,14 @@ class TestLimeScoresDistinctRows:
         for url in generate_synthetic_urls(cfg):
             x = to_canonical_vector(extract_features(url))
             B = np.vstack([np.zeros(len(x)), x])
-            scorer = CountingScorer(lime_scorers["gbt"])
-            weights = lime_explain(scorer.predict_proba, x, B, seed=0)
             distinct = np.unique(perturbations(x, B, 500, 0).view(np.uint64), axis=0)
-            assert scorer.batches == [len(distinct)]
             assert len(distinct) < 500
-            assert np.array_equal(weights,
-                                  lime_reference(scorer.model.predict_proba, x, B, seed=0))
+            for name in ("gbt", "linear", "mlp"):
+                scorer = CountingScorer(lime_scorers[name])
+                weights = lime_explain(scorer.predict_proba, x, B, seed=0)
+                assert scorer.batches == [len(distinct)], name
+                assert np.array_equal(weights, lime_reference(scorer.model.predict_proba,
+                                                              x, B, seed=0)), name
 
     def test_lone_distinct_row_scored_once(self):
         # NaN != NaN keeps these bit-equal rows from counting as degenerate

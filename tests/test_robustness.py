@@ -3,7 +3,6 @@ import pytest
 
 from conftest import make_ternary_dataset
 from phishguard.errors import IdMismatch, PhishguardError
-from phishguard.explain import FusionWeights
 from phishguard.models import LinearModel
 from phishguard.robustness import (
     STRATEGIES,
@@ -29,9 +28,7 @@ def fixed_model(n_features=23):
 
 def small_world(n=60, seed=0):
     ds = make_ternary_dataset(n=n, seed=seed, provenance=("UCI",))
-    model = fixed_model()
-    fusion = None  # every feature weighs 1 and CSI perturbs them all
-    return ds, model, fusion
+    return ds, fixed_model()
 
 
 def make_ctx(cid, features, prob, label, provenance="UCI"):
@@ -56,19 +53,19 @@ class TestAttackSpec:
 
 class TestBuildAndInject:
     def test_null_attack_is_identity(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=40, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=40, seed=0)
         post = inject_attack(pre, AttackSpec(contamination_rate=0.0, delta=0.0),
-                             model, fusion)
+                             model)
         assert cis(pre, post) == 1.0
         assert apf(pre, post) == 0.0
         assert post.links == ()
 
     def test_links_recorded_for_victims(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=40, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=40, seed=0)
         post = inject_attack(pre, AttackSpec(contamination_rate=0.25, delta=0.0),
-                             model, fusion)
+                             model)
         assert len(post.links) == 10  # ceil(0.25 * 40)
         ids = {c.context_id for c in pre.contexts}
         for victim, source in post.links:
@@ -76,43 +73,43 @@ class TestBuildAndInject:
             assert victim != source
 
     def test_isolation_blocks_copies(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=40, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=40, seed=0)
         post = inject_attack(pre, AttackSpec(contamination_rate=0.5, delta=0.0),
-                             model, fusion, block_cross_copies=True)
+                             model, block_cross_copies=True)
         assert post.links == ()
         assert cis(pre, post) == 1.0  # only noise could change things
 
     def test_attack_degrades_cis(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=50, seed=1)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=50, seed=1)
         post = inject_attack(pre, AttackSpec(contamination_rate=0.5, delta=1.0,
-                                             seed=1), model, fusion)
+                                             seed=1), model)
         assert cis(pre, post) < 1.0
 
     def test_more_contamination_lower_cis(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=50, seed=2)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=50, seed=2)
         light = inject_attack(pre, AttackSpec(contamination_rate=0.1, delta=1.0,
-                                              seed=3), model, fusion)
+                                              seed=3), model)
         heavy = inject_attack(pre, AttackSpec(contamination_rate=0.9, delta=1.0,
-                                              seed=3), model, fusion)
+                                              seed=3), model)
         assert cis(pre, heavy) < cis(pre, light)
 
     def test_seed_determinism(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=30, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=30, seed=0)
         spec = AttackSpec(contamination_rate=0.4, delta=1.0, seed=9)
-        a = inject_attack(pre, spec, model, fusion)
-        b = inject_attack(pre, spec, model, fusion)
+        a = inject_attack(pre, spec, model)
+        b = inject_attack(pre, spec, model)
         assert a.links == b.links
         assert cis(pre, a) == cis(pre, b)
 
     def test_ternary_values_stay_ternary(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=30, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=30, seed=0)
         post = inject_attack(pre, AttackSpec(contamination_rate=1.0, delta=2.0,
-                                             seed=4), model, fusion)
+                                             seed=4), model)
         for ctx in post.contexts:
             for name, value in ctx.features.items():
                 if name != "URL_Length":
@@ -171,75 +168,63 @@ class TestApf:
 
 class TestCsi:
     def test_zero_delta_perfect_stability(self):
-        ds, model, fusion = small_world()
-        contexts = build_contexts(ds, model, fusion, n=20, seed=0)
-        assert csi(model, contexts, fusion, delta=0.0) == 1.0
+        ds, model = small_world()
+        contexts = build_contexts(ds, model, n=20, seed=0)
+        assert csi(model, contexts, delta=0.0) == 1.0
 
     def test_stability_decreases_with_delta(self):
-        ds, model, fusion = small_world()
-        contexts = build_contexts(ds, model, fusion, n=30, seed=0)
-        tight = csi(model, contexts, fusion, delta=0.05, seed=1)
-        loose = csi(model, contexts, fusion, delta=1.0, seed=1)
+        ds, model = small_world()
+        contexts = build_contexts(ds, model, n=30, seed=0)
+        tight = csi(model, contexts, delta=0.05, seed=1)
+        loose = csi(model, contexts, delta=1.0, seed=1)
         assert loose < tight <= 1.0
 
     def test_seed_determinism(self):
-        ds, model, fusion = small_world()
-        contexts = build_contexts(ds, model, fusion, n=20, seed=0)
-        assert csi(model, contexts, fusion, 0.3, seed=5) == \
-            csi(model, contexts, fusion, 0.3, seed=5)
-
-    def test_fusion_weights_do_not_rescale_the_input(self):
-        # the weights only choose the perturbed features: zero weights over
-        # every feature perturb exactly what no fusion does
-        ds, model, _ = small_world()
-        contexts = build_contexts(ds, model, None, n=20, seed=0)
-        names = frozenset(ds.feature_names)
-        zero = FusionWeights(f_ig=names, f_xai=names, f_final=names,
-                             weights=dict.fromkeys(names, 0.0))
-        stability = csi(model, contexts, zero, 0.5, seed=1)
-        assert stability < 1.0
-        assert stability == csi(model, contexts, None, 0.5, seed=1)
+        ds, model = small_world()
+        contexts = build_contexts(ds, model, n=20, seed=0)
+        assert csi(model, contexts, 0.3, seed=5) == \
+            csi(model, contexts, 0.3, seed=5)
 
 
-def attacked(ds, model, fusion, spec, n_contexts, block_cross_copies=False):
+def attacked(ds, model, spec, n_contexts, block_cross_copies=False):
     """The pre- and post-attack sets that run_strategy builds from `spec`."""
-    pre = build_contexts(ds, model, fusion, n=n_contexts, seed=spec.seed)
-    return pre, inject_attack(pre, spec, model, fusion, block_cross_copies=block_cross_copies)
+    pre = build_contexts(ds, model, n=n_contexts, seed=spec.seed)
+    return pre, inject_attack(pre, spec, model, block_cross_copies=block_cross_copies)
 
 
 class TestMre:
     def test_formula(self):
         # (CIS_post_mitigation - CIS_post_attack) / CIS_pre, with CIS_pre = 1
-        ds, model, fusion = small_world(n=80)
+        ds, model = small_world(n=80)
         spec = AttackSpec(contamination_rate=0.3, delta=1.0, seed=0)
-        row = run_strategy(ds, model, "hybrid", spec, fusion, n_contexts=50)
-        pre, post = attacked(ds, model, fusion, spec, 50, block_cross_copies=True)
+        row = run_strategy(ds, model, "hybrid", spec, n_contexts=50)
+        pre, post = attacked(ds, model, spec, 50, block_cross_copies=True)
         assert cis(pre, post) < 1.0
         assert row.mre == row.cis - cis(pre, post)
 
     def test_no_recovery_zero(self):
-        ds, model, fusion = small_world(n=80)
+        ds, model = small_world(n=80)
         row = run_strategy(ds, model, "validation",
                            AttackSpec(contamination_rate=0.0, delta=0.0),
-                           fusion, n_contexts=50)
+                           n_contexts=50)
         assert row.mre == 0.0
 
 
 class TestMitigation:
     def test_snapshot_restore_is_exact(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=40, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=40, seed=0)
         spec = AttackSpec(contamination_rate=0.5, delta=1.0, seed=2)
-        post = inject_attack(pre, spec, model, fusion)
+        post = inject_attack(pre, spec, model)
         assert cis(pre, post) < 1.0
         restored = mitigate(pre, post, pcs=None)
         assert cis(pre, restored) == 1.0
 
     def test_untouched_contexts_not_replaced(self):
-        ds, model, fusion = small_world()
-        pre = build_contexts(ds, model, fusion, n=40, seed=0)
+        ds, model = small_world()
+        pre = build_contexts(ds, model, n=40, seed=0)
         post = inject_attack(pre, AttackSpec(contamination_rate=0.0, delta=0.0),
-                             model, fusion)
+                             model)
         restored = mitigate(pre, post, pcs=None)
         for before, after in zip(post.contexts, restored.contexts):
             assert np.array_equal(before.vector, after.vector)
@@ -247,43 +232,43 @@ class TestMitigation:
 
 class TestRunStrategy:
     def test_isolation_reports_no_mre(self):
-        ds, model, fusion = small_world(n=80)
+        ds, model = small_world(n=80)
         row = run_strategy(ds, model, "isolation",
                            AttackSpec(contamination_rate=0.3, delta=1.0, seed=0),
-                           fusion, n_contexts=50)
+                           n_contexts=50)
         assert row.mre is None
         assert row.apf == 0.0  # copies blocked, no links
 
     def test_validation_restores_cis_to_one(self):
-        ds, model, fusion = small_world(n=80)
+        ds, model = small_world(n=80)
         spec = AttackSpec(contamination_rate=0.3, delta=1.0, seed=0)
-        row = run_strategy(ds, model, "validation", spec, fusion, n_contexts=50)
+        row = run_strategy(ds, model, "validation", spec, n_contexts=50)
         assert row.cis == 1.0
-        pre, post = attacked(ds, model, fusion, spec, 50)
+        pre, post = attacked(ds, model, spec, 50)
         assert row.mre == 1.0 - cis(pre, post)
         assert row.mre > 0.0
 
     def test_hybrid_blocks_and_restores(self):
-        ds, model, fusion = small_world(n=80)
+        ds, model = small_world(n=80)
         row = run_strategy(ds, model, "hybrid",
                            AttackSpec(contamination_rate=0.3, delta=1.0, seed=0),
-                           fusion, n_contexts=50)
+                           n_contexts=50)
         assert row.cis == 1.0
         assert row.apf == 0.0
         assert row.mre is not None
 
     def test_unknown_strategy(self):
-        ds, model, fusion = small_world()
+        ds, model = small_world()
         with pytest.raises(PhishguardError):
-            run_strategy(ds, model, "prayer", AttackSpec(), fusion)
+            run_strategy(ds, model, "prayer", AttackSpec())
 
     def test_report_table_formats_missing_mre(self):
-        ds, model, fusion = small_world(n=60)
+        ds, model = small_world(n=60)
         rows = {
             name: run_strategy(ds, model, name,
                                AttackSpec(contamination_rate=0.3, delta=1.0,
                                           seed=0),
-                               fusion, n_contexts=30)
+                               n_contexts=30)
             for name in STRATEGIES
         }
         table = report_table(rows)

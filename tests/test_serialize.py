@@ -276,6 +276,11 @@ def _weights_as(label, item):
     return corrupt
 
 
+def _version_true(doc):
+    # True == 1, but a bool is no format version
+    doc["version"] = True
+
+
 def _array_item(label, item, *path):
     """Set the array item at `path` under params to `item`; the last
     node of a tree's arrays is a leaf, its first the root."""
@@ -336,6 +341,16 @@ MALFORMED = [
     ("tree_v1.json", _root_index("right", 2.5)),
     ("tree_v1.json", _root_index("feature", 1e300)),
     ("tree_v1.json", _root_index("left", 2**64 - 1)),
+    ("linear", _version_true),
+    ("gbt", _set_param("mode", "bogus", "unknown")),
+    # training writes finite weights and a finite, positive standardization
+    ("mlp", _array_item("nan_bias", float("nan"), "biases", 0, 0)),
+    ("mlp", _array_item("infinite_weight", float("inf"), "weights", 1, 0, 0)),
+    ("mlp", _array_item("nan_in_mean", float("nan"), "mean", 0)),
+    ("linear", _array_item("infinite_in_mean", float("-inf"), "mean", 0)),
+    ("linear", _array_item("infinite_scale", float("inf"), "scale", 0)),
+    ("linear", _array_item("zero_scale", 0.0, "scale", 0)),
+    ("mlp", _array_item("negative_scale", -1.0, "scale", 0)),
 ]
 
 
@@ -380,6 +395,9 @@ MALFORMED_FILES = {
     "null_weight": ("mlp", _array_item("null_weight", None, "weights", 0, 0, 0)),
     "fractional_feature": ("tree_v1.json", _root_index("feature", 7.9)),
     "fractional_left": ("tree_v1.json", _root_index("left", 1.7)),
+    "version_true": ("linear", _version_true),
+    "unknown_mode": ("forest", _set_param("mode", "bogus", "unknown")),
+    "nan_bias": ("mlp", _array_item("nan_bias", float("nan"), "biases", 0, 0)),
 }
 
 

@@ -1019,12 +1019,14 @@ class TestServedProbability:
         for resolver in (None, *(PrecomputedResolver(dict.fromkeys(RESOLVED_FEATURES, v))
                                  for v in (1, -1))):
             server = PhishingServer(model, fusion, pcs, resolver)
-            for i, url in enumerate(PARITY_URLS):
+            vectors = [to_canonical_vector(extract_features(url, resolver))
+                       for url in PARITY_URLS]
+            # the row alone and the row in a batch of every URL's vector
+            batch = model.predict_proba(np.stack(vectors))
+            for i, (url, vector) in enumerate(zip(PARITY_URLS, vectors)):
                 reply = call(server, "classify_url", {"url": url}, f"r{i}")["result"]
-                vector = to_canonical_vector(extract_features(url, resolver))
-                # single row against single row: a linear or MLP model can
-                # score a row of a batch differently in the last bits
                 expected = float(model.predict_proba(vector))
+                assert expected == batch[i]
                 context = server.audit_log[-1]
                 assert np.array_equal(context.vector, vector)
                 assert context.probability == expected
