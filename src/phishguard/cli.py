@@ -9,10 +9,17 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import sys
 import time
 from itertools import zip_longest
 from pathlib import Path
+
+# No phishguard matrix is wider than 32 columns, so OpenBLAS threads buy
+# nothing and starting their pool costs 60-70 ms; a value the user set
+# is kept. It is read when numpy loads, which the package `__init__` does
+# not do.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

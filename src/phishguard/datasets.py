@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -100,8 +101,9 @@ def resolve_alias(name: str, available: dict[str, str]) -> str | None:
 
 def load_csv(path, provenance: str = "Unknown") -> Dataset:
     """Load a labeled CSV, remap Result {-1,1} to {0,1}, drop exact
-    duplicate rows (first occurrence wins). Each cell goes through
-    `float` into one array; the first faulty row in file order raises."""
+    duplicate rows (first occurrence wins). numpy's C reader parses the
+    body; what it refuses, or a label outside {-1, 0, 1}, goes through
+    `float` cell by cell, and the first faulty row in file order raises."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -114,21 +116,30 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
         if label_col is None:
             raise MissingLabelColumn(f"{path}: no 'label' or 'Result' column")
         feature_names = tuple(h for i, h in enumerate(header) if i != label_col)
-        faults: list[PhishguardError] = []
-        rows = _numeric_rows(reader, header, faults)
-        table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, len(header) + 1)
-
-    labels = table[:, label_col]
-    invalid = ~np.isin(labels, (-1, 0, 1))
-    if invalid.any():
-        row = table[np.argmax(invalid)]
-        raise InvalidLabel(int(row[-1]), float(row[label_col]))
-    if faults:
-        raise faults[0]
+        body = fh.read()
+        table = None
+        # numpy's C reader parses a number with `PyOS_string_to_double`, as
+        # float does, but warns on a body with no data and strips the ASCII
+        # separators \x1c-\x1f as whitespace. It reads the file again past
+        # the header, line by line: a StringIO of `body` takes 4 bytes a
+        # character.
+        if fh.seekable() and body.strip() and not any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+            fh.seek(0)
+            next(csv.reader(fh))
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', dtype=float,
+                                   ndmin=2)
+            except ValueError:
+                pass
+    # the row walk reads what the C reader refuses, and finds a bad label's row
+    if (table is None or table.shape[1] != len(header)
+            or not np.isin(table[:, label_col], (-1, 0, 1)).all()):
+        table = _walked(body, header, label_col)
     if not len(table):
         raise EmptyDataset(f"{path} has a header but no rows")
 
-    X = np.delete(table, [label_col, len(header)], axis=1)
+    labels = table[:, label_col]
+    X = np.delete(table, label_col, axis=1)
     y = np.where(labels == -1, 0, labels).astype(int)
     # the first row of each distinct (X bits, y) pair, which a stable sort
     # puts first: -0.0 and 0.0 differ, NaNs of equal bits are equal
@@ -138,6 +149,22 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
     first = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1) | (ys[1:] != ys[:-1])]
     keep = np.sort(order[first])
     return Dataset(X[keep], y[keep], feature_names, (provenance,) * len(keep))
+
+
+def _walked(body: str, header: list[str], label_col: int) -> np.ndarray:
+    """The rows of `body` through `float`, which reads "1_000" and "٣";
+    raises the first fault in row order: an invalid label, a ragged row
+    or a cell that is not a number."""
+    faults: list[PhishguardError] = []
+    rows = _numeric_rows(csv.reader(io.StringIO(body, newline="")), header, faults)
+    table = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, len(header) + 1)
+    invalid = ~np.isin(table[:, label_col], (-1, 0, 1))
+    if invalid.any():
+        row = table[np.argmax(invalid)]
+        raise InvalidLabel(int(row[-1]), float(row[label_col]))
+    if faults:
+        raise faults[0]
+    return table[:, :-1]
 
 
 def _numeric_rows(reader, header: list[str], faults: list):
@@ -178,10 +205,25 @@ def save_csv(ds: Dataset, path) -> None:
         writer.writerow(list(ds.feature_names) + ["label"])
         X = ds.X
         if np.all((np.abs(X) < 2**53) & (X == np.trunc(X))):
-            writer.writerows(np.column_stack([X.astype(np.int64), ds.y]).tolist())
+            table = np.column_stack([X.astype(np.int64), ds.y])
+            # in blocks of rows, so that the text's temporaries stay small
+            for start in range(0, len(table), 4096):
+                fh.write(_joined(table[start : start + 4096]))
             return
         for row, label in zip(X.tolist(), ds.y.tolist()):
             writer.writerow([int(v) if v.is_integer() else v for v in row] + [int(label)])
+
+
+def _joined(table: np.ndarray) -> str:
+    """Rows of ints as `csv.writer` writes them, through one join: each
+    distinct value becomes text once, with the comma after it, or the
+    line end when it ends a row."""
+    values, inverse = np.unique(table, return_inverse=True)
+    codes = inverse.reshape(table.shape)
+    codes[:, -1] += len(values)
+    texts = [str(v) for v in values.tolist()]
+    tokens = np.array([t + "," for t in texts] + [t + "\r\n" for t in texts], dtype=object)
+    return "".join(tokens[codes].ravel().tolist())
 
 
 def class_distribution(ds: Dataset) -> tuple[int, int]:

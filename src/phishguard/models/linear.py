@@ -58,7 +58,14 @@ class LinearModel(Scorer):
 
 
 def _loss_and_grad(w, b, X, y, loss: str, l2: float):
-    """Mean loss over the batch plus the smooth l2 term, with gradients.
+    """Mean loss over the batch plus the smooth l2 term, with gradients."""
+    grad_w, grad_b, mean_loss = _gradient(w, b, X, y, loss, l2)
+    return mean_loss() + 0.5 * l2 * float(w @ w), grad_w, grad_b
+
+
+def _gradient(w, b, X, y, loss: str, l2: float):
+    """Gradients of the mean loss over the batch plus the smooth l2 term,
+    and a function that computes the mean loss, which SGD never calls.
 
     y is in {0,1}; hinge uses the +-1 encoding internally.
     """
@@ -67,24 +74,29 @@ def _loss_and_grad(w, b, X, y, loss: str, l2: float):
     if loss == "logistic":
         p = sigmoid(margins)
         eps = 1e-12
-        value = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
         residual = (p - y) / n
+
+        def mean_loss():
+            return -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
     elif loss == "squared":
         target = 2.0 * y - 1.0
         diff = margins - target
-        value = 0.5 * np.mean(diff ** 2)
         residual = diff / n
+
+        def mean_loss():
+            return 0.5 * np.mean(diff ** 2)
     elif loss == "hinge":
         target = 2.0 * y - 1.0
         slack = np.maximum(0.0, 1.0 - target * margins)
-        value = np.mean(slack)
         residual = np.where(slack > 0, -target, 0.0) / n
+
+        def mean_loss():
+            return np.mean(slack)
     else:
         raise PhishguardError(f"unknown loss {loss!r}")
     grad_w = X.T @ residual + l2 * w
     grad_b = float(np.sum(residual))
-    value += 0.5 * l2 * float(w @ w)
-    return value, grad_w, grad_b
+    return grad_w, grad_b, mean_loss
 
 
 def _soft_threshold(w, amount):
@@ -185,8 +197,9 @@ def _run_sgd(X, y, w, b, loss, l1, l2, cfg):
             t += 1
             lr = cfg.learning_rate / (1.0 + 1e-3 * t)
             xi = X[i : i + 1]
-            _, gw, gb = _loss_and_grad(w, b, xi, y[i : i + 1], loss, l2)
-            w = _soft_threshold(w - lr * gw, lr * l1)
+            gw, gb, _ = _gradient(w, b, xi, y[i : i + 1], loss, l2)
+            # with no l1 the threshold returns its input bit for bit
+            w = w - lr * gw if l1 == 0.0 else _soft_threshold(w - lr * gw, lr * l1)
             b -= lr * gb
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise NonFiniteLoss("SGD diverged")

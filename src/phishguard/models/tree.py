@@ -110,6 +110,10 @@ class DecisionTree(Scorer):
         self.left = _node_indices(self.left)
         self.right = _node_indices(self.right)
         self.value = np.asarray(self.value, dtype=float)
+        if self.task not in ("classify", "regress"):
+            raise PhishguardError(f"unknown tree task {self.task!r}")
+        if type(self.max_depth) is not int or self.max_depth < 0:
+            raise PhishguardError(f"tree max_depth {self.max_depth!r} is no int of 0 or more")
         _check_nodes(self)
 
     @cached_property
@@ -134,8 +138,11 @@ def _node_indices(values) -> np.ndarray:
 
 def _check_nodes(tree: DecisionTree) -> None:
     """Reject node arrays the walk cannot follow: unequal lengths, a
-    feature out of range, a leaf that is not its own child, or a child
-    that does not come after its parent (which would allow a cycle)."""
+    feature out of range, a leaf that is not its own child, a child that
+    does not come after its parent (which would allow a cycle), or an
+    inner node's threshold that is not finite (every row would go right
+    at a NaN one). Training writes none of these; a leaf's value may be
+    NaN."""
     arrays = [getattr(tree, name) for name in NODE_ARRAYS]
     m = len(tree.feature)
     if m == 0 or any(a.ndim != 1 or len(a) != m for a in arrays):
@@ -152,6 +159,7 @@ def _check_nodes(tree: DecisionTree) -> None:
         or np.any(tree.right[inner] <= index[inner])
         or np.any(tree.left >= m)
         or np.any(tree.right >= m)
+        or not np.all(np.isfinite(tree.threshold[inner]))
     ):
         raise PhishguardError("malformed tree node arrays")
 

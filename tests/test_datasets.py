@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,10 +175,13 @@ def test_concatenate(toy_dataset):
 # ------------------------------------------------- the reference codec
 
 # cells that float() reads, that it does not, and that it reads to a
-# label outside {-1, 0, 1}
+# label outside {-1, 0, 1}; some on which numpy's C reader and float()
+# may part, as "\x1c1", which numpy strips to 1 and float() refuses
 NUMBER_CELLS = ["0", "1", "-1", "1.0", "-0.0", "0.0", " 1 ", "1_000", "٣", "nan",
-                "-nan", "inf", "-inf", "1e20", "2", "0.5", "-1e-300", '"1"', '"-1"', '" 0 "']
-OTHER_CELLS = ["", " ", "x", '"1,0"', "1__0", "--1", '"a ""b"""']
+                "-nan", "inf", "-inf", "1e20", "2", "0.5", "-1e-300", '"1"', '"-1"', '" 0 "',
+                "+1", ".5", "1.", "Infinity", "\t1"]
+OTHER_CELLS = ["", " ", "x", '"1,0"', "1__0", "--1", '"a ""b"""', "#1", "1#", "0x10", "1e",
+               "\x1c1"]
 
 
 @st.composite
@@ -242,8 +248,11 @@ def test_load_csv_agrees_with_the_reference(tmp_path, text):
     ("f,label\n\n1,0\n1,0\n\nx,5\n1\n", "value 'x' at row 4"),
     ("f,label\n,\n\n1,0\n\n1,nan\nx,1\n", "label nan at row 4"),
     ("f,label\n1,٣\n1,-1\n", "label 3.0 at row 0"),
+    ("label\n\nnan", "label nan at row 1"),
+    ("f,label\n1,0\n\x1c1,1\n", "value '\\x1c1' at row 1"),
 ], ids=["label_before_ragged", "ragged_before_non_numeric", "non_numeric_before_ragged",
-        "label_after_blank_rows", "non_ascii_digit_label"])
+        "label_after_blank_rows", "non_ascii_digit_label", "nan_label_after_a_blank_line",
+        "separator_numpy_strips"])
 def test_the_first_fault_in_row_order_raises(tmp_path, text, fault):
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8")
@@ -251,6 +260,20 @@ def test_the_first_fault_in_row_order_raises(tmp_path, text, fault):
         load_csv(path)
     assert fault in str(err.value)
     assert str(err.value) == str(outcome(csv_reference.load_csv, path))
+
+
+def test_load_csv_reads_a_pipe(tmp_path):
+    # a pipe cannot be read twice, so the row walk reads it
+    text = "f,label\n1,0\n1,0\n-1,1\n"
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    probe = ("from phishguard.datasets import load_csv\n"
+             "ds = load_csv('/dev/stdin')\nprint(ds.X.tolist(), ds.y.tolist())")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], input=text, capture_output=True,
+                         text=True, check=True, env=env).stdout
+    ds = load_csv(path)
+    assert out.strip() == f"{ds.X.tolist()} {ds.y.tolist()}"
 
 
 def test_dedup_follows_the_bits_and_the_remapped_label(tmp_path):

@@ -208,3 +208,45 @@ def test_the_cli_imports_only_what_its_subcommand_runs(small_csv, tmp_path):
 
 def test_the_parser_offers_the_robustness_strategies():
     assert cli.STRATEGIES == robustness.STRATEGIES
+
+
+def fresh_env(**extra) -> dict[str, str]:
+    """This process's environment and import path for a child, without
+    OPENBLAS_NUM_THREADS unless `extra` sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": os.pathsep.join(sys.path), **extra}
+
+
+def blas_threads_after(statement: str, **env) -> str:
+    """OPENBLAS_NUM_THREADS in a fresh process after `statement`."""
+    probe = f"import os\n{statement}\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env=fresh_env(**env)).stdout.strip()
+
+
+def test_the_cli_starts_single_threaded_blas():
+    # no matrix is wide enough for a BLAS thread pool to pay for its start
+    assert blas_threads_after("import phishguard.cli") == "1"
+
+
+def test_the_cli_keeps_a_blas_thread_count_the_user_set():
+    assert blas_threads_after("import phishguard.cli", OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_the_library_leaves_the_blas_settings_alone():
+    assert blas_threads_after("import phishguard.datasets") == "None"
+
+
+def test_an_mlp_file_does_not_follow_the_cpu_count(tmp_path):
+    # an MLP's bits follow the BLAS thread count, which the CLI fixes
+    # unless the user sets it; 2,000 rows are enough for OpenBLAS to
+    # split a product over threads where the machine has several CPUs
+    save_csv(make_ternary_dataset(n=2000, seed=1), tmp_path / "d.csv")
+    files = []
+    for env in (fresh_env(), fresh_env(OPENBLAS_NUM_THREADS="1")):
+        out = tmp_path / f"mlp{len(files)}.json"
+        subprocess.run([sys.executable, "-m", "phishguard.cli", "train", str(tmp_path / "d.csv"),
+                        "--model", "mlp", "--folds", "2", "--out", str(out)],
+                       capture_output=True, check=True, env=env)
+        files.append(out.read_bytes())
+    assert files[0] == files[1]

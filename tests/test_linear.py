@@ -13,6 +13,7 @@ from phishguard.models import (
     train_linear,
 )
 from phishguard.models.common import Standardizer, sigmoid, stratified_fold_indices
+from phishguard.models.linear import _loss_and_grad, _run_sgd, _soft_threshold
 
 from conftest import make_ternary_dataset
 
@@ -24,6 +25,21 @@ def separable_dataset(n=120, seed=0):
     # push the classes apart so they are strictly separable
     X[:, 0] += np.where(y == 1, 2.0, -2.0)
     return Dataset(X, y, ("a", "b", "c"))
+
+
+def reference_sgd(X, y, w, b, loss, l1, l2, cfg):
+    """`_run_sgd`'s loop as it was when each step also computed the loss
+    value and ran the l1 threshold at l1 = 0: its oracle."""
+    rng = np.random.default_rng(cfg.seed)
+    t = 0
+    for _ in range(cfg.max_epochs):
+        for i in rng.permutation(len(y)):
+            t += 1
+            lr = cfg.learning_rate / (1.0 + 1e-3 * t)
+            _, gw, gb = _loss_and_grad(w, b, X[i : i + 1], y[i : i + 1], loss, l2)
+            w = _soft_threshold(w - lr * gw, lr * l1)
+            b -= lr * gb
+    return w, b
 
 
 class TestSigmoid:
@@ -71,6 +87,16 @@ class TestTrainLinear:
         model = train_linear(ds, loss="logistic", sgd=True,
                              cfg=TrainConfig(max_epochs=50, seed=1))
         assert np.mean(model.predict(ds.X) == ds.y) >= 0.95
+
+    @pytest.mark.parametrize("loss, l1, l2", [("logistic", 0.0, 0.0), ("logistic", 0.02, 0.0),
+                                              ("hinge", 0.0, 0.1), ("squared", 0.01, 0.05)])
+    def test_sgd_steps_match_the_reference_loop_bit_for_bit(self, loss, l1, l2):
+        ds = make_ternary_dataset(n=300, seed=4)
+        X, y = Standardizer().fit(ds.X).transform(ds.X), ds.y.astype(float)
+        cfg = TrainConfig(max_epochs=3, seed=2)
+        w, b = _run_sgd(X, y, np.zeros(X.shape[1]), 0.0, loss, l1, l2, cfg)
+        w_ref, b_ref = reference_sgd(X, y, np.zeros(X.shape[1]), 0.0, loss, l1, l2, cfg)
+        assert (w.tobytes(), float(b).hex()) == (w_ref.tobytes(), float(b_ref).hex())
 
     def test_logistic_beats_chance_on_ternary(self):
         ds = make_ternary_dataset(seed=5)

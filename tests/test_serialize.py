@@ -351,6 +351,14 @@ MALFORMED = [
     ("linear", _array_item("infinite_scale", float("inf"), "scale", 0)),
     ("linear", _array_item("zero_scale", 0.0, "scale", 0)),
     ("mlp", _array_item("negative_scale", -1.0, "scale", 0)),
+    # a tree's task is one that training knows, its depth a count, and an
+    # inner node's threshold finite (at NaN every row would go right)
+    ("tree", _set_param("task", "bogus", "unknown")),
+    ("gbt", _array_item("unknown_member_task", "bogus", "members", 0, "task")),
+    ("tree", _set_param("max_depth", -7, "negative")),
+    ("forest", _array_item("negative_member_depth", -1, "members", 0, "max_depth")),
+    ("tree", _array_item("nan_root_threshold", float("nan"), "threshold", 0)),
+    ("gbt", _array_item("infinite_root_threshold", float("-inf"), "members", 0, "threshold", 0)),
 ]
 
 
@@ -398,6 +406,7 @@ MALFORMED_FILES = {
     "version_true": ("linear", _version_true),
     "unknown_mode": ("forest", _set_param("mode", "bogus", "unknown")),
     "nan_bias": ("mlp", _array_item("nan_bias", float("nan"), "biases", 0, 0)),
+    "nan_threshold": ("tree", _array_item("nan_root_threshold", float("nan"), "threshold", 0)),
 }
 
 
