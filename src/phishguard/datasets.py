@@ -141,14 +141,27 @@ def load_csv(path, provenance: str = "Unknown") -> Dataset:
     labels = table[:, label_col]
     X = np.delete(table, label_col, axis=1)
     y = np.where(labels == -1, 0, labels).astype(int)
-    # the first row of each distinct (X bits, y) pair, which a stable sort
-    # puts first: -0.0 and 0.0 differ, NaNs of equal bits are equal
-    bits = X.view(np.uint64)
-    order = np.lexsort((y, *bits.T))
-    bits, ys = bits[order], y[order]
-    first = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1) | (ys[1:] != ys[:-1])]
-    keep = np.sort(order[first])
+    # the first row of each distinct (X bits, y) pair
+    keep = np.sort(distinct_rows(np.column_stack([X, y]))[0])
     return Dataset(X[keep], y[keep], feature_names, (provenance,) * len(keep))
+
+
+def distinct_rows(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for a float matrix M: the index of the first of
+    each bit-distinct row, and each row's place in `first`, so
+    M[first][inverse] is M bit for bit. -0.0 and 0.0 differ; NaNs of
+    equal bits are equal."""
+    bits = np.ascontiguousarray(M, dtype=float).view(np.uint64)
+    # one stable sort of whole rows, each seen as one opaque value, puts
+    # bit-equal rows side by side, lowest index first
+    rows = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    ordered = bits[order]
+    starts = np.ones(len(M), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(M), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def _walked(body: str, header: list[str], label_col: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..datasets import distinct_rows
 from ..errors import DegeneratePerturbations
 from ..models.common import Standardizer
 
@@ -22,22 +23,6 @@ def _perturbation_plan(seed, n_perturb: int, d: int, n_background: int):
     rows = rng.integers(0, n_background, size=(n_perturb, d))
     flips.flags.writeable = rows.flags.writeable = False
     return flips, rows
-
-
-def _distinct_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): the index of one row per bit-distinct row of Z,
-    and each row's place in `first`, so Z[first][inverse] is Z bit for
-    bit."""
-    bits = np.ascontiguousarray(Z).view(np.uint64)
-    # a stable sort on every column's bits puts bit-equal rows side by
-    # side, lowest index first
-    order = np.lexsort(bits.T)
-    ordered = bits[order]
-    starts = np.ones(len(Z), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(Z), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
 
 
 def lime_explain(
@@ -78,7 +63,7 @@ def lime_explain(
     dist_sq = ((Zs - xs) ** 2).sum(axis=1)
     proximity = np.exp(-dist_sq / kernel_width ** 2)
 
-    first, inverse = _distinct_rows(Z)
+    first, inverse = distinct_rows(Z)
     targets = np.asarray(scorer(Z[first]), dtype=float)[inverse]
     # weighted ridge on [Zs | 1]; the intercept column is not penalized
     design = np.hstack([Zs, np.ones((n_perturb, 1))])

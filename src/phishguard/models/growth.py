@@ -12,10 +12,10 @@ particular order (Breiman, 2001). Nodes are numbered as they are made
 and renumbered to preorder at the end, so a tree's node arrays are
 those of growing it depth first.
 
-A leaf's value with 0/1 labels is its count of ones over its row count,
-which is the mean exactly; any other mean, and a regression leaf's
-sum(y) / sum(hessian), add the leaf's rows in the tree's order
-(ascending for a tree on every row).
+A classification tree takes labels 0 and 1: a leaf's value is its
+count of ones over its row count, which is the mean exactly. A
+regression leaf's sum(y) / sum(hessian) adds the leaf's rows in the
+tree's order (ascending for a tree on every row).
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def grow_trees(
     """Node arrays, in preorder, of one tree per entry of `rngs`, each
     tree's generator (None for a tree that draws nothing). Tree t trains
     on the rows `samples[t]` of X (float), in that order (a bootstrap
-    sample repeats rows), or on every row if `samples` is None, and
-    regression reads each row's `hessian` (1 if None). A node is a leaf
+    sample repeats rows), or on every row if `samples` is None.
+    Classification takes labels `y` of 0 and 1; regression reads each
+    row's `hessian` (1 if None). A node is a leaf
     when it holds one row, its targets are all equal or it is at
     `max_depth`, or when no feature splits it. `fitted`, an array of
     one float per row, receives each row's leaf value when one tree
@@ -133,14 +134,17 @@ def grow_trees(
     n_rows, d = X.shape
     if n_rows == 0:
         raise EmptyDataset("cannot grow a tree on no samples")
+    classify = task == "classify"
+    # the bins count each label into its row's keys
+    if classify and not np.all((y == 0) | (y == 1)):
+        raise PhishguardError("a classification tree takes labels 0 and 1 only")
     random = split_mode == "random"
-    if random and task != "classify":
+    if random and not classify:
         raise PhishguardError("split_mode='random' (extra-trees) supports task='classify' only")
     subsets = rngs[0] is not None and n_feature_subset is not None and n_feature_subset < d
     if bins is None:
         bins = _Bins.of(X, y, task)
-    two = task == "classify" and bool(np.all((y == 0) | (y == 1)))
-    if task != "classify" and hessian is None:
+    if not classify and hessian is None:
         hessian = np.ones(n_rows)
     # per tree, the nodes of its next depth, (rows, nodes, sizes, depth),
     # or None
@@ -152,13 +156,12 @@ def grow_trees(
         """Make the nodes `at` leaves; node i holds rows[starts[i]:starts[i + 1]],
         whose targets are `ys` if given."""
         sizes = np.diff(starts)
-        if two:
+        if classify:
             # the mean of 0/1 targets: an exact count over the row count
             ys = y[rows] if ys is None else ys
             values = np.add.reduceat(ys, starts[:-1])[at] / sizes[at]
         else:
-            # the mean (a sum over an integer count), or sum(y) / sum(hessian)
-            values = [y[rows[a:b]].sum() / (b - a if hessian is None else hessian[rows[a:b]].sum())
+            values = [y[rows[a:b]].sum() / hessian[rows[a:b]].sum()
                       for a, b in zip(starts[at], starts[at + 1])]
         table.add(owner[at], ids[at], depth[at], LEAF, ids[at], values)
         if fitted is not None:
@@ -171,7 +174,7 @@ def grow_trees(
         their values, the others are their tree's next depth."""
         starts = _starts(sizes)
         ys = y[rows]
-        if two:
+        if classify:
             ones = np.add.reduceat(ys, starts[:-1])
             pure = (ones == 0) | (ones == sizes)
         else:
@@ -214,9 +217,8 @@ def grow_trees(
         owner, depth = np.repeat(trees, counts), np.repeat(depth, counts)
         n = len(sizes)
         starts = _starts(sizes)
-        # the search reads the targets of counted 0/1 labels from the bins
-        ys = None if two else y[rows]
-        hs = None if hessian is None else hessian[rows]
+        # classification's labels are in the bins' keys
+        ys, hs = (None, None) if classify else (y[rows], hessian[rows])
         features = None
         if subsets:
             # one uniform key per (node, feature) in one call per tree; a

@@ -2,8 +2,8 @@
 
 Losses: logistic (binary cross-entropy), hinge, squared. Regularizers:
 none, l1, l2, elastic. L1 is handled by proximal soft-thresholding after
-each gradient step, so no subgradient hackery is needed. An optional
-seeded SGD schedule covers the stochastic variant.
+each gradient step, so no subgradient hackery is needed. A seeded SGD
+schedule trains the unregularized logistic loss (the `sgd` kind).
 """
 
 from __future__ import annotations
@@ -58,14 +58,7 @@ class LinearModel(Scorer):
 
 
 def _loss_and_grad(w, b, X, y, loss: str, l2: float):
-    """Mean loss over the batch plus the smooth l2 term, with gradients."""
-    grad_w, grad_b, mean_loss = _gradient(w, b, X, y, loss, l2)
-    return mean_loss() + 0.5 * l2 * float(w @ w), grad_w, grad_b
-
-
-def _gradient(w, b, X, y, loss: str, l2: float):
-    """Gradients of the mean loss over the batch plus the smooth l2 term,
-    and a function that computes the mean loss, which SGD never calls.
+    """Mean loss over the batch plus the smooth l2 term, with gradients.
 
     y is in {0,1}; hinge uses the +-1 encoding internally.
     """
@@ -75,28 +68,22 @@ def _gradient(w, b, X, y, loss: str, l2: float):
         p = sigmoid(margins)
         eps = 1e-12
         residual = (p - y) / n
-
-        def mean_loss():
-            return -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+        mean_loss = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
     elif loss == "squared":
         target = 2.0 * y - 1.0
         diff = margins - target
         residual = diff / n
-
-        def mean_loss():
-            return 0.5 * np.mean(diff ** 2)
+        mean_loss = 0.5 * np.mean(diff ** 2)
     elif loss == "hinge":
         target = 2.0 * y - 1.0
         slack = np.maximum(0.0, 1.0 - target * margins)
         residual = np.where(slack > 0, -target, 0.0) / n
-
-        def mean_loss():
-            return np.mean(slack)
+        mean_loss = np.mean(slack)
     else:
         raise PhishguardError(f"unknown loss {loss!r}")
     grad_w = X.T @ residual + l2 * w
     grad_b = float(np.sum(residual))
-    return grad_w, grad_b, mean_loss
+    return mean_loss + 0.5 * l2 * float(w @ w), grad_w, grad_b
 
 
 def _soft_threshold(w, amount):
@@ -113,13 +100,15 @@ def train_linear(
     sgd: bool = False,
 ) -> LinearModel:
     """Minimize the regularized empirical risk with deterministic
-    full-batch descent (backtracking line search), or a seeded SGD
-    schedule when `sgd` is set."""
+    full-batch descent (backtracking line search), or, when `sgd` is
+    set, the unregularized logistic loss with a seeded SGD schedule."""
     cfg = cfg or TrainConfig()
     if loss not in LOSSES:
         raise PhishguardError(f"unknown loss {loss!r}")
     if regularization not in REGULARIZERS:
         raise PhishguardError(f"unknown regularization {regularization!r}")
+    if sgd and (loss, regularization) != ("logistic", "none"):
+        raise PhishguardError("SGD trains the logistic loss with no regularization only")
     if regularization == "none":
         l1 = l2 = 0.0
     elif regularization == "l1":
@@ -140,7 +129,7 @@ def train_linear(
     b = 0.0
 
     if sgd:
-        w, b = _run_sgd(X, y, w, b, loss, l1, l2, cfg)
+        w, b = _run_sgd(X, y, w, b, cfg)
     else:
         w, b = _run_batch(X, y, w, b, loss, l1, l2, cfg)
 
@@ -187,7 +176,9 @@ def _run_batch(X, y, w, b, loss, l1, l2, cfg):
     return w, b
 
 
-def _run_sgd(X, y, w, b, loss, l1, l2, cfg):
+def _run_sgd(X, y, w, b, cfg):
+    """Logistic-loss steps on one row at a time, in a fresh seeded order
+    each epoch, with the learning rate decaying as 1 / (1 + 1e-3 t)."""
     rng = np.random.default_rng(cfg.seed)
     n = len(y)
     t = 0
@@ -197,10 +188,9 @@ def _run_sgd(X, y, w, b, loss, l1, l2, cfg):
             t += 1
             lr = cfg.learning_rate / (1.0 + 1e-3 * t)
             xi = X[i : i + 1]
-            gw, gb, _ = _gradient(w, b, xi, y[i : i + 1], loss, l2)
-            # with no l1 the threshold returns its input bit for bit
-            w = w - lr * gw if l1 == 0.0 else _soft_threshold(w - lr * gw, lr * l1)
-            b -= lr * gb
+            residual = sigmoid(xi @ w + b) - y[i : i + 1]
+            w = w - lr * (xi.T @ residual)
+            b -= lr * float(residual[0])
         if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise NonFiniteLoss("SGD diverged")
     return w, b

@@ -23,20 +23,20 @@ than 8 bins per cell (deep nodes over many-valued columns) sorts its
 codes instead of counting every bin, so its cost follows its rows. No
 temporary is a float matrix of rows by features.
 
-Classification splits minimise weighted Gini impurity; regression
-splits (boosting's rounds) maximise XGBoost's second-order gain
-G_L²/H_L + G_R²/H_R - G²/H (Chen & Guestrin, 2016) over each side's
-sums of the rows' targets g and hessians h. The splits are exactly
-those of scanning each column at each node, the oracle kept in
-tests/test_tree_ensemble.py, so model files do not depend on the method:
-- Gini, labels 0 and 1: per-bin counts are integers, so their prefix
+Classification splits (labels 0 and 1) minimise weighted Gini
+impurity; regression splits (boosting's rounds) maximise XGBoost's
+second-order gain G_L²/H_L + G_R²/H_R - G²/H (Chen & Guestrin, 2016)
+over each side's sums of the rows' targets g and hessians h. The splits
+are exactly those of scanning each column at each node, the oracle kept
+in tests/test_tree_ensemble.py, so model files do not depend on the
+method:
+- Gini: per-bin counts of zeros and ones are integers, so their prefix
   sums equal the scan's cumulative sums, and each score is the same
   floating-point expression of the same numbers.
-- Other labels, and the gain: `np.bincount(weights=...)` adds each
-  bin's labels, or g and h, in the node's row order, and running sums
-  over a segment's present bins, ascending, give the left side's and
-  (the last) the node's. Float sums depend on the order of additions;
-  this is the scan's.
+- The gain: `np.bincount(weights=...)` adds each bin's g and h in the
+  node's row order, and running sums over a segment's present bins,
+  ascending, give the left side's and (the last) the node's. Float sums
+  depend on the order of additions; this is the scan's.
 - Ties: within a feature the first (lowest threshold) minimum; across
   features, taken in ascending order, a later feature wins only with a
   score lower by more than 1e-15.
@@ -62,20 +62,20 @@ class _Bins:
 
     Column j's distinct values, ascending (`np.unique`), are its bins,
     `level[start[j]:start[j] + size[j]]`. `key[j]` holds each cell's bin
-    number within the column or, when the labels are all 0 or 1 (`width`
-    2), twice that plus the row's label; with `width` 1 a search sums
-    the labels, or targets and hessians, of each bin's rows.
+    number within the column or, for classification (`width` 2, labels
+    0 and 1), twice that plus the row's label; a regression search sums
+    the targets and hessians of each bin's rows.
     """
 
     key: np.ndarray  # (features, rows), the smallest unsigned dtype that fits
     start: np.ndarray  # (features,) where each feature's bins start in `level`
     size: np.ndarray  # (features,) bins per feature
-    width: int  # histogram columns per bin: 2 (zeros, ones) or 1 (count)
+    width: int  # key codes per bin: 2 (label 0, label 1) to classify, else 1
     level: np.ndarray  # (bins,) the value of each bin
 
     @classmethod
     def of(cls, X: np.ndarray, y: np.ndarray, task: str) -> "_Bins":
-        width = 2 if task == "classify" and np.all((y == 0) | (y == 1)) else 1
+        width = 2 if task == "classify" else 1
         columns = []
         for j, column in enumerate(X.T):
             levels, codes = np.unique(column, return_inverse=True)
@@ -103,8 +103,8 @@ class _Bins:
     def best_splits(self, cells, starts, features, ys, hs, rngs, owner):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
-        with targets `ys[starts[i]:starts[i + 1]]` (read only for `width`
-        1) and hessians `hs[...]` (None for classification), and is
+        with targets `ys[starts[i]:starts[i + 1]]` and hessians `hs[...]`
+        (both None for classification, which counts labels), and is
         searched over `features[i]` (ascending), or over every
         feature if `features` is None. `split[i]` is False where no
         feature splits node i. `rngs` is None, or the trees' generators:
@@ -172,39 +172,41 @@ class _Bins:
             codes = self.key.ravel()[features[node].T * self.key.shape[1] + rows]
             return codes + w * bounds[:-1].reshape(nn, k)[node].T
 
-        # per-bin sums of labels other than 0/1, or of targets g and
-        # hessians h; bincount adds each bin's in the node's row order
-        weights = [] if w == 2 else [ys] if hs is None else [ys, hs]
+        # per bin, classification's counts of labels 0 and 1 or
+        # regression's sums of targets g and hessians h, which bincount
+        # adds in the node's row order
+        classify = hs is None
         if bounds[-1] <= 8 * len(rows) * k:
-            hist = np.zeros(w * int(bounds[-1]), dtype=np.intp)
-            sums = np.zeros((int(bounds[-1]), len(weights)))
+            hist = np.zeros((int(bounds[-1]), 2), dtype=np.intp if classify else float)
             # each cell's weight, for `step` features of the rows
-            weights = [np.tile(v, step) for v in weights]
+            weights = [] if classify else [np.tile(v, step) for v in (ys, hs)]
             for c in range(0, k, step):
                 cells = index(c, min(c + step, k)).ravel()
-                if hs is None:
+                if classify:
                     counts = np.bincount(cells)
-                    hist[w * bounds[c]:w * bounds[c] + len(counts)] = counts
+                    hist.ravel()[2 * bounds[c]:2 * bounds[c] + len(counts)] = counts
                 for j, v in enumerate(weights):
                     counts = np.bincount(cells, weights=v[:len(cells)])
-                    sums[bounds[c]:bounds[c] + len(counts), j] = counts
+                    hist[bounds[c]:bounds[c] + len(counts), j] = counts
             del cells, counts, weights
-            hist = hist.reshape(-1, w)
-            # a bin is present if it counts a row (with one column, twice)
-            # or, in regression, which counts none, if its hessians sum above 0
-            present = np.flatnonzero(hist[:, 0] + hist[:, -1] if hs is None else sums[:, 1])
-            hist, sums = hist[present], sums[present]
+            # a bin is present if it counts a row or, in regression, if its
+            # hessians sum above 0
+            present = np.flatnonzero(hist[:, 0] + hist[:, 1] if classify else hist[:, 1])
+            hist = hist[present]
         else:
             # a run with more than 8 bins per cell, as deep nodes over
             # many-valued columns have, sorts its cells instead of counting
             # every bin; both give the same histogram
             keys, cells, counts = np.unique(index(0, k).ravel(), return_inverse=True,
                                             return_counts=True)
-            present, inverse = np.unique(keys // w, return_inverse=True)
-            hist = np.zeros((len(present), w), dtype=np.intp)
-            hist[inverse, keys % w] = counts
-            # with weights, w is 1: the keys are the present bins
-            sums = np.array([np.bincount(cells, weights=np.tile(v, k)) for v in weights]).T
+            if classify:
+                present, inverse = np.unique(keys // 2, return_inverse=True)
+                hist = np.zeros((len(present), 2), dtype=np.intp)
+                hist[inverse, keys % 2] = counts
+            else:
+                # one key per bin: the keys are the present bins
+                present = keys
+                hist = np.array([np.bincount(cells, weights=np.tile(v, k)) for v in (ys, hs)]).T
             del cells
         segment = np.searchsorted(bounds, present, side="right") - 1
         level = self.level[(self.start[feature] - bounds[:-1])[segment] + present]
@@ -237,20 +239,7 @@ class _Bins:
             return split, 0, 0.0
         owner = segment[at]
         del segment
-        if w == 1:
-            # running sums over each segment's present bins, ascending, from
-            # its first (segments of one length together); the last is the node's
-            lengths = np.diff(first)
-            for length in np.flatnonzero(np.bincount(lengths)).tolist():
-                bins = first[:-1][lengths == length, None] + np.arange(length)
-                sums[bins] = np.cumsum(sums[bins], axis=1)
-            total = sums[first[1:] - 1]
-        if hs is not None:
-            # minus the second-order gain, less the node's G²/H
-            g_l, h_l = sums[at].T
-            g_r, h_r = (total[owner] - sums[at]).T
-            score = -(g_l * g_l / h_l + g_r * g_r / h_r)
-        else:
+        if classify:
             # running counts over the run's present bins; the counts before
             # segment s, edges[s], are those of the segments before it
             cum = np.cumsum(hist, axis=0, out=hist)
@@ -259,7 +248,7 @@ class _Bins:
             left = cum[at]
             del cum, hist
             left -= edges[owner]
-            nl = left[:, 0] + left[:, 1] if w == 2 else left[:, 0]
+            nl = left[:, 0] + left[:, 1]
             m = sizes[owner // k]
             # a midpoint leaves a row on each side, as the present levels on
             # either side hold one each; a draw may leave the right empty
@@ -268,12 +257,21 @@ class _Bins:
                 if len(valid) == 0:
                     return split, 0, 0.0
                 at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))
-            if w == 2:
-                ones_l, ones = left[:, 1], np.diff(edges[:, 1])[owner]
-            else:
-                ones_l, ones = sums[at, 0], total[owner, 0]
+            ones_l, ones = left[:, 1], np.diff(edges[:, 1])[owner]
             score = (_gini if rngs is None else _mean_gini)(nl, ones_l, ones, m)
             del left, nl, m, ones_l, ones
+        else:
+            # running sums over each segment's present bins, ascending, from
+            # its first (segments of one length together); the last is the node's
+            lengths = np.diff(first)
+            for length in np.flatnonzero(np.bincount(lengths)).tolist():
+                bins = first[:-1][lengths == length, None] + np.arange(length)
+                hist[bins] = np.cumsum(hist[bins], axis=1)
+            total = hist[first[1:] - 1]
+            # minus the second-order gain, less the node's G²/H
+            g_l, h_l = hist[at].T
+            g_r, h_r = (total[owner] - hist[at]).T
+            score = -(g_l * g_l / h_l + g_r * g_r / h_r)
         # per segment, the lowest score and its first (lowest threshold)
         # candidate, as np.argmin takes it: the first NaN if there is one
         low = np.full(len(feature), np.inf)

@@ -1,6 +1,5 @@
-"""CART decision trees with Gini (classification) or squared-error
-(regression) splits, plus the random-threshold mode of extra-trees
-(classification only).
+"""CART decision trees with Gini (classification, labels 0 and 1) or
+second-order gain (regression) splits.
 
 Trees are grown in `growth` (`grow_trees`), a depth at a time. Every
 tree, extra-trees included, finds its splits in `splits` from
@@ -170,31 +169,24 @@ def build_tree(
     *,
     task: str = "classify",
     max_depth: int = 8,
-    split_mode: str = "best",
-    rng: np.random.Generator | None = None,
-    n_feature_subset: int | None = None,
     hessian=None,
     feature_names: tuple[str, ...] = (),
     _bins: _Bins | None = None,
     _fitted: np.ndarray | None = None,
 ) -> DecisionTree:
-    """Greedy top-down tree induction.
+    """Greedy top-down tree induction, with the best split at each node.
 
-    A tree with `split_mode="random"` (extra-trees) or a feature subset
-    draws from `rng`, depth by depth. A regression tree reads each row's
-    `hessian` (positive, default 1): splits maximise the second-order
-    gain, and a leaf's value is sum(y) / sum(hessian), by default the
-    mean. For boosting, `_bins`, the binning of X from `_Bins.of`, bins
-    its matrix once for every round, and `_fitted` receives each row's
-    leaf value.
+    A classification tree takes labels 0 and 1. A regression tree reads
+    each row's `hessian` (positive, default 1): splits maximise the
+    second-order gain, and a leaf's value is sum(y) / sum(hessian), by
+    default the mean. For boosting, `_bins`, the binning of X from
+    `_Bins.of`, bins its matrix once for every round, and `_fitted`
+    receives each row's leaf value.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    [nodes] = grow_trees(
-        X, y, [rng],
-        task=task, max_depth=max_depth, split_mode=split_mode,
-        n_feature_subset=n_feature_subset, hessian=hessian, bins=_bins, fitted=_fitted,
-    )
+    [nodes] = grow_trees(X, y, [None], task=task, max_depth=max_depth, split_mode="best",
+                         hessian=hessian, bins=_bins, fitted=_fitted)
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth,
                         task=task, feature_names=feature_names)
 

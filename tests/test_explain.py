@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ternary_dataset
-from phishguard.datasets import Dataset
+from phishguard.datasets import Dataset, distinct_rows
 from phishguard.errors import (
     DegeneratePerturbations,
     EmptyFeatureSets,
@@ -20,7 +20,7 @@ from phishguard.explain import (
     shap_linear,
     shap_sampled,
 )
-from phishguard.explain.lime import _distinct_rows, _perturbation_plan
+from phishguard.explain.lime import _perturbation_plan
 from phishguard.features import extract_features, to_canonical_vector
 from phishguard.generate import GenerationConfig, generate_synthetic_urls
 from phishguard.models import (
@@ -417,7 +417,7 @@ class TestLimeScoresDistinctRows:
         rng = np.random.default_rng(d)
         for n, levels in ((1, 2), (50, 2), (50, len(pool)), (500, 3), (500, len(pool))):
             Z = rng.choice(rng.permutation(pool)[:levels], size=(n, d))
-            first, inverse = _distinct_rows(Z)
+            first, inverse = distinct_rows(Z)
             bits = Z.view(np.uint64)
             assert np.array_equal(bits[first][inverse], bits)
             assert len(np.unique(bits[first], axis=0)) == len(first)

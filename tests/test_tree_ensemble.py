@@ -13,6 +13,7 @@ from phishguard.metrics import auc_metric, cross_validate
 from phishguard.models import build_tree, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
+from phishguard.models.growth import grow_trees
 from phishguard.models.serialize import model_to_dict
 from phishguard.models.splits import _Bins, _mean_gini
 from phishguard.models.tree import LEAF, NODE_ARRAYS, DecisionTree
@@ -318,11 +319,9 @@ def random_split_problem(rng):
             column = rng.choice([np.nan, -1.0, 0.0, 3.0], size=n)
         columns.append(column)
     X = np.column_stack(columns)
-    target = rng.choice(["labels", "wide_labels", "regress", "cancelling"])
+    target = rng.choice(["labels", "regress", "cancelling"])
     if target == "labels":
         task, y = "classify", (X[:, 0] + rng.normal(0, 1, n) > 0).astype(float)
-    elif target == "wide_labels":  # classify labels outside {0, 1}
-        task, y = "classify", rng.integers(0, 3, size=n).astype(float)
     elif target == "regress":
         task, y = "regress", rng.normal(0, 1, n).round(int(rng.integers(0, 4)))
     else:  # float sums that depend on the order of the additions
@@ -338,6 +337,17 @@ def random_split_problem(rng):
         hessian[rng.random(n) < 0.2] = 1e-12
         settings["hessian"] = hessian
     return X, y, settings
+
+
+def grown_tree(X, y, *, task="classify", max_depth=8, rng=None, split_mode="best",
+               n_feature_subset=None, hessian=None):
+    """One tree from grow_trees with a forest's draws from `rng`: feature
+    subsets, or extra-trees' thresholds with split_mode="random"."""
+    X = np.asarray(X, dtype=float)
+    [nodes] = grow_trees(X, np.asarray(y, dtype=float), [rng], task=task, max_depth=max_depth,
+                         split_mode=split_mode, n_feature_subset=n_feature_subset,
+                         hessian=hessian)
+    return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth, task=task)
 
 
 def document(tree):
@@ -382,7 +392,7 @@ class TestBinnedSplitSearch:
             X, y, settings = random_split_problem(rng)
             seed = int(rng.integers(2 ** 32))
             subset = settings["n_feature_subset"] is not None
-            binned = build_tree(X, y, **settings,
+            binned = grown_tree(X, y, **settings,
                                 rng=np.random.default_rng(seed) if subset else None)
             oracle = reference_tree(X, y, **settings,
                                     rng=np.random.default_rng(seed) if subset else None)
@@ -408,14 +418,14 @@ class TestBinnedSplitSearch:
             seed = int(rng.integers(2 ** 32))
             if settings["task"] != "classify":
                 continue
-            seen.add((bool(np.all((y == 0) | (y == 1))), settings["n_feature_subset"] is None))
-            binned = build_tree(X, y, **settings, split_mode="random",
+            seen.add(settings["n_feature_subset"] is None)
+            binned = grown_tree(X, y, **settings, split_mode="random",
                                 rng=np.random.default_rng(seed))
             oracle = reference_tree(X, y, **settings, split_mode="random",
                                     rng=np.random.default_rng(seed))
             assert document(binned) == document(oracle), (trial, settings)
-        # 0/1 and wide labels, each with and without feature subsets
-        assert len(seen) == 4
+        # with and without feature subsets
+        assert len(seen) == 2
 
     def test_drawn_split_scores_as_the_raw_column_scorer(self):
         # the scalar scorer's `p ** 2` is C pow, which rounds differently
@@ -435,8 +445,26 @@ class TestBinnedSplitSearch:
     def test_random_mode_refuses_regression(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         with pytest.raises(PhishguardError):
-            build_tree(X, np.array([0.5, 1.5, 2.5, 4.0]), task="regress", split_mode="random",
+            grown_tree(X, np.array([0.5, 1.5, 2.5, 4.0]), task="regress", split_mode="random",
                        rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("label", [2.0, -1.0, np.nan])
+    @pytest.mark.parametrize("fit", [
+        lambda ds: train_tree(ds, max_depth=3),
+        lambda ds: train_forest(ds, n_trees=2, mode="bagging"),
+        lambda ds: train_forest(ds, n_trees=2, mode="extra"),
+        lambda ds: build_tree(ds.X, ds.y, max_depth=3),
+    ], ids=["train_tree", "bagging", "extra", "build_tree"])
+    def test_classification_refuses_labels_other_than_0_and_1(self, fit, label, monkeypatch):
+        def binned(*args):
+            raise AssertionError("labels reached the bins")
+
+        monkeypatch.setattr(_Bins, "of", binned)
+        ds = make_ternary_dataset(n=40, seed=6)
+        # a Dataset holds integer labels; a float array carries NaN
+        ds.y = np.where(np.arange(len(ds)) == 7, label, ds.y)
+        with pytest.raises(PhishguardError, match="labels 0 and 1"):
+            fit(ds)
 
     def test_no_features_gives_one_leaf(self):
         X, y = np.zeros((5, 0)), np.array([0.0, 1.0, 0.0, 1.0, 1.0])
