@@ -38,7 +38,13 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        self.y = np.asarray(self.y, dtype=int)
+        # the int cast would turn 0.7 into 0 and keep 2 as a third class
+        y = np.asarray(self.y)
+        invalid = ~((y == 0) | (y == 1))
+        if invalid.any():
+            row = int(np.argmax(invalid))
+            raise PhishguardError(f"label {y.flat[row].item()!r} at row {row} is not 0 or 1")
+        self.y = y.astype(int)
         if self.X.ndim != 2 or len(self.X) != len(self.y):
             raise PhishguardError("X and y shapes disagree")
         if not self.provenance:

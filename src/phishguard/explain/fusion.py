@@ -3,6 +3,7 @@ Shapley importance magnitudes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,21 @@ def _minmax(values: dict[str, float]) -> dict[str, float]:
     return {k: (v - lo) / span for k, v in values.items()}
 
 
+def _median(values) -> float:
+    """np.median of a non-empty sequence, NaN if any value is NaN: the
+    middle value, or the mean of the two middle values as np.median
+    takes it. np.median's NaN check imports numpy.ma, 8 ms at startup."""
+    ordered = sorted(map(float, values))
+    if any(map(math.isnan, ordered)):
+        return math.nan
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def _above_median(values: dict[str, float]) -> frozenset[str]:
-    median = float(np.median(list(values.values())))
+    median = _median(values.values())
     return frozenset(k for k, v in values.items() if v > median)
 
 

@@ -4,17 +4,29 @@ Each request is processed in an immutable context (`phishguard.context`)
 holding the extracted features, model output and predicted label for
 that request only. Contexts are appended to an audit log, which keeps
 the last `AUDIT_LOG_SIZE`, and are never read by other requests'
-inference paths. What depends on nothing but the feature vector is
-computed once per distinct vector and kept in a memo of the last
-`VECTOR_MEMO_SIZE` vectors: `classify_url`'s model outcome (probability,
-label and rationale) and `explain_url`'s attributions. Both memos are
-exact, because the model and the fusion weights are fixed: a hit returns
-the bits a new computation would, so replies are byte-identical.
-Extraction, PCS (which depends on the claimed provenance), a fresh
-context in the audit log and JSON encoding still run on every request.
-The 23 ternary-coded features make repeats the rule: in the first 30,000
-requests of the benchmark's seed-1 streams, 98.9% (serve-linear) and
-99.4% (serve-gbt) of classify requests repeat an earlier vector.
+inference paths.
+
+What depends only on a request's inputs runs once and is kept in a memo
+of the last `VECTOR_MEMO_SIZE` entries:
+- per distinct URL, under the offline resolver only: extraction and the
+  vector build. The offline answer is a constant, so a URL's vector is a
+  pure function of its string; a resolver is outside input that may
+  answer differently over time, so a server given one extracts on every
+  request;
+- per distinct vector: `classify_url`'s model outcome (probability, label
+  and rationale), and `explain_url`'s result as JSON text;
+- per distinct (vector, claimed provenance): `classify_url`'s result, PCS
+  included, as JSON text. A claim that JSON gives as an array or object
+  cannot key it and is scored on every request.
+Every memo is exact, because the model, the fusion weights and the PCS
+reference are fixed: a hit returns the bits a new computation would, so
+replies are byte-identical. Every request still parses its line, looks
+up the memos, appends a fresh context to the audit log and splices the
+result's text into its reply. The 23 ternary-coded features make repeats
+the rule: in the first 30,000 requests of the benchmark's seed-1
+streams, 98.9% (serve-linear) and 99.4% (serve-gbt) of classify requests
+repeat an earlier vector.
+
 Transports: stdio and TCP. TCP is served from one thread by one selector loop
 (`TcpTransport`), which answers each line as it completes; the number
 of connections, the length of a line and each connection's unsent
@@ -53,8 +65,8 @@ SERVER_VERSION = "phishguard/0.1.0"
 
 LABEL_NAMES = ("legitimate", "phishing")  # indexed by a context's label
 
-# distinct vectors whose classify_url outcome, and whose explain_url
-# attributions, a server keeps
+# the entries each of a server's memos keeps: distinct URLs, vectors, or
+# (vector, claim) pairs
 VECTOR_MEMO_SIZE = 1024
 # the most recent contexts the audit log keeps
 AUDIT_LOG_SIZE = 1024
@@ -98,70 +110,59 @@ class PhishingServer:
         # deque.append is atomic, so threads that call handle_line at once
         # need no lock
         self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
-        # an outcome and an explanation are pure functions of the vector's
-        # bits: the model and fusion weights are fixed, and LIME's seed
-        # and background are too
-        self._outcomes = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)(self._score)
-        self._attributions = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)(
-            self._fit_attributions)
+        memo = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)
+        # under the offline resolver a URL's vector is a pure function of
+        # its string; a resolver is outside input that may answer
+        # differently over time, so it is asked on every request
+        if resolver is None:
+            self._vector_of = memo(_vector_bytes)
+        else:
+            self._vector_of = functools.partial(_vector_bytes, resolver=resolver)
+        # an outcome, a classify result with its PCS and an explanation are
+        # pure functions of the vector's bits (and the claim): the model,
+        # fusion weights and PCS reference are fixed, and LIME's seed and
+        # background are too
+        self._outcomes = memo(self._score)
+        self._classify_texts = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE, typed=True)(
+            self._classify_text)
+        self._explanations = memo(self._explain_text)
+        self._info = json.dumps({"tools": list(TOOLS), "model_version": SERVER_VERSION,
+                                 "model_kind": model.kind}, sort_keys=True)
 
     # -- context lifecycle -------------------------------------------------
 
     def create_context(self, request_id: str, url: str,
                        provenance: str = "Unknown") -> IsolatedContext:
-        vector = to_canonical_vector(extract_features(url, self.resolver))
-        outcome = self._outcomes(vector.tobytes())
+        key = self._vector_of(url)
         context = IsolatedContext.from_outcome(
-            outcome, context_id=uuid.uuid4().hex, request_ref=request_id,
-            names=CANONICAL_FEATURES, vector=vector, provenance=provenance,
+            self._outcomes(key), context_id=uuid.uuid4().hex, request_ref=request_id,
+            names=CANONICAL_FEATURES, vector=np.frombuffer(key), provenance=provenance,
             created_at=time.time(),
         )
         self.audit_log.append(context)
         return context
 
-    # -- tools ---------------------------------------------------------------
+    # -- tools: each returns its result as JSON text -------------------------
 
     def _tool_server_info(self, arguments, request_id):
-        return {
-            "tools": list(TOOLS),
-            "model_version": SERVER_VERSION,
-            "model_kind": self.model.kind,
-        }
+        return self._info
 
     def _tool_extract_features(self, arguments, request_id):
         url = _require_url(arguments)
-        return extract_features(url, self.resolver)
+        return json.dumps(extract_features(url, self.resolver), sort_keys=True)
 
     def _tool_classify_url(self, arguments, request_id):
         url = _require_url(arguments)
         claimed = arguments.get("provenance", "Unknown")
-        context = self.create_context(request_id, url, claimed)
-        if self.pcs is not None:
-            pcs_value, flagged = provenance_score(context.vector, self.pcs, claimed)
-        else:
-            pcs_value, flagged = 1.0, False
-        return {
-            "label": LABEL_NAMES[context.label],
-            "probability": f"{context.probability:.6f}",
-            "rationale": context.rationale,
-            "pcs": f"{pcs_value:.6f}",
-            "flagged": flagged,
-        }
+        key = self.create_context(request_id, url, claimed).vector.tobytes()
+        # arrays and objects, JSON's only unhashable values, cannot key the
+        # memo; they equal no provenance, so they score as any such claim
+        if isinstance(claimed, (list, dict)):
+            return self._classify_text(key, claimed)
+        return self._classify_texts(key, claimed)
 
     def _tool_explain_url(self, arguments, request_id):
-        url = _require_url(arguments)
-        vector = to_canonical_vector(extract_features(url, self.resolver))
-        method, attributions = self._attributions(vector.tobytes())
-        ranked = sorted(
-            zip(CANONICAL_FEATURES, vector, attributions), key=lambda t: -abs(t[2])
-        )
-        return {
-            "method": method,
-            "attributions": [
-                {"feature": n, "value": float(v), "attribution": float(a)}
-                for n, v, a in ranked
-            ],
-        }
+        return self._explanations(self._vector_of(_require_url(arguments)))
 
     def _score(self, key: bytes) -> MappingProxyType:
         """The read-only `classify_with_fusion` outcome of the float64
@@ -169,8 +170,25 @@ class PhishingServer:
         outcome = classify_with_fusion(np.frombuffer(key), self.model, self.fusion)
         return MappingProxyType({**outcome, "rationale": tuple(outcome["rationale"])})
 
-    def _fit_attributions(self, key: bytes) -> tuple[str, np.ndarray]:
-        """(method, read-only attributions) of the float64 vector `key`."""
+    def _classify_text(self, key: bytes, claimed) -> str:
+        """`classify_url`'s result for the float64 vector `key` and the
+        claimed provenance, as JSON text."""
+        outcome = self._outcomes(key)
+        if self.pcs is not None:
+            pcs_value, flagged = provenance_score(np.frombuffer(key), self.pcs, claimed)
+        else:
+            pcs_value, flagged = 1.0, False
+        return json.dumps({
+            "label": LABEL_NAMES[outcome["y_hat"]],
+            "probability": f"{outcome['probability']:.6f}",
+            "rationale": outcome["rationale"],
+            "pcs": f"{pcs_value:.6f}",
+            "flagged": flagged,
+        }, sort_keys=True)
+
+    def _explain_text(self, key: bytes) -> str:
+        """`explain_url`'s result for the float64 vector `key`, as JSON
+        text: its attributions ranked by magnitude."""
         vector = np.frombuffer(key)
         background = np.zeros(len(vector))
         if isinstance(self.model, LinearModel):
@@ -182,15 +200,25 @@ class PhishingServer:
                 self.model.predict_proba, vector,
                 np.vstack([background, vector]), seed=0,
             )
-        attributions.flags.writeable = False
-        return method, attributions
+        ranked = sorted(
+            zip(CANONICAL_FEATURES, vector, attributions), key=lambda t: -abs(t[2])
+        )
+        return json.dumps({
+            "method": method,
+            "attributions": [
+                {"feature": n, "value": float(v), "attribution": float(a)}
+                for n, v, a in ranked
+            ],
+        }, sort_keys=True)
 
     # -- protocol -----------------------------------------------------------
 
     def handle_line(self, line: str) -> str:
         try:
             request = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):  # or nested too deep
+        except (ValueError, RecursionError):
+            # not JSON, nested too deep, or an integer past the 4,300 digits
+            # that Python converts from a string
             return _error_line(None, "PARSE_ERROR", "request is not valid JSON")
         request_id = request.get("id") if isinstance(request, dict) else None
         # an id is a string or an integer, as in JSON-RPC, so that a reply
@@ -211,13 +239,13 @@ class PhishingServer:
             return _error_line(request_id, "PARSE_ERROR", "arguments must be a JSON object")
         try:
             result = handler(arguments, request_id)
-            return json.dumps(
-                {"id": request_id, "status": "ok", "result": result}, sort_keys=True
-            )
         except MalformedUrl as exc:
             return _error_line(request_id, "MALFORMED_URL", str(exc))
         except Exception as exc:  # noqa: BLE001 - protocol totality
             return _error_line(request_id, "INTERNAL", str(exc))
+        # the bytes of json.dumps({"id": ..., "status": "ok", "result": ...},
+        # sort_keys=True), whose keys sort as id < result < status
+        return '{"id": %s, "result": %s, "status": "ok"}' % (json.dumps(request_id), result)
 
     # -- transports ----------------------------------------------------------
 
@@ -415,6 +443,13 @@ class TcpTransport:
         except BlockingIOError:
             return
         del conn.unsent[:sent]
+
+
+def _vector_bytes(url: str, resolver=None) -> bytes:
+    """The bits of `url`'s canonical vector. Both functions are looked
+    up at call time, so a wrapper set on this module after a server is
+    built sees every call."""
+    return to_canonical_vector(extract_features(url, resolver)).tobytes()
 
 
 def _require_url(arguments) -> str:

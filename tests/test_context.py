@@ -177,7 +177,7 @@ class TestTracedLookups:
     """The benchmark's tracer wraps these functions where the server and
     the harness look them up, so every call must go through them."""
 
-    def test_one_fusion_call_per_distinct_vector_and_one_pcs_call_per_classify(
+    def test_one_fusion_call_per_distinct_vector_and_one_pcs_call_per_distinct_claim(
             self, monkeypatch):
         calls = {"classify_with_fusion": 0, "provenance_score": 0}
         for module in (server, robustness):
@@ -187,11 +187,15 @@ class TestTracedLookups:
         phishing_server = PhishingServer(train_linear(make_ternary_dataset(n=300, seed=0)),
                                          pcs=PcsConfig(reference))
         # http://b.com extracts to the vector of http://a.com
-        urls = (*URLS, "http://b.com", URLS[0])
-        for i, url in enumerate(urls):
+        requests = [{"url": url} for url in (*URLS, "http://b.com", URLS[0])]
+        # a new claim on a known vector is scored again; an unhashable one
+        # is scored on every request
+        requests += [{"url": URLS[0], "provenance": "UCI"}] * 2
+        requests += [{"url": URLS[0], "provenance": ["UCI"]}] * 2
+        for i, arguments in enumerate(requests):
             phishing_server.handle_line(json.dumps(
-                {"id": f"r{i}", "tool": "classify_url", "arguments": {"url": url}}))
-        assert calls == {"classify_with_fusion": len(URLS), "provenance_score": len(urls)}
+                {"id": f"r{i}", "tool": "classify_url", "arguments": arguments}))
+        assert calls == {"classify_with_fusion": len(URLS), "provenance_score": len(URLS) + 3}
 
     def test_one_fusion_call_per_built_context(self, monkeypatch):
         calls = {"classify_with_fusion": 0, "provenance_score": 0}

@@ -172,6 +172,24 @@ def test_concatenate(toy_dataset):
     assert both.feature_names == toy_dataset.feature_names
 
 
+class TestLabels:
+    @pytest.mark.parametrize("y, row, label", [
+        ([0.7, 2.0, 1.0, 0.0], 0, "0.7"),
+        ([0.0, 2.0, 1.0, 0.0], 1, "2.0"),
+        ([1, 0, 2, 0], 2, "2"),
+        ([1, 0, 1, -1], 3, "-1"),
+        ([1.0, float("nan"), 0.0, 0.0], 1, "nan"),
+    ])
+    def test_only_0_and_1_are_labels(self, y, row, label):
+        with pytest.raises(PhishguardError, match=f"^label {label} at row {row} is not 0 or 1$"):
+            Dataset(np.zeros((4, 1)), y, ("a",))
+
+    @pytest.mark.parametrize("y", [[0, 1, 1, 0], [0.0, 1.0, 1.0, -0.0], [False, True, True, False]])
+    def test_0_and_1_of_any_type_are_int_labels(self, y):
+        ds = Dataset(np.zeros((4, 1)), y, ("a",))
+        assert ds.y.dtype == int and ds.y.tolist() == [0, 1, 1, 0]
+
+
 # ------------------------------------------------- the reference codec
 
 # cells that float() reads, that it does not, and that it reads to a

@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset, distinct_rows
@@ -20,6 +24,7 @@ from phishguard.explain import (
     shap_linear,
     shap_sampled,
 )
+from phishguard.explain.fusion import _median
 from phishguard.explain.lime import _perturbation_plan
 from phishguard.features import extract_features, to_canonical_vector
 from phishguard.generate import GenerationConfig, generate_synthetic_urls
@@ -480,3 +485,35 @@ class TestFusion:
     def test_empty_sets_rejected(self):
         with pytest.raises(EmptyFeatureSets):
             fuse_weights({}, {}, alpha=0.5)
+
+
+def same_median(got, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # np.median of inf and -inf
+        want = float(np.median(values))
+    assert type(got) is float
+    # -0.0 == 0.0: of tied zeros np.median may pick either sign
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+MEDIAN_VALUES = st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0])),
+                         min_size=1, max_size=9)
+
+
+class TestMedian:
+    """np.median is the oracle of the median that fusion ranks by."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 5.0], [0.0, -0.0], [-0.0, -0.0, 0.0],
+        [-0.0, 0.0, 0.0, -0.0], [math.inf, 1.0], [-math.inf, math.inf],
+        [-math.inf, math.inf, 0.0], [math.inf, math.inf], [math.nan], [1.0, math.nan],
+        [math.nan, 1.0, 2.0], [1e308, 1e308], [-1e308, -1e308, 1.0, 2.0],
+    ])
+    def test_matches_numpy(self, values):
+        same_median(_median(values), values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(MEDIAN_VALUES)
+    def test_matches_numpy_on_any_floats(self, values):
+        same_median(_median(values), values)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -153,12 +154,15 @@ class TestProtocol:
     def test_claims_that_are_not_strings_score_zero(self):
         reference = make_ternary_dataset(n=50, seed=1, provenance=("UCI",))
         server = make_server(PcsConfig(reference))
-        for claimed in (["x"], {"a": 1}, None, 5):
+        for claimed in ([1], ["x"], {"a": 1}, None, 5, 1, True, 1.0) * 2:
             response = call(server, "classify_url",
                             {"url": "http://a.com", "provenance": claimed})
             assert response["status"] == "ok"
             assert response["result"]["pcs"] == "0.000000"
             assert response["result"]["flagged"] is True
+        # arrays and objects cannot key the classify memo; 1, True and 1.0
+        # are equal but keyed apart by type
+        assert server._classify_texts.cache_info().currsize == 5
 
     def test_responses_are_single_lines(self):
         server = make_server()
@@ -199,8 +203,8 @@ class TestProtocol:
 
     def test_unencodable_result_is_internal(self, monkeypatch):
         server = make_server()
-        monkeypatch.setattr(server, "_tool_server_info", lambda *args: {"x": object()})
-        response = call(server, "server_info")
+        monkeypatch.setattr(server_module, "extract_features", lambda *args: {"x": object()})
+        response = call(server, "extract_features", {"url": "http://a.com"})
         assert response["status"] == "error"
         assert response["error"]["code"] == "INTERNAL"
 
@@ -288,6 +292,14 @@ class TestProtocolTotality:
         reply = self.assert_one_reply("[" * 5000)
         assert reply["id"] is None and reply["error"]["code"] == "PARSE_ERROR"
         assert self.assert_one_reply('{"id": "r1", "tool": "server_info"}')["status"] == "ok"
+
+    def test_an_integer_past_the_digit_limit_gets_a_parse_error(self):
+        # json.loads refuses it with a ValueError that is no JSONDecodeError
+        for line in ('{"id": %s, "tool": "server_info"}' % ("1" * 5000),
+                     '{"id": "r1", "tool": "classify_url", "arguments": {"provenance": %s}}'
+                     % ("9" * 5000)):
+            reply = self.assert_one_reply(line)
+            assert reply["id"] is None and reply["error"]["code"] == "PARSE_ERROR"
 
     def test_a_deeply_nested_id_gets_one_reply(self):
         # every depth from shallow to past what json parses: near that
@@ -666,9 +678,12 @@ class TestExplainMemo:
         for url in MEMO_URLS:
             fresh = PhishingServer(model).handle_line(explain_line(url))
             assert warm.handle_line(explain_line(url)) == fresh
-        info = warm._attributions.cache_info()
+        info = warm._explanations.cache_info()
         assert (info.misses, info.currsize) == (4, 4)
         assert info.hits == 2 * len(MEMO_URLS) - 4
+        # five distinct URLs: the paypal.com one repeats
+        info = warm._vector_of.cache_info()
+        assert (info.misses, info.hits) == (5, 2 * len(MEMO_URLS) - 5)
 
     def test_golden_replies_on_a_warm_server(self):
         recorded = json.loads((DATA / "explain_replies.json").read_text())
@@ -698,18 +713,19 @@ class TestExplainMemo:
         # each length of URL is a distinct URL_Length, so a distinct vector
         for i in range(VECTOR_MEMO_SIZE + 5):
             server.handle_line(explain_line("http://a.com/" + "x" * i))
-        info = server._attributions.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
+        for memo in (server._explanations, server._vector_of):
+            info = memo.cache_info()
+            assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
 
     def test_cached_attributions_are_read_only(self):
         server = make_server()
-        server.handle_line(explain_line("http://a.com/x"))
+        reply = json.loads(server.handle_line(explain_line("http://a.com/x")))
         vector = to_canonical_vector(extract_features("http://a.com/x", server.resolver))
-        method, attributions = server._attributions(vector.tobytes())
-        assert method == "shap_linear"
-        assert server._attributions.cache_info().hits == 1
-        with pytest.raises(ValueError):
-            attributions[0] = 1.0
+        text = server._explanations(vector.tobytes())
+        assert server._explanations.cache_info().hits == 1
+        # the entry is its reply's encoded result, and a str cannot change
+        assert type(text) is str and json.loads(text) == reply["result"]
+        assert reply["result"]["method"] == "shap_linear"
 
     def test_32_threads_match_serial(self):
         model = served_model("gbt")
@@ -719,7 +735,7 @@ class TestExplainMemo:
         serial = [serial_server.handle_line(line) for line in lines]
         server = PhishingServer(model)
         assert handle_at_once(server, lines) == serial
-        assert server._attributions.cache_info().currsize == 8
+        assert server._explanations.cache_info().currsize == 8
 
 
 class TestOutcomeMemo:
@@ -737,7 +753,12 @@ class TestOutcomeMemo:
             assert warm.handle_line(classify_line(url)) == fresh
         info = warm._outcomes.cache_info()
         assert (info.misses, info.currsize) == (4, 4)
-        assert info.hits == 2 * len(MEMO_URLS) - 4
+        texts = warm._classify_texts.cache_info()
+        assert (texts.misses, texts.currsize) == (4, 4)
+        assert texts.hits == 2 * len(MEMO_URLS) - 4
+        # each classify looks its outcome up once, and a reply-text miss
+        # looks it up once more
+        assert info.hits == 2 * len(MEMO_URLS) - 4 + texts.misses
 
     @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "gbt", "mlp"])
     def test_audit_log_carries_the_model_probability_on_a_warm_server(self, kind):
@@ -753,7 +774,9 @@ class TestOutcomeMemo:
             outcome = classify_with_fusion(vector, model, None)
             assert (context.label, context.rationale) == (outcome["y_hat"],
                                                           tuple(outcome["rationale"]))
-        assert server._outcomes.cache_info().hits == 2 * len(MEMO_URLS) - 4
+        # a hit per repeated vector, and one per reply-text miss, as above
+        info = server._outcomes.cache_info()
+        assert (info.misses, info.hits) == (4, 2 * len(MEMO_URLS) - 4 + 4)
 
     def test_one_fusion_call_per_distinct_vector(self, monkeypatch):
         scored = []
@@ -780,22 +803,26 @@ class TestOutcomeMemo:
         # each length of URL is a distinct URL_Length, so a distinct vector
         for i in range(VECTOR_MEMO_SIZE + 5):
             server.handle_line(classify_line("http://a.com/" + "x" * i))
-        info = server._outcomes.cache_info()
-        assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
+        for memo in (server._outcomes, server._classify_texts, server._vector_of):
+            info = memo.cache_info()
+            assert (info.maxsize, info.currsize, info.misses) == (1024, 1024, 1029)
 
     def test_cached_outcomes_cannot_be_mutated(self):
         server = make_server()
         url = "http://secure-paypal.bit.ly//redirect@evil"
         first = call(server, "classify_url", {"url": url})
-        vector = to_canonical_vector(extract_features(url, server.resolver))
-        outcome = server._outcomes(vector.tobytes())
-        assert server._outcomes.cache_info().hits == 1
+        key = to_canonical_vector(extract_features(url, server.resolver)).tobytes()
+        hits = server._outcomes.cache_info().hits
+        outcome = server._outcomes(key)
+        assert server._outcomes.cache_info().hits == hits + 1
         assert outcome["rationale"]
         with pytest.raises(TypeError):
             outcome["probability"] = 0.0
         with pytest.raises(AttributeError):
             outcome["rationale"].append("tampered")
         assert server.audit_log[-1].rationale is outcome["rationale"]
+        text = server._classify_texts(key, "Unknown")
+        assert type(text) is str and json.loads(text) == first["result"]
         assert call(server, "classify_url", {"url": url}) == first
 
     def test_32_threads_match_serial(self):
@@ -807,7 +834,95 @@ class TestOutcomeMemo:
         server = PhishingServer(model)
         assert handle_at_once(server, lines) == serial
         assert server._outcomes.cache_info().currsize == 8
+        assert server._classify_texts.cache_info().currsize == 8
         assert len(server.audit_log) == 32
+
+
+# string ids with non-ASCII characters, quotes, backslashes and control
+# characters, and integer ids up to and beyond 2**63
+REPLY_IDS = st.one_of(
+    st.text(min_size=1),
+    st.text(alphabet='"\\\x00\x1f\x7f\u2028é€\U0001f600/\ud800', min_size=1),
+    st.integers(-(2**70), 2**70).filter(bool),
+    st.sampled_from([2**63 - 1, 2**63, 2**64, -(2**63) - 1]),
+)
+TOOL_REQUESTS = [
+    ("server_info", {}),
+    ("extract_features", {"url": "http://192.168.1.1/login"}),
+    ("classify_url", {"url": "http://secure-paypal.bit.ly//redirect@evil", "provenance": "UCI"}),
+    ("explain_url", {"url": "https://www.paypal.com/signin"}),
+]
+
+
+class CountingResolver:
+    """Answers every resolved feature with `value`, which a test may
+    change between requests, and counts its calls."""
+
+    def __init__(self, value=0):
+        self.value = value
+        self.calls = 0
+
+    def resolve(self, parts):
+        self.calls += 1
+        return PrecomputedResolver(dict.fromkeys(RESOLVED_FEATURES, self.value)).resolve(parts)
+
+
+class TestRepeatedRequests:
+    """A repeated request is answered from the memos: its reply is
+    spliced from the encoded result, byte for byte the reply a fresh
+    server encodes."""
+
+    server = make_server(mixed_pcs())
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(REPLY_IDS, st.sampled_from(TOOL_REQUESTS))
+    def test_the_splice_is_the_sorted_encoding(self, request_id, tool_request):
+        tool, arguments = tool_request
+        reply = self.server.handle_line(
+            json.dumps({"id": request_id, "tool": tool, "arguments": arguments}))
+        result = json.loads(reply)["result"]
+        assert reply == json.dumps({"id": request_id, "status": "ok", "result": result},
+                                   sort_keys=True)
+
+    def test_a_repeated_url_is_neither_extracted_nor_encoded_again(self, monkeypatch):
+        server = make_server(mixed_pcs())
+        lines = [json.dumps({"id": f"r{i}", "tool": tool, "arguments": arguments})
+                 for i, (tool, arguments) in enumerate(TOOL_REQUESTS) if tool != "extract_features"]
+        lines += [classify_line(url) for url in MEMO_URLS] + [explain_line(url) for url in MEMO_URLS]
+        warm = [server.handle_line(line) for line in lines]
+        extracted, encoded = [], []
+
+        def extracting(*args):
+            extracted.append(args)
+            return extract_features(*args)
+
+        def encoding(value, **kwargs):
+            if isinstance(value, dict):  # a result, not an id
+                encoded.append(value)
+            return json.dumps(value, **kwargs)
+
+        monkeypatch.setattr(server_module, "extract_features", extracting)
+        monkeypatch.setattr(server_module, "json", types.SimpleNamespace(loads=json.loads,
+                                                                         dumps=encoding))
+        assert [server.handle_line(line) for line in lines] == warm
+        assert (extracted, encoded) == ([], [])
+        # a new URL is extracted and encoded through the same globals
+        server.handle_line(classify_line("http://new.example.com/"))
+        assert (len(extracted), len(encoded)) == (1, 1)
+
+    @pytest.mark.parametrize("tool", ["extract_features", "classify_url", "explain_url"])
+    def test_a_resolver_is_asked_on_every_request(self, tool):
+        resolver = CountingResolver()
+        server = PhishingServer(trained_model(), resolver=resolver)
+        replies = []
+        for value in (0, 0, 1, -1, 0):
+            resolver.value = value
+            replies.append(call(server, tool, {"url": "http://a.com/x"})["result"])
+        assert resolver.calls == 5
+        # an answer that changes changes the reply, as on a fresh server
+        fresh = PhishingServer(trained_model(), resolver=CountingResolver(1))
+        assert replies[2] == call(fresh, tool, {"url": "http://a.com/x"})["result"]
+        assert replies[0] == replies[1] == replies[4] != replies[2]
 
 
 class TestIsolatedContext:
