@@ -2,11 +2,11 @@
 
 A context holds one request's feature vector, the model's outcome for
 it and the claimed provenance. It is immutable: a frozen record over a
-read-only copy of the vector, so the audit log and the robustness
-harness can share contexts and an attack must build new ones. This
-module also holds the classification that produces an outcome and the
-provenance confidence score (PCS) checked against a reference set; it
-imports no transport.
+read-only copy of the vector and a frozen copy of the claim, so the
+audit log and the robustness harness can share contexts and an attack
+must build new ones. This module also holds the classification that
+produces an outcome and the provenance confidence score (PCS) checked
+against a reference set; it imports no transport.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class IsolatedContext:
     vector: np.ndarray  # a read-only copy of the vector it was built from
     probability: float
     label: int
-    provenance: str = "Unknown"
+    provenance: str = "Unknown"  # or any JSON value, frozen (`_frozen`)
     created_at: float = 0.0
     rationale: tuple[str, ...] = ()
 
@@ -71,6 +71,7 @@ class IsolatedContext:
         vector.flags.writeable = False
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "provenance", _frozen(self.provenance))
 
     @classmethod
     def from_outcome(cls, outcome: dict, **fields) -> "IsolatedContext":
@@ -93,8 +94,20 @@ class IsolatedContext:
                 "provenance": self.provenance,
             },
             sort_keys=True,
+            default=dict,  # a frozen claim's objects encode as the dicts they were
         )
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _frozen(claim):
+    """A copy of the JSON value `claim` that cannot be changed: arrays as
+    tuples and objects as read-only mappings. Both encode as the JSON they
+    were, so a claim's digest does not change."""
+    if isinstance(claim, (list, tuple)):
+        return tuple(map(_frozen, claim))
+    if isinstance(claim, (dict, MappingProxyType)):
+        return MappingProxyType({key: _frozen(value) for key, value in claim.items()})
+    return claim
 
 
 @dataclass

@@ -103,7 +103,10 @@ def parse_url(raw: str) -> UrlParts:
         work = scheme.lower() + "://" + rest
     else:
         work = "http://" + work
-    parts = urlsplit(work)
+    try:
+        parts = urlsplit(work)
+    except ValueError as exc:  # an unclosed IPv6 bracket, a netloc NFKC changes
+        raise MalformedUrl(f"invalid URL {raw!r}: {exc}") from exc
     host = (parts.hostname or "").lower()
     if not host:
         raise MalformedUrl(f"no host in {raw!r}")

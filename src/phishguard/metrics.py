@@ -147,10 +147,11 @@ def cross_validate(trainer, ds: Dataset, metrics: dict, k: int = 5,
     `CvResult` under each metric's key.
     """
     folds = stratified_fold_indices(ds.y, k, seed)
-    all_idx = np.arange(len(ds))
     scores = {name: [] for name in metrics}
     for fold_no, fold in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, fold)
+        keep = np.ones(len(ds), dtype=bool)
+        keep[fold] = False
+        train_idx = np.flatnonzero(keep)
         try:
             model = trainer(ds.subset(train_idx))
             probs = model.predict_proba(ds.X[fold])

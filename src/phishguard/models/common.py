@@ -32,13 +32,13 @@ def stratified_fold_indices(y, k: int, seed: int) -> list[np.ndarray]:
     if k < 2:
         raise PhishguardError("k must be >= 2")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds = [[np.empty(0, dtype=int)] for _ in range(k)]
     for cls in sorted(set(y.tolist())):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for pos, sample in enumerate(idx):
-            folds[pos % k].append(int(sample))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+        for f in range(k):
+            folds[f].append(idx[f::k])
+    return [np.sort(np.concatenate(f)) for f in folds]
 
 
 class Standardizer:
@@ -74,13 +74,11 @@ def standardization(mean, scale, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sigmoid(z):
+    """1 / (1 + e^-z) where z >= 0 and e^z / (1 + e^z) elsewhere, so no
+    exponent overflows. `np.minimum` keeps a NaN's sign, as -|z| would not."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 class Scorer:

@@ -146,6 +146,9 @@ def grow_trees(
         bins = _Bins.of(X, y, task)
     if not classify and hessian is None:
         hessian = np.ones(n_rows)
+    # what split search sums per row: classification's labels are in the
+    # bins' keys
+    targets = (None, None) if classify else (y, hessian)
     # per tree, the nodes of its next depth, (rows, nodes, sizes, depth),
     # or None
     pending = [None] * len(rngs)
@@ -217,8 +220,6 @@ def grow_trees(
         owner, depth = np.repeat(trees, counts), np.repeat(depth, counts)
         n = len(sizes)
         starts = _starts(sizes)
-        # classification's labels are in the bins' keys
-        ys, hs = (None, None) if classify else (y[rows], hessian[rows])
         features = None
         if subsets:
             # one uniform key per (node, feature) in one call per tree; a
@@ -228,8 +229,7 @@ def grow_trees(
                                axis=1)
             del keys
         split, feature, threshold = bins.best_splits(
-            rows, starts, features, ys, hs, rngs if random else None, owner)
-        del ys, hs
+            rows, starts, features, *targets, rngs if random else None, owner, samples is not None)
         at = np.flatnonzero(split)
         if len(at) < n:
             make_leaves(owner, ids, depth, rows, starts, np.flatnonzero(~split))

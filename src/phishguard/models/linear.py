@@ -203,10 +203,11 @@ def average_fold_coefficients(ds: Dataset, cfg: TrainConfig | None = None) -> np
     """
     cfg = cfg or TrainConfig()
     folds = stratified_fold_indices(ds.y, cfg.folds, cfg.seed)
-    all_idx = np.arange(len(ds))
     weight_sum = np.zeros(ds.X.shape[1])
     for fold in folds:
-        train_idx = np.setdiff1d(all_idx, fold)
+        keep = np.ones(len(ds), dtype=bool)
+        keep[fold] = False
+        train_idx = np.flatnonzero(keep)
         model = train_linear(ds.subset(train_idx), loss="logistic", cfg=cfg)
         weight_sum += model.weights
     return weight_sum / cfg.folds

@@ -11,17 +11,28 @@ each cell becomes its bin's number within the column, a code in the
 smallest unsigned integer type that holds every column's codes. A
 forest bins the whole matrix once for all its trees: a bootstrap
 sample's levels are among the matrix's, and only levels present at a
-node make thresholds. The frontier is searched in runs of nodes: one
-`np.bincount` over a run's codes, each shifted to its own (node,
-feature) stretch of a flat bin axis, gives every histogram of the run,
-and prefix sums over the bins give every candidate split's left side.
-A candidate threshold is the midpoint of two adjacent levels present at
-the node. bincount copies its input as intp, so a run holds at most one
-matrix column's cells (rows times features); a node with more cells is
-a run of its own and counts a few features at a time. A run with more
-than 8 bins per cell (deep nodes over many-valued columns) sorts its
-codes instead of counting every bin, so its cost follows its rows. No
-temporary is a float matrix of rows by features.
+node make thresholds. Each code shifted to its own (node, feature)
+stretch of a flat bin axis, one `np.bincount` gives every histogram of
+a frontier, and prefix sums over the bins give every candidate split's
+left side. A candidate threshold is the midpoint of two adjacent levels
+present at the node. A frontier is counted in one of two ways:
+- In the matrix's row order, when it is one tree's, grown on the
+  matrix's own rows (each boosting round, `build_tree`, an extra-tree)
+  and searched over every feature, and its histograms (nodes times bins
+  times label width) fit in one matrix column of entries. An array of
+  each row's node, a spare one past the end for rows already in leaves,
+  shifts the rows' codes, one feature at a time in one reused buffer,
+  and one bincount per feature (two in regression) counts every node
+  with no gather.
+- In runs of nodes, from their rows' gathered codes, otherwise: a
+  bootstrap sample repeats rows, and extra-trees that share a growth
+  step hold the same rows in their frontiers. bincount copies its input
+  as intp, so a run holds at most one matrix column's cells (rows times
+  features); a node with more cells is a run of its own and counts a
+  few features at a time. A run with more than 8 bins per cell (deep
+  nodes over many-valued columns) sorts its codes instead of counting
+  every bin, so its cost follows its rows.
+No temporary is a float matrix of rows by features.
 
 Classification splits (labels 0 and 1) minimise weighted Gini
 impurity; regression splits (boosting's rounds) maximise XGBoost's
@@ -34,9 +45,11 @@ method:
   sums equal the scan's cumulative sums, and each score is the same
   floating-point expression of the same numbers.
 - The gain: `np.bincount(weights=...)` adds each bin's g and h in the
-  node's row order, and running sums over a segment's present bins,
-  ascending, give the left side's and (the last) the node's. Float sums
-  depend on the order of additions; this is the scan's.
+  node's row order, which growth keeps ascending, so a count in the
+  matrix's row order adds them in the same order. Running sums over a
+  segment's present bins, ascending, give the left side's and (the
+  last) the node's. Float sums depend on the order of additions; this
+  is the scan's.
 - Ties: within a feature the first (lowest threshold) minimum; across
   features, taken in ascending order, a later feature wins only with a
   score lower by more than 1e-15.
@@ -100,22 +113,28 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, cells, starts, features, ys, hs, rngs, owner):
+    def best_splits(self, rows, starts, features, g, h, rngs, owner, sampled):
         """(split, feature, threshold) of the best split of each node of a
-        frontier. Node i holds the rows `cells[starts[i]:starts[i + 1]]`,
-        with targets `ys[starts[i]:starts[i + 1]]` and hessians `hs[...]`
-        (both None for classification, which counts labels), and is
-        searched over `features[i]` (ascending), or over every
-        feature if `features` is None. `split[i]` is False where no
+        frontier. Node i holds the matrix rows `rows[starts[i]:starts[i + 1]]`
+        and is searched over `features[i]` (ascending), or over every
+        feature if `features` is None. A regression search sums the
+        targets `g` and hessians `h`, one per matrix row (both None for
+        classification, which counts labels). `split[i]` is False where no
         feature splits node i. `rngs` is None, or the trees' generators:
         then each feature offers one threshold drawn from
         `rngs[owner[i]]` (extra-trees) instead of every midpoint.
+        `sampled` is True when the trees train on bootstrap samples, whose
+        rows repeat matrix rows.
 
-        Nodes are searched in runs: a node with more cells (rows times
-        features) than the matrix has rows is a run of its own, counted a
-        few features at a time, and the others are taken together while
-        their cells fit in that bound. bincount copies its input as intp,
-        so no count copies more than one matrix column's worth of cells.
+        A frontier of one tree on the matrix's own rows, searched over
+        every feature, is counted in the matrix's row order in one run
+        while its histograms (nodes times bins times label width) fit in
+        one matrix column of entries. Other nodes are searched in runs of
+        gathered cells: a node with more cells (rows times features) than
+        the matrix has rows is a run of its own, counted a few features at
+        a time, and the others are taken together while their cells fit
+        in that bound. bincount copies its input as intp, so no count
+        copies more than one matrix column's worth of cells.
         """
         n = len(starts) - 1
         k = len(self.key) if features is None else features.shape[1]
@@ -126,6 +145,12 @@ class _Bins:
             return split, feature, threshold
         limit = self.key.shape[1]
         sizes = np.diff(starts)
+        # one node per matrix row: a bootstrap sample repeats rows, and
+        # several trees' frontiers may hold the same row
+        if (not sampled and features is None and owner[0] == owner[-1]
+                and n * self.width * len(self.level) <= limit):
+            present, hist = _present(self._count_rows(rows, sizes, g, h), h is None)
+            return self._search(present, hist, sizes, None, rngs, owner)
         ends = np.cumsum(sizes) * k
         i = 0
         while i < n:
@@ -135,24 +160,58 @@ class _Bins:
             else:
                 j, step = int(np.searchsorted(ends, before + limit, side="right")), k
             a, b = starts[i], starts[j]
+            run = None if features is None else features[i:j]
+            cells = rows[a:b]
+            ys, hs = (None, None) if h is None else (g[cells], h[cells])
             split[i:j], feature[i:j], threshold[i:j] = self._search(
-                cells[a:b], sizes[i:j], None if features is None else features[i:j],
-                None if ys is None else ys[a:b], None if hs is None else hs[a:b], step,
-                rngs, owner[i:j])
+                *self._count_run(cells, sizes[i:j], run, ys, hs, step), sizes[i:j], run, rngs,
+                owner[i:j])
             i = j
         return split, feature, threshold
 
-    def _search(self, rows, sizes, features, ys, hs, step, rngs, owner):
-        """best_splits of a run of nodes: node i holds the next `sizes[i]`
-        of `rows` and draws from `rngs[owner[i]]`. Segment s is node s // k
-        on its feature s % k, of k; histograms are counted `step` features
-        at a time."""
+    def _segments(self, nn, features):
+        """Each segment's feature, of nodes of `features` (every feature if
+        None), and where the segments' bins start on a flat axis, one
+        after another, then the end of the last."""
+        k = len(self.key) if features is None else features.shape[1]
+        feature = np.tile(np.arange(k), nn) if features is None else features.ravel()
+        return feature, _starts(self.size[feature])
+
+    def _count_rows(self, rows, sizes, g, h):
+        """The dense histograms of a frontier of one tree's nodes, node i
+        holding the next `sizes[i]` of `rows`, counted in the matrix's row
+        order. Each row's node, or a spare node past the end for rows not
+        in the frontier, shifts its bin to the node's stretch of the
+        feature's bins, so one bincount per feature (two in regression,
+        weighted by g and h) counts every node without gathering a cell.
+        A node's rows are ascending, so a bin's g and h are added in the
+        node's row order."""
+        w = self.width
+        n = len(sizes)
+        node = np.full(self.key.shape[1], n, dtype=np.intp)
+        node[rows] = np.repeat(np.arange(n), sizes)
+        hist = np.empty((n, len(self.level), 2), dtype=np.intp if h is None else float)
+        position = np.empty_like(node)
+        for f, (a, m) in enumerate(zip(self.start.tolist(), self.size.tolist())):
+            np.multiply(node, w * m, out=position)
+            position += self.key[f]
+            if h is None:
+                counts = np.bincount(position, minlength=2 * n * m)[:2 * n * m]
+                hist[:, a:a + m] = counts.reshape(n, m, 2)
+                continue
+            for j, v in enumerate((g, h)):
+                hist[:, a:a + m, j] = np.bincount(position, v, n * m)[:n * m].reshape(n, m)
+        return hist.reshape(-1, 2)
+
+    def _count_run(self, rows, sizes, features, ys, hs, step):
+        """The present bins and histograms of a run of nodes, node i
+        holding the next `sizes[i]` of `rows`, with targets `ys` and
+        hessians `hs` in that order (None to classify), counted `step`
+        features at a time from the rows' gathered cells."""
         w = self.width
         nn = len(sizes)
         k = len(self.key) if features is None else features.shape[1]
-        feature = np.tile(np.arange(k), nn) if features is None else features.ravel()
-        # each segment's bins, one after another on a flat axis
-        bounds = _starts(self.size[feature])
+        _, bounds = self._segments(nn, features)
         node = np.repeat(np.arange(nn), sizes) if nn > 1 else None
 
         def index(c, stop):
@@ -176,38 +235,34 @@ class _Bins:
         # regression's sums of targets g and hessians h, which bincount
         # adds in the node's row order
         classify = hs is None
-        if bounds[-1] <= 8 * len(rows) * k:
-            hist = np.zeros((int(bounds[-1]), 2), dtype=np.intp if classify else float)
-            # each cell's weight, for `step` features of the rows
-            weights = [] if classify else [np.tile(v, step) for v in (ys, hs)]
-            for c in range(0, k, step):
-                cells = index(c, min(c + step, k)).ravel()
-                if classify:
-                    counts = np.bincount(cells)
-                    hist.ravel()[2 * bounds[c]:2 * bounds[c] + len(counts)] = counts
-                for j, v in enumerate(weights):
-                    counts = np.bincount(cells, weights=v[:len(cells)])
-                    hist[bounds[c]:bounds[c] + len(counts), j] = counts
-            del cells, counts, weights
-            # a bin is present if it counts a row or, in regression, if its
-            # hessians sum above 0
-            present = np.flatnonzero(hist[:, 0] + hist[:, 1] if classify else hist[:, 1])
-            hist = hist[present]
-        else:
-            # a run with more than 8 bins per cell, as deep nodes over
-            # many-valued columns have, sorts its cells instead of counting
-            # every bin; both give the same histogram
-            keys, cells, counts = np.unique(index(0, k).ravel(), return_inverse=True,
-                                            return_counts=True)
+        if bounds[-1] > 8 * len(rows) * k:
+            # more than 8 bins per cell, as deep nodes over many-valued
+            # columns have: sorting costs what the rows do
+            return _sorted_histograms(index(0, k).ravel(), ys, hs, k)
+        hist = np.zeros((int(bounds[-1]), 2), dtype=np.intp if classify else float)
+        # each cell's weight, for `step` features of the rows
+        weights = [] if classify else [np.tile(v, step) for v in (ys, hs)]
+        for c in range(0, k, step):
+            cells = index(c, min(c + step, k)).ravel()
             if classify:
-                present, inverse = np.unique(keys // 2, return_inverse=True)
-                hist = np.zeros((len(present), 2), dtype=np.intp)
-                hist[inverse, keys % 2] = counts
-            else:
-                # one key per bin: the keys are the present bins
-                present = keys
-                hist = np.array([np.bincount(cells, weights=np.tile(v, k)) for v in (ys, hs)]).T
-            del cells
+                counts = np.bincount(cells)
+                hist.ravel()[2 * bounds[c]:2 * bounds[c] + len(counts)] = counts
+            for j, v in enumerate(weights):
+                counts = np.bincount(cells, weights=v[:len(cells)])
+                hist[bounds[c]:bounds[c] + len(counts), j] = counts
+        del cells, counts, weights
+        return _present(hist, classify)
+
+    def _search(self, present, hist, sizes, features, rngs, owner):
+        """best_splits of a run of nodes from the histograms of their
+        present bins: node i holds `sizes[i]` rows and draws from
+        `rngs[owner[i]]`. Segment s is node s // k on its feature s % k,
+        of k; `present` are the numbers of its bins on the flat axis of
+        `_segments`, ascending, and `hist` their rows."""
+        nn = len(sizes)
+        k = len(self.key) if features is None else features.shape[1]
+        feature, bounds = self._segments(nn, features)
+        classify = self.width == 2
         segment = np.searchsorted(bounds, present, side="right") - 1
         level = self.level[(self.start[feature] - bounds[:-1])[segment] + present]
         del present
@@ -318,6 +373,28 @@ def _starts(sizes) -> np.ndarray:
     starts = np.zeros(len(sizes) + 1, dtype=np.intp)
     np.cumsum(sizes, out=starts[1:])
     return starts
+
+
+def _present(hist, classify):
+    """The bins of dense histograms that count a row or, in regression,
+    whose hessians sum above 0, and their histograms."""
+    present = np.flatnonzero(hist[:, 0] + hist[:, 1] if classify else hist[:, 1])
+    return present, hist[present]
+
+
+def _sorted_histograms(cells, ys, hs, k):
+    """_present of the histograms of a run's `cells`, positions on its flat
+    bin axis, k features per row (targets `ys` and hessians `hs`, None to
+    classify), by sorting the cells instead of counting every bin; both
+    give the same histograms."""
+    keys, inverse, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    if hs is None:
+        present, bins = np.unique(keys // 2, return_inverse=True)
+        hist = np.zeros((len(present), 2), dtype=np.intp)
+        hist[bins, keys % 2] = counts
+        return present, hist
+    # one key per bin: the keys are the present bins
+    return keys, np.array([np.bincount(inverse, weights=np.tile(v, k)) for v in (ys, hs)]).T
 
 
 def _gini(nl, ones_l, ones, n):

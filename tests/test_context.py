@@ -154,6 +154,43 @@ class TestSharing:
             assert (before is after) == (before.context_id not in victims)
 
 
+class TestSealedClaims:
+    CLAIMS = ["UCI", "", "Unknown", 5, 1.5, True, None, [], ["UCI", [1, {"b": 2}]], {},
+              {"b": [1, {"c": None}], "a": "x"}]
+
+    @staticmethod
+    def digest(ctx, claim):
+        """seal_digest's hash as written out, with the claim as it arrived."""
+        payload = json.dumps({"features": dict(zip(ctx.names, ctx.vector.tolist())),
+                              "probability": round(ctx.probability, 12), "label": ctx.label,
+                              "provenance": claim}, sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def test_the_digest_is_that_of_the_claim_as_sent(self):
+        phishing_server = PhishingServer(train_linear(make_ternary_dataset(n=100, seed=0)))
+        for i, claim in enumerate(self.CLAIMS):
+            phishing_server.handle_line(json.dumps({
+                "id": f"r{i}", "tool": "classify_url",
+                "arguments": {"url": URLS[i % len(URLS)], "provenance": claim}}))
+            ctx = phishing_server.audit_log[-1]
+            assert ctx.seal_digest() == self.digest(ctx, claim), claim
+
+    def test_a_sealed_claim_cannot_be_changed(self):
+        phishing_server = PhishingServer(train_linear(make_ternary_dataset(n=100, seed=0)))
+        claim = ["UCI", {"source": ["feed"]}]
+        phishing_server.handle_line(json.dumps({
+            "id": "r1", "tool": "classify_url",
+            "arguments": {"url": URLS[0], "provenance": claim}}))
+        ctx = phishing_server.audit_log[-1]
+        sealed = ctx.seal_digest()
+        for change in (lambda p: p.append("x"), lambda p: p[1].__setitem__("k", 1),
+                       lambda p: p[1]["source"].append("x"), lambda p: p[1].clear()):
+            with pytest.raises((AttributeError, TypeError)):
+                change(ctx.provenance)
+        claim.append("x")  # nor does the caller's value reach it
+        assert ctx.seal_digest() == sealed == self.digest(ctx, claim[:2])
+
+
 def test_robustness_imports_no_transport():
     probe = ("import sys, phishguard.robustness; "
              "print(sorted({'phishguard.server', 'selectors'} & set(sys.modules)))")

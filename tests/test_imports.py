@@ -158,18 +158,20 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_fitting_and_information_gain_do_not_import_numpy_ma():
-    # np.unique with no return_* flag, and np.median, import numpy.ma,
+    # np.unique with no return_* flag, np.median and np.setdiff1d import numpy.ma,
     # 8-22 ms and about 1 MB on first use in a process; `serve --dataset`
     # fuses weights from information gain
     probe = ("import sys\n"
              "from conftest import make_ternary_dataset\n"
              "from phishguard.explain.fusion import fuse_weights\n"
              "from phishguard.explain.infogain import information_gain_all\n"
+             "from phishguard.metrics import auc_metric, cross_validate\n"
              "from phishguard.models.common import stratified_fold_indices\n"
              "from phishguard.models.linear import train_linear\n"
              "ds = make_ternary_dataset(n=200, seed=1)\n"
              "stratified_fold_indices(ds.y, 5, 0)\n"
              "train_linear(ds)\n"
+             "cross_validate(train_linear, ds, {'auc': auc_metric}, k=3)\n"
              "ig = information_gain_all(ds)\n"
              "fuse_weights(ig, ig, alpha=0.5)\n"
              "print('numpy.ma' in sys.modules)")

@@ -42,6 +42,32 @@ def reference_sgd(X, y, w, b, loss, l1, l2, cfg):
     return w, b
 
 
+def masked_sigmoid(z):
+    """The sigmoid as a scatter through a boolean mask, the oracle for
+    the bits of `sigmoid`."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def round_robin_folds(y, k, seed):
+    """Stratified folds dealt sample by sample, the oracle for
+    `stratified_fold_indices`."""
+    y = np.asarray(y)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for cls in sorted(set(y.tolist())):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for pos, sample in enumerate(idx):
+            folds[pos % k].append(int(sample))
+    return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
 class TestSigmoid:
     def test_known_value(self):
         # sigmoid(0.5) = 1/(1+e^-0.5), verified with an independent calc
@@ -51,6 +77,21 @@ class TestSigmoid:
     def test_extremes_stay_finite(self):
         assert sigmoid(1000.0) == pytest.approx(1.0)
         assert sigmoid(-1000.0) == pytest.approx(0.0)
+
+    def test_bits_match_the_masked_oracle(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+                 tiny, -tiny, 1e-310, -1e-310, np.nan, -np.nan, 1.0, -1.0, 36.7, -36.7]
+        rng = np.random.default_rng(8)
+        # every kind of float64: random bit patterns, NaN payloads included
+        patterns = rng.integers(0, 2 ** 64, size=50_000, dtype=np.uint64).view(float)
+        with np.errstate(all="ignore"):
+            for z in (np.array(edges), patterns, rng.normal(0, 40, size=(30, 7))):
+                assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+                assert sigmoid(z).shape == z.shape
+            for z in edges:  # 0-d input, a NaN's sign included
+                assert np.shape(sigmoid(z)) == ()
+                assert np.asarray(sigmoid(z)).tobytes() == masked_sigmoid(z).tobytes(), z
 
 
 class TestStratifiedFolds:
@@ -67,6 +108,20 @@ class TestStratifiedFolds:
             n0 = len(fold) - n1
             assert abs(n0 - 31 / 5) < 1.0 + 1e-9
             assert abs(n1 - 19 / 5) < 1.0 + 1e-9
+
+    def test_matches_the_round_robin_oracle(self):
+        rng = np.random.default_rng(12)
+        problems = [(np.array([], dtype=int), 5), (np.array([0, 0, 1]), 5),
+                    (np.array([1] * 3 + [0] * 40), 4), (np.array([2, 0, 2, 1, 1, 0, 2]), 2)]
+        for _ in range(40):
+            n, k = int(rng.integers(0, 60)), int(rng.integers(2, 9))
+            problems.append((rng.integers(0, int(rng.integers(1, 4)), size=n), k))
+        for trial, (y, k) in enumerate(problems):
+            seed = int(rng.integers(100))
+            got, want = stratified_fold_indices(y, k, seed), round_robin_folds(y, k, seed)
+            assert len(got) == k, trial
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), trial
 
     def test_seed_determinism(self):
         y = np.array([0, 1] * 25)

@@ -141,6 +141,14 @@ class TestProtocol:
         response = call(make_server(), "classify_url", {"url": "ht!tp://"})
         assert response["error"]["code"] == "MALFORMED_URL"
 
+    @pytest.mark.parametrize("url", ["http://[abc/", "http://a.com]/", "http://\u2100.com/",
+                                     "[::1", "a.com]/x"])
+    @pytest.mark.parametrize("tool", ["classify_url", "explain_url", "extract_features"])
+    def test_urls_urlsplit_refuses_are_malformed(self, tool, url):
+        # an unclosed IPv6 bracket, or a netloc that NFKC changes
+        response = call(make_server(), tool, {"url": url})
+        assert response["error"]["code"] == "MALFORMED_URL"
+
     def test_missing_url_argument(self):
         response = call(make_server(), "classify_url", {})
         assert response["error"]["code"] == "MALFORMED_URL"

@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import make_ternary_dataset
 from phishguard.datasets import Dataset
 from phishguard.errors import EmptyDataset, InfiniteCell, PhishguardError
 from phishguard.metrics import auc_metric, cross_validate
-from phishguard.models import build_tree, train_forest, train_gbt, train_tree
+from phishguard.models import build_tree, splits, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
 from phishguard.models.growth import grow_trees
@@ -385,8 +386,24 @@ def forest_problem(seed):
     return Dataset(X, ds.y, ds.feature_names)
 
 
+def count_histogram_paths(monkeypatch) -> Counter:
+    """Calls, by name, of the three ways split search counts histograms:
+    a frontier in the matrix's row order, a run of gathered cells, and a
+    run's cells sorted."""
+    calls = Counter()
+    for owner, name in ((_Bins, "_count_rows"), (_Bins, "_count_run"),
+                        (splits, "_sorted_histograms")):
+        def counted(*args, _count=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _count(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestBinnedSplitSearch:
-    def test_matches_per_column_oracle(self):
+    def test_matches_per_column_oracle(self, monkeypatch):
+        calls = count_histogram_paths(monkeypatch)
         rng = np.random.default_rng(2024)
         for trial in range(150):
             X, y, settings = random_split_problem(rng)
@@ -397,6 +414,9 @@ class TestBinnedSplitSearch:
             oracle = reference_tree(X, y, **settings,
                                     rng=np.random.default_rng(seed) if subset else None)
             assert document(binned) == document(oracle), (trial, settings)
+        # the problems reach every way of counting
+        assert min(calls[name] for name in ("_count_rows", "_count_run",
+                                            "_sorted_histograms")) > 0, calls
 
     def test_nan_targets_match_oracle(self):
         # a NaN target makes every score of its node NaN; np.argmin, and
@@ -410,7 +430,8 @@ class TestBinnedSplitSearch:
             assert document(build_tree(X, y, **settings)) == \
                 document(reference_tree(X, y, **settings)), trial
 
-    def test_random_mode_matches_raw_column_oracle(self):
+    def test_random_mode_matches_raw_column_oracle(self, monkeypatch):
+        calls = count_histogram_paths(monkeypatch)
         rng = np.random.default_rng(2025)
         seen = set()
         for trial in range(300):
@@ -424,8 +445,9 @@ class TestBinnedSplitSearch:
             oracle = reference_tree(X, y, **settings, split_mode="random",
                                     rng=np.random.default_rng(seed))
             assert document(binned) == document(oracle), (trial, settings)
-        # with and without feature subsets
+        # with and without feature subsets, in row order and in runs
         assert len(seen) == 2
+        assert calls["_count_rows"] > 0 and calls["_count_run"] > 0, calls
 
     def test_drawn_split_scores_as_the_raw_column_scorer(self):
         # the scalar scorer's `p ** 2` is C pow, which rounds differently
@@ -620,6 +642,33 @@ class TestForest:
         monkeypatch.setattr(_Bins, "best_splits", counted)
         train_forest(make_ternary_dataset(n=2000, seed=16), n_trees=5, max_depth=12)
         assert 0 < len(calls) <= 5 * 13
+
+    def test_extra_trees_sharing_a_step_grow_as_each_alone(self, monkeypatch):
+        # column 0 sends 90% of the rows to a pure leaf at each root, so
+        # the 8 trees' next depths, on the same 400 matrix rows, share
+        # growth steps: a count keyed by matrix row alone would mix them
+        rng = np.random.default_rng(77)
+        n = 4000
+        X = rng.choice([-1.0, 0.0, 1.0], size=(n, 6))
+        X[:, 0] = rng.random(n) < 0.9
+        y = np.where(X[:, 0] == 1, 0.0, X[:, 1] + X[:, 2] + rng.normal(0, 0.7, n) > 0)
+        settings = dict(task="classify", max_depth=8, split_mode="random")
+        trees = []
+        search = _Bins.best_splits
+
+        def watched(bins, *args):
+            owner = args[6]
+            trees.append(len(set(owner.tolist())))
+            return search(bins, *args)
+
+        monkeypatch.setattr(_Bins, "best_splits", watched)
+        forest = grow_trees(X, y, [np.random.default_rng(seed) for seed in range(8)], **settings)
+        monkeypatch.undo()
+        for seed, nodes in enumerate(forest):
+            [alone] = grow_trees(X, y, [np.random.default_rng(seed)], **settings)
+            for name in NODE_ARRAYS:
+                assert nodes[name].tobytes() == alone[name].tobytes(), (seed, name)
+        assert sum(count == 8 for count in trees) >= 3, trees
 
     def test_extra_trees_fit_nan_cells(self):
         ds = make_ternary_dataset(n=300, seed=3)
