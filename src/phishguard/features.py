@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from urllib.parse import urlsplit
@@ -95,6 +96,44 @@ def parse_url(raw: str) -> UrlParts:
     """
     if not raw:
         raise MalformedUrl("empty input")
+    # printable ASCII without space or brackets: urlsplit neither strips,
+    # edits nor NFKC-checks such a URL, so the plain split is exact for it
+    if raw.isascii() and raw.isprintable() and not (" " in raw or "[" in raw or "]" in raw):
+        parts = _split_plain(raw)
+        if parts is not None:
+            return parts
+    return _split_with_urlsplit(raw)
+
+
+def _split_plain(raw: str) -> UrlParts | None:
+    """`raw` split as urlsplit splits it, or None to leave it to
+    `_split_with_urlsplit`: a bad scheme, no host or a bad port, which that
+    refuses with the reason, and a port of more than five digits."""
+    scheme, sep, rest = raw.partition("://")
+    if not sep:
+        scheme, rest = "http", raw
+    elif _SCHEME_RE.match(scheme):
+        scheme = scheme.lower()
+    else:
+        return None
+    # the netloc ends at the first '/', '?' or '#', so the first '#' and the
+    # first '?' before it lie beyond it, where urlsplit looks for them
+    rest, _, fragment = rest.partition("#")
+    rest, _, query = rest.partition("?")
+    netloc, slash, path = rest.partition("/")
+    host, _, port = netloc.rpartition("@")[2].partition(":")
+    if not host:
+        return None
+    if not port:
+        port = None
+    elif port.isdigit() and len(port) <= 5 and int(port) <= 65535:
+        port = int(port)
+    else:
+        return None
+    return UrlParts(scheme, host.lower(), port, slash + path, query, fragment, raw)
+
+
+def _split_with_urlsplit(raw: str) -> UrlParts:
     work = raw.strip()
     if "://" in work:
         scheme, rest = work.split("://", 1)
@@ -156,23 +195,19 @@ def is_ip_host(host: str) -> bool:
 
 
 def split_host(host: str) -> tuple[list[str], str]:
-    """Split a host into (subdomain labels, registrable domain).
+    """Split a host that is not an IP address (see `is_ip_host`) into
+    (subdomain labels, registrable domain).
 
     The registrable domain is one label plus the longest matching public
-    suffix from the bundled list. IP hosts have no registrable domain.
+    suffix from the bundled list.
     """
-    if is_ip_host(host):
-        return [], ""
     labels = host.split(".")
     suffixes = public_suffixes()
     # longest suffix match, in labels
     for n in range(len(labels) - 1, 0, -1):
         candidate = ".".join(labels[-n:])
-        if candidate in suffixes:
-            if len(labels) > n:
-                registrable = ".".join(labels[-(n + 1):])
-                return labels[: -(n + 1)], registrable
-            return [], candidate
+        if candidate in suffixes:  # n < len(labels): one label precedes it
+            return labels[: -(n + 1)], ".".join(labels[-(n + 1):])
     # unknown TLD: treat the last label as the suffix
     if len(labels) >= 2:
         return labels[:-2], ".".join(labels[-2:])
@@ -181,12 +216,12 @@ def split_host(host: str) -> tuple[list[str], str]:
 
 def extract_lexical(parts: UrlParts) -> dict[str, int]:
     """Fill the 8 features computable from the URL string alone."""
-    raw = parts.raw
-    subdomains, registrable = split_host(parts.host)
-    sub_labels = list(subdomains)
-    if sub_labels and sub_labels[0] == "www":
-        sub_labels = sub_labels[1:]
-    d = len(sub_labels)
+    raw, host = parts.raw, parts.host
+    ip = is_ip_host(host)
+    subdomains = [] if ip else split_host(host)[0]
+    d = len(subdomains)
+    if d and subdomains[0] == "www":
+        d -= 1
     if d <= 1:
         sub_domain = -1
     elif d == 2:
@@ -195,18 +230,19 @@ def extract_lexical(parts: UrlParts) -> dict[str, int]:
         sub_domain = 1
     return {
         "URL_Length": len(raw),
-        "having_IP_Address": 1 if is_ip_host(parts.host) else -1,
+        "having_IP_Address": 1 if ip else -1,
         "having_At_Symbol": 1 if "@" in raw else -1,
         "double_slash_redirecting": 1 if raw.rfind("//") > 7 else -1,
-        "Prefix_Suffix": 1 if "-" in parts.host else -1,
+        "Prefix_Suffix": 1 if "-" in host else -1,
         "having_Sub_Domain": sub_domain,
-        "Shortening_Service": 1 if parts.host in shortener_hosts() else -1,
-        "HTTPS_token": 1 if "https" in parts.host else -1,
+        "Shortening_Service": 1 if host in shortener_hosts() else -1,
+        "HTTPS_token": 1 if "https" in host else -1,
     }
 
 
 # every resolved feature unknown; read-only, so one mapping serves all URLs
-OFFLINE_ANSWER = MappingProxyType(dict.fromkeys(RESOLVED_FEATURES, 0))
+_OFFLINE_VALUES = dict.fromkeys(RESOLVED_FEATURES, 0)
+OFFLINE_ANSWER = MappingProxyType(_OFFLINE_VALUES)
 
 
 class OfflineResolver:
@@ -234,16 +270,20 @@ def resolve_remaining(parts: UrlParts, resolver=None) -> dict[str, int]:
     """Complete a feature vector with one resolver call answering the 15
     non-lexical features. Returns the full 23-entry mapping. An answer that
     lacks a feature or gives a value outside {-1, 0, 1} raises
-    ResolverFailure naming it: a resolver is input from outside."""
+    ResolverFailure naming it: a resolver is input from outside. A value
+    that equals one of them (True, 1.0, -0.0) is stored as that int."""
     answer = OFFLINE_ANSWER if resolver is None else resolver.resolve(parts)
     values = extract_lexical(parts)
+    if answer is OFFLINE_ANSWER:  # checked once, when it was built
+        values.update(_OFFLINE_VALUES)
+        return values
     for name in RESOLVED_FEATURES:
         if name not in answer:
             raise ResolverFailure(name, "missing from the resolver's answer")
         value = answer[name]
         if value not in TERNARY_VALUES:
             raise ResolverFailure(name, f"value {value!r} outside {{-1,0,1}}")
-        values[name] = value
+        values[name] = int(value)
     return values
 
 
@@ -253,9 +293,13 @@ def extract_features(raw: str, resolver=None) -> dict[str, int]:
     return resolve_remaining(parts, resolver)
 
 
+_CANONICAL_ROW = itemgetter(*CANONICAL_FEATURES)
+
+
 def to_canonical_vector(values: dict[str, float]) -> np.ndarray:
     """Emit values in the fixed canonical order as a float vector."""
-    missing = [name for name in CANONICAL_FEATURES if name not in values]
-    if missing:
-        raise MissingFeature(missing)
-    return np.array([float(values[name]) for name in CANONICAL_FEATURES])
+    try:
+        row = _CANONICAL_ROW(values)
+    except KeyError:
+        raise MissingFeature([n for n in CANONICAL_FEATURES if n not in values]) from None
+    return np.fromiter(map(float, row), float, len(CANONICAL_FEATURES))

@@ -242,6 +242,7 @@ class PhishingServer:
         except MalformedUrl as exc:
             return _error_line(request_id, "MALFORMED_URL", str(exc))
         except Exception as exc:  # noqa: BLE001 - protocol totality
+            traceback.print_exc()  # the reply says only INTERNAL; stderr says where
             return _error_line(request_id, "INTERNAL", str(exc))
         # the bytes of json.dumps({"id": ..., "status": "ok", "result": ...},
         # sort_keys=True), whose keys sort as id < result < status

@@ -1,8 +1,12 @@
+import json
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phishguard import features
 from phishguard.errors import MalformedUrl, MissingFeature, ResolverFailure
 from phishguard.features import (
     CANONICAL_FEATURES,
@@ -17,6 +21,11 @@ from phishguard.features import (
     resolve_remaining,
     split_host,
     to_canonical_vector,
+)
+from phishguard.generate import (
+    GenerationConfig,
+    generate_feature_rich_domains,
+    generate_synthetic_urls,
 )
 
 
@@ -158,6 +167,16 @@ class TestResolvers:
         assert err.value.feature == "SFH"
         assert str(err.value).startswith("SFH: ")
 
+    def test_values_equal_to_a_ternary_int_are_stored_as_that_int(self):
+        resolver = PrecomputedResolver({"DNSRecord": True, "Iframe": 1.0, "SFH": -0.0})
+        fv = extract_features("http://a.com/", resolver)
+        assert [type(fv[name]) for name in RESOLVED_FEATURES] == [int] * len(RESOLVED_FEATURES)
+        encoded = json.dumps(fv)
+        assert '"DNSRecord": 1,' in encoded and '"Iframe": 1,' in encoded and '"SFH": 0,' in encoded
+        zeros = PrecomputedResolver({"DNSRecord": 1, "Iframe": 1})
+        assert (to_canonical_vector(fv).tobytes()
+                == to_canonical_vector(extract_features("http://a.com/", zeros)).tobytes())
+
     def test_precomputed_ignores_non_resolved_keys(self):
         raw = "https://a.com/x"
         resolver = PrecomputedResolver({"URL_Length": 0, "unknown": 5, "SFH": 1})
@@ -214,6 +233,64 @@ def test_fuzz_domain_and_length(fragment):
             assert fv[name] in (-1, 0, 1)
     # determinism under the offline resolver
     assert resolve_remaining(parse_url(raw)) == fv
+
+
+# characters urlsplit strips, refuses, NFKC-checks or splits on, and
+# pieces that make a scheme, a port out of range, a signed port or a hex host
+URL_PIECES = st.one_of(
+    st.text(alphabet=string.ascii_letters + string.digits + ":/?#@[]%.-_+~ \t\n\0é℀",
+            min_size=1, max_size=8),
+    st.sampled_from(["://", ":80", ":99999", ":+1", "0x7f"]),
+)
+
+
+def parsed_or_refused(parse, raw):
+    try:
+        return parse(raw)
+    except MalformedUrl as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(URL_PIECES, min_size=1, max_size=8).map("".join))
+def test_the_plain_split_is_exactly_urlsplit(raw):
+    plain = parsed_or_refused(parse_url, raw)
+    assert plain == parsed_or_refused(features._split_with_urlsplit, raw)
+    if isinstance(plain, features.UrlParts):
+        via_urlsplit = resolve_remaining(features._split_with_urlsplit(raw))
+        assert (to_canonical_vector(extract_features(raw)).tobytes()
+                == to_canonical_vector(via_urlsplit).tobytes())
+
+
+class TestPlainSplit:
+    """The URLs the generator makes, which the benchmark serves, take the
+    plain split; any URL it does not cover is left to urlsplit."""
+
+    @pytest.fixture
+    def urlsplit_calls(self, monkeypatch):
+        calls, urlsplit = [], features.urlsplit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return urlsplit(*args, **kwargs)
+
+        monkeypatch.setattr(features, "urlsplit", counting)
+        return calls
+
+    def test_generated_urls_never_reach_urlsplit(self, urlsplit_calls):
+        cfg = GenerationConfig(legit_urls=["https://www.example.com/login",
+                                           "https://paypal.com/account?x=1#top"],
+                               target_count=100, per_feature_target=5, seed=3)
+        urls = generate_synthetic_urls(cfg) + generate_feature_rich_domains(cfg)[0]
+        for url in urls:  # the benchmark adds ?visit=N once its pool is used up
+            parse_url(url)
+            parse_url(f"{url}?visit=1")
+        assert len(urls) > 100 and urlsplit_calls == []
+
+    @pytest.mark.parametrize("raw", ["http://a.com/a b", "http://[::1]/x", "http://é.com/"])
+    def test_other_urls_take_urlsplit(self, urlsplit_calls, raw):
+        parse_url(raw)
+        assert len(urlsplit_calls) == 1
 
 
 def test_lexical_resolved_partition():

@@ -159,6 +159,20 @@ class TestProtocol:
         response = call(server, "classify_url", {"url": "http://a.com"})
         assert response["error"]["code"] == "INTERNAL"
 
+    def test_internal_error_leaves_a_traceback_on_stderr(self, monkeypatch, capsys):
+        server = make_server()
+
+        def failing(arguments, request_id):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "_tool_server_info", failing)
+        reply = server.handle_line('{"id": "r1", "tool": "server_info"}')
+        assert reply == ('{"error": {"code": "INTERNAL", "message": "boom"}, '
+                         '"id": "r1", "status": "error"}')
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in failing" in err and err.endswith("RuntimeError: boom\n")
+
     def test_claims_that_are_not_strings_score_zero(self):
         reference = make_ternary_dataset(n=50, seed=1, provenance=("UCI",))
         server = make_server(PcsConfig(reference))
