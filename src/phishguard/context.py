@@ -2,9 +2,9 @@
 
 A context holds one request's feature vector, the model's outcome for
 it and the claimed provenance. It is immutable: a frozen record over a
-read-only copy of the vector and a frozen copy of the claim, so the
-audit log and the robustness harness can share contexts and an attack
-must build new ones. This module also holds the classification that
+vector whose bytes no one can change and a frozen copy of the claim, so
+the audit log and the robustness harness can share contexts and an
+attack must build new ones. This module also holds the classification that
 produces an outcome and the provenance confidence score (PCS) checked
 against a reference set; it imports no transport.
 """
@@ -53,13 +53,17 @@ FEATURE_DESCRIPTIONS = {
     "web_traffic": "little or no recorded web traffic",
 }
 
+_FLOAT64 = np.dtype(np.float64)  # native byte order
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class IsolatedContext:
     context_id: str
     request_ref: str
     names: tuple[str, ...]  # the feature of each vector entry
-    vector: np.ndarray  # a read-only copy of the vector it was built from
+    # read-only over bytes no one can change: the float64 view of a `bytes`
+    # object it was given (a server's memo key), or else a float64 copy
+    vector: np.ndarray
     probability: float
     label: int
     provenance: str = "Unknown"  # or any JSON value, frozen (`_frozen`)
@@ -67,11 +71,24 @@ class IsolatedContext:
     rationale: tuple[str, ...] = ()
 
     def __post_init__(self):
-        vector = np.array(self.vector, dtype=float)
-        vector.flags.writeable = False
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "provenance", _frozen(self.provenance))
+        names, vector = self.names, self.vector
+        if type(names) is not tuple:
+            names = tuple(names)
+            object.__setattr__(self, "names", names)
+        # numpy refuses to make a view of `bytes` writeable, and no one can
+        # change the bytes, so such a view is kept; a read-only view of a
+        # writeable array is not, since its owner can still write to it
+        if not (type(vector) is np.ndarray and type(vector.base) is bytes
+                and vector.dtype is _FLOAT64):
+            vector = np.asarray(vector, dtype=float)
+            vector = np.frombuffer(vector.tobytes()).reshape(vector.shape)
+            object.__setattr__(self, "vector", vector)
+        # the seal covers `features`, which pairs names with entries
+        if vector.shape != (len(names),):
+            raise PhishguardError(f"a context's vector has shape {vector.shape}, "
+                                  f"not one entry per name ({len(names)})")
+        if type(self.provenance) is not str:
+            object.__setattr__(self, "provenance", _frozen(self.provenance))
 
     @classmethod
     def from_outcome(cls, outcome: dict, **fields) -> "IsolatedContext":

@@ -36,6 +36,7 @@ replies are bounded by module constants.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import selectors
 import socket
@@ -110,6 +111,11 @@ class PhishingServer:
         # deque.append is atomic, so threads that call handle_line at once
         # need no lock
         self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
+        # a context's id is this server's random prefix and a serial number;
+        # next() on a count is atomic under the interpreter lock, so
+        # threads draw distinct numbers
+        self._id_prefix = uuid.uuid4().hex
+        self._serials = itertools.count(1)
         memo = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)
         # under the offline resolver a URL's vector is a pure function of
         # its string; a resolver is outside input that may answer
@@ -132,12 +138,17 @@ class PhishingServer:
     # -- context lifecycle -------------------------------------------------
 
     def create_context(self, request_id: str, url: str,
-                       provenance: str = "Unknown") -> IsolatedContext:
+                       provenance: object = "Unknown") -> IsolatedContext:
+        """Score `url` into a context, claiming `provenance` (any JSON value),
+        and append it to the audit log."""
         key = self._vector_of(url)
-        context = IsolatedContext.from_outcome(
-            self._outcomes(key), context_id=uuid.uuid4().hex, request_ref=request_id,
-            names=CANONICAL_FEATURES, vector=np.frombuffer(key), provenance=provenance,
-            created_at=time.time(),
+        outcome = self._outcomes(key)
+        # fields by position; the context keeps the view of the memo key, a
+        # `bytes` object, uncopied
+        context = IsolatedContext(
+            f"{self._id_prefix}-{next(self._serials)}", request_id, CANONICAL_FEATURES,
+            np.frombuffer(key), outcome["probability"], outcome["y_hat"], provenance,
+            time.time(), outcome["rationale"],
         )
         self.audit_log.append(context)
         return context

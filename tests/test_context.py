@@ -17,7 +17,7 @@ import pytest
 
 from conftest import make_ternary_dataset
 from phishguard import robustness, server
-from phishguard.context import PcsConfig
+from phishguard.context import IsolatedContext, PcsConfig
 from phishguard.features import CANONICAL_FEATURES
 from phishguard.models import LinearModel, train_linear
 from phishguard.robustness import (
@@ -152,6 +152,53 @@ class TestSharing:
         assert len(victims) == 5
         for before, after in zip(pre.contexts, post.contexts):
             assert (before is after) == (before.context_id not in victims)
+
+
+class TestImmutableVector:
+    """No one can change a context's vector: not the caller that gave it,
+    and not a holder of the context."""
+
+    @staticmethod
+    def context(vector):
+        return IsolatedContext("c1", "r1", ("a", "b", "c"), vector, 0.5, 1)
+
+    @staticmethod
+    def read_only_view(owner):
+        """The owner, and a read-only view through which it can still be changed."""
+        view = owner.view()
+        view.flags.writeable = False
+        return owner, view
+
+    @pytest.mark.parametrize("make", [
+        lambda: ([1.0, 0.0, -1.0],) * 2,
+        lambda: (np.array([1.0, 0.0, -1.0]),) * 2,
+        lambda: TestImmutableVector.read_only_view(np.array([1.0, 0.0, -1.0])),
+        lambda: (np.array([1, 0, -1]),) * 2,
+    ], ids=["list", "writeable-array", "read-only-view", "int-array"])
+    def test_a_change_to_the_source_does_not_reach_the_context(self, make):
+        source, given = make()
+        ctx = self.context(given)
+        source[:] = [5, 5, 5]
+        assert ctx.vector.tolist() == [1.0, 0.0, -1.0]
+        assert ctx.vector.dtype == np.float64
+        assert not ctx.vector.flags.writeable
+        with pytest.raises(ValueError):
+            ctx.vector.flags.writeable = True
+        with pytest.raises(ValueError):
+            ctx.vector[0] = 5.0
+
+    def test_a_view_of_bytes_is_kept_uncopied(self):
+        key = np.array([1.0, 0.0, -1.0]).tobytes()
+        view = np.frombuffer(key)
+        ctx = self.context(view)
+        assert ctx.vector is view and np.shares_memory(ctx.vector, view)
+        with pytest.raises(ValueError):
+            ctx.vector.flags.writeable = True
+
+    @pytest.mark.parametrize("dtype", [">f8", "<f4"])
+    def test_a_view_of_bytes_in_another_dtype_is_copied_as_float64(self, dtype):
+        ctx = self.context(np.frombuffer(np.array([1, 0, -1], dtype=dtype).tobytes(), dtype))
+        assert ctx.vector.dtype == np.float64 and ctx.vector.tolist() == [1.0, 0.0, -1.0]
 
 
 class TestSealedClaims:

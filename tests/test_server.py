@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -613,6 +614,7 @@ class TestConcurrency:
             assert got["result"]["probability"] == want["result"]["probability"]
             assert got["result"]["label"] == want["result"]["label"]
         assert len(server.audit_log) == 64
+        assert len({ctx.context_id for ctx in server.audit_log}) == 64
 
     def test_audit_log_append_only_and_sealed(self):
         server = make_server()
@@ -633,6 +635,62 @@ class TestConcurrency:
         for i in range(20):
             call(server, "classify_url", {"url": f"http://a{i}.com"}, f"r{i}")
         assert [ctx.request_ref for ctx in server.audit_log] == [f"r{i}" for i in range(12, 20)]
+
+
+class TestContextIds:
+    URL = "http://secure-paypal.bit.ly//redirect@evil"
+
+    def test_ids_are_a_server_prefix_and_a_serial_number(self):
+        first, second = make_server(), make_server()
+        for phishing_server in (first, second, first):
+            call(phishing_server, "classify_url", {"url": self.URL})
+        ids = [ctx.context_id for ctx in (*first.audit_log, *second.audit_log)]
+        assert all(re.fullmatch("[0-9a-f]{32}-[0-9]+", context_id) for context_id in ids)
+        prefixes, serials = zip(*(context_id.split("-") for context_id in ids))
+        assert prefixes[0] == prefixes[1] != prefixes[2]
+        assert serials == ("1", "2", "1")
+        # an id is not sealed: the same request seals the same on each server
+        assert len({ctx.seal_digest() for ctx in (*first.audit_log, *second.audit_log)}) == 1
+
+    def test_one_uuid_per_server(self, monkeypatch):
+        drawn = []
+        uuid4 = server_module.uuid.uuid4
+        monkeypatch.setattr(server_module.uuid, "uuid4", lambda: drawn.append(1) or uuid4())
+        phishing_server = make_server()
+        assert len(drawn) == 1
+        for i in range(100):
+            call(phishing_server, "classify_url", {"url": f"http://a{i % 7}.com"}, f"r{i}")
+        assert len(drawn) == 1
+
+    def test_threads_draw_distinct_ids(self):
+        phishing_server = make_server()
+        ids = [[] for _ in range(8)]
+
+        def worker(drawn):
+            for i in range(300):
+                drawn.append(phishing_server.create_context(
+                    "r", f"http://a{i % 5}.com").context_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(drawn,)) for drawn in ids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len({context_id for drawn in ids for context_id in drawn}) == 8 * 300
+
+    def test_a_memo_hit_context_views_the_memo_key(self):
+        phishing_server = make_server()
+        for _ in range(2):
+            call(phishing_server, "classify_url", {"url": self.URL})
+        key = phishing_server._vector_of(self.URL)
+        vector = phishing_server.audit_log[-1].vector
+        assert vector.base is key and np.shares_memory(vector, np.frombuffer(key))
 
 
 def explain_line(url, request_id="e"):
@@ -964,6 +1022,13 @@ class TestIsolatedContext:
 
     def test_digest_sensitive_to_probability(self):
         assert self.make(0.9).seal_digest() != self.make(0.1).seal_digest()
+
+    @pytest.mark.parametrize("vector", [[20.0, 1.0], [20.0, 999.0], [], 20.0, [[20.0]]])
+    def test_a_vector_needs_one_entry_per_name(self, vector):
+        # the seal covers the named entries only, so an unnamed one would
+        # go unsealed
+        with pytest.raises(PhishguardError):
+            dataclasses.replace(self.make(), vector=vector)
 
 
 def scan_score(x, pcs, claimed):
