@@ -66,7 +66,7 @@ class IsolatedContext:
     vector: np.ndarray
     probability: float
     label: int
-    provenance: str = "Unknown"  # or any JSON value, frozen (`_frozen`)
+    provenance: object = "Unknown"  # any JSON value, frozen (`_frozen`)
     created_at: float = 0.0
     rationale: tuple[str, ...] = ()
 

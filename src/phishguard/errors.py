@@ -9,14 +9,6 @@ class MalformedUrl(PhishguardError):
     """Raised when no host can be identified in a URL string."""
 
 
-class ResolverFailure(PhishguardError):
-    """A feature resolver returned an out-of-domain value or failed outright."""
-
-    def __init__(self, feature: str, message: str):
-        super().__init__(f"{feature}: {message}")
-        self.feature = feature
-
-
 class MissingFeature(PhishguardError):
     """A feature vector lacks one or more canonical features."""
 

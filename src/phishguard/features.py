@@ -1,11 +1,10 @@
 """URL parsing and the 23-feature canonical vector.
 
 Lexical features are computed from the URL string alone. Content and
-reputation features (DNS, page content, traffic rank, ...) come from a
-pluggable resolver, asked once per URL: `resolver.resolve(parts)` returns
-a mapping that answers every name in RESOLVED_FEATURES with -1, 0 or 1.
-The offline default answers 0 ("unknown") for all of them so that
-training on precomputed CSVs and live serving share one code path.
+reputation features (DNS, page content, traffic rank, ...) need a live
+lookup, which cannot run offline: every name in RESOLVED_FEATURES is
+answered 0 ("unknown"), so training on precomputed CSVs and serving
+share one code path and a URL's vector is a pure function of its string.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from .errors import MalformedUrl, MissingFeature, ResolverFailure
+from .errors import MalformedUrl, MissingFeature
 
 # Canonical feature order. Every model input in the toolkit is a length-23
 # vector in exactly this order.
@@ -62,7 +60,7 @@ LEXICAL_FEATURES = (
     "HTTPS_token",
 )
 
-# Need page content or external reputation; answered by a resolver.
+# Need page content or external reputation; answered 0 (unknown) offline.
 RESOLVED_FEATURES = tuple(
     name for name in CANONICAL_FEATURES if name not in LEXICAL_FEATURES
 )
@@ -240,57 +238,21 @@ def extract_lexical(parts: UrlParts) -> dict[str, int]:
     }
 
 
-# every resolved feature unknown; read-only, so one mapping serves all URLs
+# every resolved feature unknown
 _OFFLINE_VALUES = dict.fromkeys(RESOLVED_FEATURES, 0)
-OFFLINE_ANSWER = MappingProxyType(_OFFLINE_VALUES)
 
 
-class OfflineResolver:
-    """Default resolver: every non-lexical feature is unknown (0).
-
-    Stateless, safe to share across threads.
-    """
-
-    def resolve(self, parts: UrlParts) -> MappingProxyType:
-        return OFFLINE_ANSWER
-
-
-class PrecomputedResolver:
-    """Serves feature values from a fixed mapping; unknowns fall back to 0.
-    Keys outside RESOLVED_FEATURES are ignored."""
-
-    def __init__(self, values: dict[str, int]):
-        self.answer = MappingProxyType({n: values.get(n, 0) for n in RESOLVED_FEATURES})
-
-    def resolve(self, parts: UrlParts) -> MappingProxyType:
-        return self.answer
-
-
-def resolve_remaining(parts: UrlParts, resolver=None) -> dict[str, int]:
-    """Complete a feature vector with one resolver call answering the 15
-    non-lexical features. Returns the full 23-entry mapping. An answer that
-    lacks a feature or gives a value outside {-1, 0, 1} raises
-    ResolverFailure naming it: a resolver is input from outside. A value
-    that equals one of them (True, 1.0, -0.0) is stored as that int."""
-    answer = OFFLINE_ANSWER if resolver is None else resolver.resolve(parts)
+def resolve_remaining(parts: UrlParts) -> dict[str, int]:
+    """The full 23-entry mapping of `parts`: its lexical features, and 0
+    for each of the 15 features a live lookup would answer."""
     values = extract_lexical(parts)
-    if answer is OFFLINE_ANSWER:  # checked once, when it was built
-        values.update(_OFFLINE_VALUES)
-        return values
-    for name in RESOLVED_FEATURES:
-        if name not in answer:
-            raise ResolverFailure(name, "missing from the resolver's answer")
-        value = answer[name]
-        if value not in TERNARY_VALUES:
-            raise ResolverFailure(name, f"value {value!r} outside {{-1,0,1}}")
-        values[name] = int(value)
+    values.update(_OFFLINE_VALUES)
     return values
 
 
-def extract_features(raw: str, resolver=None) -> dict[str, int]:
+def extract_features(raw: str) -> dict[str, int]:
     """Parse a URL and produce the complete 23-feature mapping."""
-    parts = parse_url(raw)
-    return resolve_remaining(parts, resolver)
+    return resolve_remaining(parse_url(raw))
 
 
 _CANONICAL_ROW = itemgetter(*CANONICAL_FEATURES)

@@ -8,11 +8,7 @@ inference paths.
 
 What depends only on a request's inputs runs once and is kept in a memo
 of the last `VECTOR_MEMO_SIZE` entries:
-- per distinct URL, under the offline resolver only: extraction and the
-  vector build. The offline answer is a constant, so a URL's vector is a
-  pure function of its string; a resolver is outside input that may
-  answer differently over time, so a server given one extracts on every
-  request;
+- per distinct URL: extraction and the vector build;
 - per distinct vector: `classify_url`'s model outcome (probability, label
   and rationale), and `explain_url`'s result as JSON text;
 - per distinct (vector, claimed provenance): `classify_url`'s result, PCS
@@ -95,7 +91,7 @@ class PhishingServer:
     """Tool dispatch plus context bookkeeping; transport-agnostic."""
 
     def __init__(self, model, fusion: FusionWeights | None = None,
-                 pcs: PcsConfig | None = None, resolver=None):
+                 pcs: PcsConfig | None = None):
         # every request is scored on CANONICAL_FEATURES, in that order
         if model.n_features != len(CANONICAL_FEATURES):
             raise UnservableModel(f"the model takes {model.n_features} features, "
@@ -107,7 +103,6 @@ class PhishingServer:
         self.model = model
         self.fusion = fusion  # None: the rationale weighs every feature 1
         self.pcs = pcs
-        self.resolver = resolver  # None: the offline resolver
         # deque.append is atomic, so threads that call handle_line at once
         # need no lock
         self.audit_log: deque[IsolatedContext] = deque(maxlen=AUDIT_LOG_SIZE)
@@ -117,13 +112,8 @@ class PhishingServer:
         self._id_prefix = uuid.uuid4().hex
         self._serials = itertools.count(1)
         memo = functools.lru_cache(maxsize=VECTOR_MEMO_SIZE)
-        # under the offline resolver a URL's vector is a pure function of
-        # its string; a resolver is outside input that may answer
-        # differently over time, so it is asked on every request
-        if resolver is None:
-            self._vector_of = memo(_vector_bytes)
-        else:
-            self._vector_of = functools.partial(_vector_bytes, resolver=resolver)
+        # a URL's vector is a pure function of its string
+        self._vector_of = memo(_vector_bytes)
         # an outcome, a classify result with its PCS and an explanation are
         # pure functions of the vector's bits (and the claim): the model,
         # fusion weights and PCS reference are fixed, and LIME's seed and
@@ -160,12 +150,13 @@ class PhishingServer:
 
     def _tool_extract_features(self, arguments, request_id):
         url = _require_url(arguments)
-        return json.dumps(extract_features(url, self.resolver), sort_keys=True)
+        return json.dumps(extract_features(url), sort_keys=True)
 
     def _tool_classify_url(self, arguments, request_id):
         url = _require_url(arguments)
         claimed = arguments.get("provenance", "Unknown")
-        key = self.create_context(request_id, url, claimed).vector.tobytes()
+        # the memo key itself: a context keeps its vector as a view of it
+        key = self.create_context(request_id, url, claimed).vector.base
         # arrays and objects, JSON's only unhashable values, cannot key the
         # memo; they equal no provenance, so they score as any such claim
         if isinstance(claimed, (list, dict)):
@@ -457,11 +448,11 @@ class TcpTransport:
         del conn.unsent[:sent]
 
 
-def _vector_bytes(url: str, resolver=None) -> bytes:
+def _vector_bytes(url: str) -> bytes:
     """The bits of `url`'s canonical vector. Both functions are looked
     up at call time, so a wrapper set on this module after a server is
     built sees every call."""
-    return to_canonical_vector(extract_features(url, resolver)).tobytes()
+    return to_canonical_vector(extract_features(url)).tobytes()
 
 
 def _require_url(arguments) -> str:

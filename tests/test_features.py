@@ -1,4 +1,3 @@
-import json
 import string
 
 import numpy as np
@@ -7,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phishguard import features
-from phishguard.errors import MalformedUrl, MissingFeature, ResolverFailure
+from phishguard.errors import MalformedUrl, MissingFeature
 from phishguard.features import (
     CANONICAL_FEATURES,
     LEXICAL_FEATURES,
     RESOLVED_FEATURES,
-    OfflineResolver,
-    PrecomputedResolver,
     extract_features,
     extract_lexical,
     is_ip_host,
@@ -125,63 +122,17 @@ class TestSplitHost:
         assert split_host("x.y.weirdtld") == (["x"], "y.weirdtld")
 
 
-class TestResolvers:
-    def test_offline_default_all_zero(self):
-        fv = extract_features("https://a.com/x", OfflineResolver())
+# a few generated phishing-like URLs, each with its own transformation
+OFFLINE_URLS = generate_synthetic_urls(GenerationConfig(
+    legit_urls=["https://www.example.com/login", "https://paypal.com/account?x=1#top"],
+    target_count=6, seed=5))
+
+
+class TestOfflineFeatures:
+    @pytest.mark.parametrize("raw", ["https://a.com/x", *OFFLINE_URLS])
+    def test_every_resolved_feature_is_zero(self, raw):
+        fv = extract_features(raw)
         assert all(fv[name] == 0 for name in RESOLVED_FEATURES)
-
-    def test_precomputed_passthrough(self):
-        resolver = PrecomputedResolver({"Google_Index": -1})
-        fv = extract_features("https://a.com/x", resolver)
-        assert fv["Google_Index"] == -1
-        assert fv["DNSRecord"] == 0
-
-    def test_out_of_domain_rejected(self):
-        resolver = PrecomputedResolver({"Iframe": 2})
-        with pytest.raises(ResolverFailure):
-            extract_features("https://a.com/x", resolver)
-
-    def test_one_call_per_url(self):
-        class Counting(OfflineResolver):
-            calls = 0
-
-            def resolve(self, *args):  # count calls whatever the signature
-                self.calls += 1
-                return super().resolve(*args)
-
-        resolver = Counting()
-        extract_features("https://a.com/x", resolver)
-        assert resolver.calls == 1
-
-    @pytest.mark.parametrize("answer", [
-        {name: 0 for name in RESOLVED_FEATURES if name != "SFH"},
-        {**{name: 0 for name in RESOLVED_FEATURES}, "SFH": 2},
-    ], ids=["missing", "out_of_domain"])
-    def test_bad_answer_names_the_feature(self, answer):
-        class Fixed:
-            def resolve(self, parts):
-                return answer
-
-        with pytest.raises(ResolverFailure) as err:
-            extract_features("https://a.com/x", Fixed())
-        assert err.value.feature == "SFH"
-        assert str(err.value).startswith("SFH: ")
-
-    def test_values_equal_to_a_ternary_int_are_stored_as_that_int(self):
-        resolver = PrecomputedResolver({"DNSRecord": True, "Iframe": 1.0, "SFH": -0.0})
-        fv = extract_features("http://a.com/", resolver)
-        assert [type(fv[name]) for name in RESOLVED_FEATURES] == [int] * len(RESOLVED_FEATURES)
-        encoded = json.dumps(fv)
-        assert '"DNSRecord": 1,' in encoded and '"Iframe": 1,' in encoded and '"SFH": 0,' in encoded
-        zeros = PrecomputedResolver({"DNSRecord": 1, "Iframe": 1})
-        assert (to_canonical_vector(fv).tobytes()
-                == to_canonical_vector(extract_features("http://a.com/", zeros)).tobytes())
-
-    def test_precomputed_ignores_non_resolved_keys(self):
-        raw = "https://a.com/x"
-        resolver = PrecomputedResolver({"URL_Length": 0, "unknown": 5, "SFH": 1})
-        fv = extract_features(raw, resolver)
-        assert fv == {**extract_features(raw), "SFH": 1}
 
 
 class TestCanonicalVector:
@@ -231,7 +182,7 @@ def test_fuzz_domain_and_length(fragment):
             assert fv[name] >= 0
         else:
             assert fv[name] in (-1, 0, 1)
-    # determinism under the offline resolver
+    # determinism
     assert resolve_remaining(parse_url(raw)) == fv
 
 

@@ -29,8 +29,6 @@ CALLERS = sorted(p for folder in ("src", "perfbench", "demos")
                  if p.name != "__init__.py" and "tests" not in p.relative_to(ROOT).parts)
 # public names that no code of the program calls, kept for their readers
 UNCALLED = {
-    "OfflineResolver": "the resolver protocol's offline default, for deployments",
-    "PrecomputedResolver": "the resolver protocol's lookup table, for deployments",
     "count_feature_triggers": "the oracle of generate_feature_rich_domains' report",
     "average_fold_coefficients": "the paper's coefficient-based feature selection",
     "select_features_by_coefficient": "the paper's coefficient-based feature selection",

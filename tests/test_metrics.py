@@ -8,9 +8,9 @@ from phishguard.errors import (
     EmptyInput,
     InfiniteCell,
     LengthMismatch,
-    ResolverFailure,
     SingleClassDataset,
     SingleClassInput,
+    UnmappableFeature,
 )
 from phishguard.metrics import (
     ConfusionMatrix,
@@ -202,14 +202,14 @@ class TestCrossValidate:
         assert "fold 0" in str(err.value)
 
     def test_fold_error_keeps_class_with_several_arguments(self):
-        # ResolverFailure's constructor takes (feature, message)
+        # UnmappableFeature's constructor takes (dataset, feature)
         def trainer(train_ds):
-            raise ResolverFailure("DNSRecord", "lookup timed out")
+            raise UnmappableFeature("d.csv", "DNSRecord")
 
         ds = make_ternary_dataset(n=60, seed=3)
-        with pytest.raises(ResolverFailure) as err:
+        with pytest.raises(UnmappableFeature) as err:
             cross_validate(trainer, ds, {"auc": auc_metric}, k=3)
-        assert str(err.value) == "fold 0: DNSRecord: lookup timed out"
+        assert str(err.value) == "fold 0: feature 'DNSRecord' not found in dataset 'd.csv'"
         assert err.value.feature == "DNSRecord"
 
     @pytest.mark.parametrize("row", [0, 3, 59])

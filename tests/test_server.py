@@ -25,8 +25,6 @@ from phishguard.errors import (EmptyReferenceSet, PhishguardError, UnservableMod
 from phishguard.explain import FusionWeights, shap_linear
 from phishguard.features import (
     CANONICAL_FEATURES,
-    RESOLVED_FEATURES,
-    PrecomputedResolver,
     extract_features,
     to_canonical_vector,
 )
@@ -219,9 +217,8 @@ class TestProtocol:
     def test_extract_features_golden_replies(self):
         recorded = json.loads((DATA / "extract_replies.json").read_text())
         model = load_model(DATA / "gbt_v1.json")
+        server = PhishingServer(model)
         for case in recorded["cases"]:
-            resolver = case["resolver"] and PrecomputedResolver(case["resolver"])
-            server = PhishingServer(model, resolver=resolver)
             assert server.handle_line(case["request"]) == case["reply"]
 
     def test_unencodable_result_is_internal(self, monkeypatch):
@@ -800,7 +797,7 @@ class TestExplainMemo:
     def test_cached_attributions_are_read_only(self):
         server = make_server()
         reply = json.loads(server.handle_line(explain_line("http://a.com/x")))
-        vector = to_canonical_vector(extract_features("http://a.com/x", server.resolver))
+        vector = to_canonical_vector(extract_features("http://a.com/x"))
         text = server._explanations(vector.tobytes())
         assert server._explanations.cache_info().hits == 1
         # the entry is its reply's encoded result, and a str cannot change
@@ -891,7 +888,7 @@ class TestOutcomeMemo:
         server = make_server()
         url = "http://secure-paypal.bit.ly//redirect@evil"
         first = call(server, "classify_url", {"url": url})
-        key = to_canonical_vector(extract_features(url, server.resolver)).tobytes()
+        key = to_canonical_vector(extract_features(url)).tobytes()
         hits = server._outcomes.cache_info().hits
         outcome = server._outcomes(key)
         assert server._outcomes.cache_info().hits == hits + 1
@@ -932,19 +929,6 @@ TOOL_REQUESTS = [
     ("classify_url", {"url": "http://secure-paypal.bit.ly//redirect@evil", "provenance": "UCI"}),
     ("explain_url", {"url": "https://www.paypal.com/signin"}),
 ]
-
-
-class CountingResolver:
-    """Answers every resolved feature with `value`, which a test may
-    change between requests, and counts its calls."""
-
-    def __init__(self, value=0):
-        self.value = value
-        self.calls = 0
-
-    def resolve(self, parts):
-        self.calls += 1
-        return PrecomputedResolver(dict.fromkeys(RESOLVED_FEATURES, self.value)).resolve(parts)
 
 
 class TestRepeatedRequests:
@@ -990,19 +974,21 @@ class TestRepeatedRequests:
         server.handle_line(classify_line("http://new.example.com/"))
         assert (len(extracted), len(encoded)) == (1, 1)
 
-    @pytest.mark.parametrize("tool", ["extract_features", "classify_url", "explain_url"])
-    def test_a_resolver_is_asked_on_every_request(self, tool):
-        resolver = CountingResolver()
-        server = PhishingServer(trained_model(), resolver=resolver)
-        replies = []
-        for value in (0, 0, 1, -1, 0):
-            resolver.value = value
-            replies.append(call(server, tool, {"url": "http://a.com/x"})["result"])
-        assert resolver.calls == 5
-        # an answer that changes changes the reply, as on a fresh server
-        fresh = PhishingServer(trained_model(), resolver=CountingResolver(1))
-        assert replies[2] == call(fresh, tool, {"url": "http://a.com/x"})["result"]
-        assert replies[0] == replies[1] == replies[4] != replies[2]
+    @pytest.mark.parametrize("url", ["http://a.com/x", "http://new.example.com/"])
+    def test_the_classify_memo_is_keyed_by_the_url_memos_bytes(self, monkeypatch, url):
+        server = make_server(mixed_pcs())
+        server.handle_line(classify_line("http://a.com/x"))  # warm for the first URL
+        keys = []
+        classify_texts = server._classify_texts
+
+        def recording(key, claimed):
+            keys.append(key)
+            return classify_texts(key, claimed)
+
+        monkeypatch.setattr(server, "_classify_texts", recording)
+        server.handle_line(classify_line(url))
+        # the key is not rebuilt from the context's vector
+        assert len(keys) == 1 and keys[0] is server._vector_of(url)
 
 
 class TestIsolatedContext:
@@ -1216,26 +1202,21 @@ class TestServedProbability:
             argv += ["--dataset", str(tmp_path / "reference.csv")]
         fusion, pcs = cli._build_fusion_and_pcs(cli.build_parser().parse_args(argv), model)
         assert (fusion is None) is not with_dataset
-        # offline, every resolved feature is 0; a resolver that answers
-        # +-1 reaches the splits on those features too
-        for resolver in (None, *(PrecomputedResolver(dict.fromkeys(RESOLVED_FEATURES, v))
-                                 for v in (1, -1))):
-            server = PhishingServer(model, fusion, pcs, resolver)
-            vectors = [to_canonical_vector(extract_features(url, resolver))
-                       for url in PARITY_URLS]
-            # the row alone and the row in a batch of every URL's vector
-            batch = model.predict_proba(np.stack(vectors))
-            for i, (url, vector) in enumerate(zip(PARITY_URLS, vectors)):
-                reply = call(server, "classify_url", {"url": url}, f"r{i}")["result"]
-                expected = float(model.predict_proba(vector))
-                assert expected == batch[i]
-                context = server.audit_log[-1]
-                assert np.array_equal(context.vector, vector)
-                assert context.probability == expected
-                assert reply["probability"] == f"{expected:.6f}"
-                if fusion is not None:  # the rationale names fused features only
-                    fused = {FEATURE_DESCRIPTIONS[name] for name in fusion.f_final}
-                    assert set(reply["rationale"]) <= fused
+        server = PhishingServer(model, fusion, pcs)
+        vectors = [to_canonical_vector(extract_features(url)) for url in PARITY_URLS]
+        # the row alone and the row in a batch of every URL's vector
+        batch = model.predict_proba(np.stack(vectors))
+        for i, (url, vector) in enumerate(zip(PARITY_URLS, vectors)):
+            reply = call(server, "classify_url", {"url": url}, f"r{i}")["result"]
+            expected = float(model.predict_proba(vector))
+            assert expected == batch[i]
+            context = server.audit_log[-1]
+            assert np.array_equal(context.vector, vector)
+            assert context.probability == expected
+            assert reply["probability"] == f"{expected:.6f}"
+            if fusion is not None:  # the rationale names fused features only
+                fused = {FEATURE_DESCRIPTIONS[name] for name in fusion.f_final}
+                assert set(reply["rationale"]) <= fused
 
 
 class TestUnservableModel:
