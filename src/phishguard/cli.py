@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -284,19 +285,7 @@ def cmd_robustness(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "robustness.json").write_text(json.dumps(
-        {
-            name: {
-                "cis": row.cis,
-                "apf": row.apf,
-                "mre": row.mre,
-                "csi_stability": row.csi_stability,
-                "wall_clock_s": row.wall_clock_s,
-            }
-            for name, row in rows.items()
-        },
-        indent=2,
-        sort_keys=True,
-    ))
+        {name: dataclasses.asdict(row) for name, row in rows.items()}, indent=2, sort_keys=True))
     _write_manifest(out_dir, "robustness", args, started)
     return 0
 

@@ -10,8 +10,7 @@ import numpy as np
 from ..datasets import Dataset
 from ..errors import NoLogitScale, NonFiniteLoss, PhishguardError
 from .common import Scorer, sigmoid
-from .growth import grow_trees
-from .splits import _Bins
+from .growth import bin_matrix, grow_tree
 from .tree import DecisionTree, StackedTrees, build_tree
 
 
@@ -86,20 +85,25 @@ def train_forest(
     # each tree draws from its own rng: a bagged tree its bootstrap sample,
     # then its splits
     rngs = [np.random.default_rng(rng.integers(2 ** 63)) for _ in range(n_trees)]
-    # the trees grow in lockstep and share one binning of the whole
-    # matrix, which holds every level of any sample's columns
-    trees = grow_trees(
-        np.asarray(ds.X, dtype=float),
-        ds.y.astype(float),
-        rngs,
-        samples=[r.integers(0, n, size=n) for r in rngs] if bagging else None,
-        task="classify",
-        max_depth=max_depth,
-        split_mode="best" if bagging else "random",
-        n_feature_subset=max(1, int(np.sqrt(d))) if bagging else None,
-    )
-    members = [DecisionTree(**nodes, n_features=d, max_depth=max_depth,
-                            feature_names=ds.feature_names) for nodes in trees]
+    X, y = np.asarray(ds.X, dtype=float), ds.y.astype(float)
+    # the trees share one binning of the whole matrix, which holds every
+    # level of any sample's columns
+    bins = bin_matrix(X, y, "classify")
+    members = []
+    for tree_rng in rngs:
+        nodes = grow_tree(
+            X,
+            y,
+            tree_rng,
+            sample=tree_rng.integers(0, n, size=n) if bagging else None,
+            task="classify",
+            max_depth=max_depth,
+            split_mode="best" if bagging else "random",
+            n_feature_subset=max(1, int(np.sqrt(d))) if bagging else None,
+            bins=bins,
+        )
+        members.append(DecisionTree(**nodes, n_features=d, max_depth=max_depth,
+                                    feature_names=ds.feature_names))
     return Ensemble(
         members=members,
         weights=[1.0 / n_trees] * n_trees,
@@ -128,7 +132,7 @@ def train_gbt(
     base_score = float(np.log(base_rate / (1.0 - base_rate)))
     logits = np.full(len(y), base_score)
     # regression trees bin by the matrix alone, not by the residuals
-    bins = _Bins.of(ds.X, y, "regress")
+    bins = bin_matrix(ds.X, y, "regress")
 
     members = []
     update = np.empty(len(y))

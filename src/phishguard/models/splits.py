@@ -16,20 +16,19 @@ stretch of a flat bin axis, one `np.bincount` gives every histogram of
 a frontier, and prefix sums over the bins give every candidate split's
 left side. A candidate threshold is the midpoint of two adjacent levels
 present at the node. A frontier is counted in one of two ways:
-- In the matrix's row order, when it is one tree's, grown on the
-  matrix's own rows (each boosting round, `build_tree`, an extra-tree)
-  and searched over every feature, and its histograms (nodes times bins
-  times label width) fit in one matrix column of entries. An array of
-  each row's node, a spare one past the end for rows already in leaves,
-  shifts the rows' codes, one feature at a time in one reused buffer,
-  and one bincount per feature (two in regression) counts every node
-  with no gather.
-- In runs of nodes, from their rows' gathered codes, otherwise: a
-  bootstrap sample repeats rows, and extra-trees that share a growth
-  step hold the same rows in their frontiers. bincount copies its input
-  as intp, so a run holds at most one matrix column's cells (rows times
-  features); a node with more cells is a run of its own and counts a
-  few features at a time. A run with more than 8 bins per cell (deep
+- In the matrix's row order, when it is grown on the matrix's own
+  rows (each boosting round, `build_tree`, an extra-tree) and searched
+  over every feature, and its histograms (nodes times bins times label
+  width) fit in one matrix column of entries. An array of each row's
+  node, a spare one past the end for rows already in leaves, shifts the
+  rows' codes, one feature at a time in one reused buffer, and one
+  bincount per feature (two in regression) counts every node with no
+  gather.
+- In runs of nodes, from their rows' gathered codes, otherwise (a
+  bootstrap sample repeats rows). bincount copies its input as intp, so
+  a run holds at most one matrix column's cells (rows times features);
+  a node with more cells is a run of its own and counts a few features
+  at a time. A run with more than 8 bins per cell (deep
   nodes over many-valued columns) sorts its codes instead of counting
   every bin, so its cost follows its rows.
 No temporary is a float matrix of rows by features.
@@ -56,8 +55,8 @@ method:
 Extra-trees (`split_mode="random"`, classification only) draw one
 threshold per feature of each node, uniformly between its least and
 greatest present non-NaN level, and score it with the mean-label Gini
-of the raw-column scorer they used before. A tree's draws for a run of
-nodes are one call to its rng, node by node and features in order.
+of the raw-column scorer they used before. The draws for a run of
+nodes are one call to the tree's rng, node by node and features in order.
 """
 
 from __future__ import annotations
@@ -113,23 +112,23 @@ class _Bins:
             level=np.concatenate([np.empty(0)] + [levels for levels, _ in columns]),
         )
 
-    def best_splits(self, rows, starts, features, g, h, rngs, owner, sampled):
+    def best_splits(self, rows, starts, features, g, h, rng, sampled):
         """(split, feature, threshold) of the best split of each node of a
         frontier. Node i holds the matrix rows `rows[starts[i]:starts[i + 1]]`
         and is searched over `features[i]` (ascending), or over every
         feature if `features` is None. A regression search sums the
         targets `g` and hessians `h`, one per matrix row (both None for
         classification, which counts labels). `split[i]` is False where no
-        feature splits node i. `rngs` is None, or the trees' generators:
-        then each feature offers one threshold drawn from
-        `rngs[owner[i]]` (extra-trees) instead of every midpoint.
-        `sampled` is True when the trees train on bootstrap samples, whose
-        rows repeat matrix rows.
+        feature splits node i. `rng` is None, or the tree's generator:
+        then each feature offers one threshold drawn from it
+        (extra-trees) instead of every midpoint. `sampled` is True when
+        the tree trains on a bootstrap sample, whose rows repeat matrix
+        rows.
 
-        A frontier of one tree on the matrix's own rows, searched over
-        every feature, is counted in the matrix's row order in one run
-        while its histograms (nodes times bins times label width) fit in
-        one matrix column of entries. Other nodes are searched in runs of
+        A frontier on the matrix's own rows, searched over every
+        feature, is counted in the matrix's row order in one run while
+        its histograms (nodes times bins times label width) fit in one
+        matrix column of entries. Other nodes are searched in runs of
         gathered cells: a node with more cells (rows times features) than
         the matrix has rows is a run of its own, counted a few features at
         a time, and the others are taken together while their cells fit
@@ -145,12 +144,10 @@ class _Bins:
             return split, feature, threshold
         limit = self.key.shape[1]
         sizes = np.diff(starts)
-        # one node per matrix row: a bootstrap sample repeats rows, and
-        # several trees' frontiers may hold the same row
-        if (not sampled and features is None and owner[0] == owner[-1]
-                and n * self.width * len(self.level) <= limit):
+        # one node per matrix row: a bootstrap sample repeats rows
+        if not sampled and features is None and n * self.width * len(self.level) <= limit:
             present, hist = _present(self._count_rows(rows, sizes, g, h), h is None)
-            return self._search(present, hist, sizes, None, rngs, owner)
+            return self._search(present, hist, sizes, None, rng)
         ends = np.cumsum(sizes) * k
         i = 0
         while i < n:
@@ -164,8 +161,7 @@ class _Bins:
             cells = rows[a:b]
             ys, hs = (None, None) if h is None else (g[cells], h[cells])
             split[i:j], feature[i:j], threshold[i:j] = self._search(
-                *self._count_run(cells, sizes[i:j], run, ys, hs, step), sizes[i:j], run, rngs,
-                owner[i:j])
+                *self._count_run(cells, sizes[i:j], run, ys, hs, step), sizes[i:j], run, rng)
             i = j
         return split, feature, threshold
 
@@ -178,10 +174,10 @@ class _Bins:
         return feature, _starts(self.size[feature])
 
     def _count_rows(self, rows, sizes, g, h):
-        """The dense histograms of a frontier of one tree's nodes, node i
-        holding the next `sizes[i]` of `rows`, counted in the matrix's row
-        order. Each row's node, or a spare node past the end for rows not
-        in the frontier, shifts its bin to the node's stretch of the
+        """The dense histograms of a frontier of nodes, node i holding
+        the next `sizes[i]` of `rows`, counted in the matrix's row order.
+        Each row's node, or a spare node past the end for rows not in
+        the frontier, shifts its bin to the node's stretch of the
         feature's bins, so one bincount per feature (two in regression,
         weighted by g and h) counts every node without gathering a cell.
         A node's rows are ascending, so a bin's g and h are added in the
@@ -253,12 +249,12 @@ class _Bins:
         del cells, counts, weights
         return _present(hist, classify)
 
-    def _search(self, present, hist, sizes, features, rngs, owner):
+    def _search(self, present, hist, sizes, features, rng):
         """best_splits of a run of nodes from the histograms of their
-        present bins: node i holds `sizes[i]` rows and draws from
-        `rngs[owner[i]]`. Segment s is node s // k on its feature s % k,
-        of k; `present` are the numbers of its bins on the flat axis of
-        `_segments`, ascending, and `hist` their rows."""
+        present bins: node i holds `sizes[i]` rows and draws from `rng`.
+        Segment s is node s // k on its feature s % k, of k; `present`
+        are the numbers of its bins on the flat axis of `_segments`,
+        ascending, and `hist` their rows."""
         nn = len(sizes)
         k = len(self.key) if features is None else features.shape[1]
         feature, bounds = self._segments(nn, features)
@@ -269,24 +265,21 @@ class _Bins:
         # every segment holds each row of its node once, so it has a
         # present bin; segment s's are first[s]:first[s + 1]
         first = np.searchsorted(segment, np.arange(len(feature) + 1))
-        if rngs is None:
+        if rng is None:
             # a candidate splits after present bin p, before the next
             # present bin of the same segment; `>` (not `!=`) never splits
             # off a NaN level, as a scan of the sorted column would not
             at = np.flatnonzero((segment[1:] == segment[:-1]) & (level[1:] > level[:-1]))
         else:
             # one draw per segment whose present levels differ, node by
-            # node, features in order: one uniform call per tree draws what
-            # a call per feature would. The candidate splits after the last
+            # node, features in order: one uniform call draws what a call
+            # per feature would. The candidate splits after the last
             # present bin at or below the draw (a NaN level never is one).
             lo = np.fmin.reduceat(level, first[:-1])
             hi = np.fmax.reduceat(level, first[:-1])
             drawn = np.full(len(feature), np.nan)
             draw = lo < hi
-            tree = np.repeat(owner, k)
-            for t in dict.fromkeys(owner.tolist()):
-                s = np.flatnonzero(draw & (tree == t))
-                drawn[s] = rngs[t].uniform(lo[s], hi[s])
+            drawn[draw] = rng.uniform(lo[draw], hi[draw])
             below = np.add.reduceat(level <= drawn[segment], first[:-1])
             at = (first[:-1] + below - 1)[draw]
         split = np.zeros(nn, dtype=bool)
@@ -307,13 +300,13 @@ class _Bins:
             m = sizes[owner // k]
             # a midpoint leaves a row on each side, as the present levels on
             # either side hold one each; a draw may leave the right empty
-            if rngs is not None:
+            if rng is not None:
                 valid = np.flatnonzero((nl >= 1) & (nl < m))
                 if len(valid) == 0:
                     return split, 0, 0.0
                 at, owner, left, nl, m = (a[valid] for a in (at, owner, left, nl, m))
             ones_l, ones = left[:, 1], np.diff(edges[:, 1])[owner]
-            score = (_gini if rngs is None else _mean_gini)(nl, ones_l, ones, m)
+            score = (_gini if rng is None else _mean_gini)(nl, ones_l, ones, m)
             del left, nl, m, ones_l, ones
         else:
             # running sums over each segment's present bins, ascending, from
@@ -358,7 +351,7 @@ class _Bins:
             column[i] = _first_best((low[i, c], c) for c in np.flatnonzero(found[i]).tolist())[1]
         split = found.any(axis=1)
         threshold = np.zeros(nn)
-        if rngs is None:
+        if rng is None:
             # the winning segments' first best candidates
             pick = at[pick.reshape(nn, k)[np.arange(nn), column][split]]
             threshold[split] = 0.5 * (level[pick] + level[pick + 1])

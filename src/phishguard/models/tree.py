@@ -1,7 +1,7 @@
 """CART decision trees with Gini (classification, labels 0 and 1) or
 second-order gain (regression) splits.
 
-Trees are grown in `growth` (`grow_trees`), a depth at a time. Every
+Trees are grown in `growth` (`grow_tree`), a depth at a time. Every
 tree, extra-trees included, finds its splits in `splits` from
 histograms of the matrix binned once.
 
@@ -23,7 +23,7 @@ import numpy as np
 from ..datasets import Dataset
 from ..errors import PhishguardError
 from .common import Scorer
-from .growth import LEAF, grow_trees
+from .growth import LEAF, grow_tree
 from .splits import _Bins
 
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
@@ -185,8 +185,8 @@ def build_tree(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    [nodes] = grow_trees(X, y, [None], task=task, max_depth=max_depth, split_mode="best",
-                         hessian=hessian, bins=_bins, fitted=_fitted)
+    nodes = grow_tree(X, y, task=task, max_depth=max_depth, split_mode="best", hessian=hessian,
+                      bins=_bins, fitted=_fitted)
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth,
                         task=task, feature_names=feature_names)
 

@@ -34,8 +34,9 @@ class AttackSpec:
     def __post_init__(self):
         if not 0.0 <= self.contamination_rate <= 1.0:
             raise PhishguardError("contamination_rate must be in [0, 1]")
-        if self.delta < 0:
-            raise PhishguardError("delta must be >= 0")
+        # NaN fails both comparisons
+        if not 0 <= self.delta < np.inf:
+            raise PhishguardError("delta must be finite and >= 0")
 
 
 @dataclass
@@ -63,6 +64,8 @@ class RobustnessRow:
 
 def build_contexts(ds: Dataset, model, n: int = 200, seed: int = 0) -> ContextSet:
     """Seeded sample of dataset rows turned into contexts."""
+    if n < 1:
+        raise PhishguardError("the number of contexts must be >= 1")
     rng = np.random.default_rng(seed)
     take = min(n, len(ds))
     rows = rng.choice(len(ds), size=take, replace=False)
@@ -87,6 +90,8 @@ def inject_attack(pre: ContextSet, spec: AttackSpec, model,
     rng = np.random.default_rng(spec.seed)
     n = len(pre.contexts)
     n_attacked = int(np.ceil(spec.contamination_rate * n))
+    if n_attacked and n < 2:
+        raise PhishguardError("an attack copies from another context: it needs at least two")
     victims = rng.choice(n, size=n_attacked, replace=False) if n_attacked else np.array([], dtype=int)
 
     post_contexts = list(pre.contexts)

@@ -397,6 +397,33 @@ class TestRobustnessCommand:
         assert payload["isolation"]["mre"] is None
         assert payload["validation"]["cis"] == 1.0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--contexts", "1"], "it needs at least two"),
+        (["--contexts", "-1"], "number of contexts must be >= 1"),
+        (["--contexts", "0"], "number of contexts must be >= 1"),
+        (["--delta", "nan"], "delta must be finite and >= 0"),
+        (["--delta", "inf"], "delta must be finite and >= 0"),
+    ])
+    def test_inputs_it_cannot_run_exit_2(self, csv_path, tmp_path, capsys, flags, message):
+        model_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--model", "logistic",
+                     "--folds", "2", "--out", str(model_path)]) == 0
+        out_dir = tmp_path / "rob"
+        assert main(["robustness", str(csv_path), "--model", str(model_path),
+                     "--out-dir", str(out_dir), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "robustness.json").exists()
+
+    def test_one_context_unattacked_runs(self, csv_path, tmp_path):
+        model_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--model", "logistic",
+                     "--folds", "2", "--out", str(model_path)]) == 0
+        out_dir = tmp_path / "rob"
+        assert main(["robustness", str(csv_path), "--model", str(model_path),
+                     "--contexts", "1", "--rate", "0", "--out-dir", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "robustness.json").read_text())
+        assert all(row["cis"] == 1.0 for row in payload.values())
+
 
 def reordered_csv(csv_path, tmp_path, columns, name):
     """The rows of `csv_path` with its feature columns taken as `columns`."""

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import tracemalloc
 import weakref
@@ -14,7 +15,7 @@ from phishguard.metrics import auc_metric, cross_validate
 from phishguard.models import build_tree, splits, train_forest, train_gbt, train_tree
 from phishguard.models.common import sigmoid
 from phishguard.models.ensemble import Ensemble
-from phishguard.models.growth import grow_trees
+from phishguard.models.growth import grow_tree
 from phishguard.models.serialize import model_to_dict
 from phishguard.models.splits import _Bins, _mean_gini
 from phishguard.models.tree import LEAF, NODE_ARRAYS, DecisionTree
@@ -342,12 +343,11 @@ def random_split_problem(rng):
 
 def grown_tree(X, y, *, task="classify", max_depth=8, rng=None, split_mode="best",
                n_feature_subset=None, hessian=None):
-    """One tree from grow_trees with a forest's draws from `rng`: feature
+    """One tree from grow_tree with a forest's draws from `rng`: feature
     subsets, or extra-trees' thresholds with split_mode="random"."""
     X = np.asarray(X, dtype=float)
-    [nodes] = grow_trees(X, np.asarray(y, dtype=float), [rng], task=task, max_depth=max_depth,
-                         split_mode=split_mode, n_feature_subset=n_feature_subset,
-                         hessian=hessian)
+    nodes = grow_tree(X, np.asarray(y, dtype=float), rng, task=task, max_depth=max_depth,
+                      split_mode=split_mode, n_feature_subset=n_feature_subset, hessian=hessian)
     return DecisionTree(**nodes, n_features=X.shape[1], max_depth=max_depth, task=task)
 
 
@@ -643,32 +643,42 @@ class TestForest:
         train_forest(make_ternary_dataset(n=2000, seed=16), n_trees=5, max_depth=12)
         assert 0 < len(calls) <= 5 * 13
 
-    def test_extra_trees_sharing_a_step_grow_as_each_alone(self, monkeypatch):
+    @pytest.mark.parametrize("mode, digest", [
+        ("extra", "371f5cc877a57cd3ea9ce208073faf332c3b468b1f072ca13f8b6b0ed80b30e6"),
+        ("bagging", "92061f1c90b6c8fba5495438f4c27013dd324ad9fb09b09260a2c97e95655f3e"),
+    ])
+    def test_forest_whose_trees_hold_the_same_rows_keeps_its_bytes(self, mode, digest):
         # column 0 sends 90% of the rows to a pure leaf at each root, so
-        # the 8 trees' next depths, on the same 400 matrix rows, share
-        # growth steps: a count keyed by matrix row alone would mix them
+        # the 8 trees' next depths hold the same 400 matrix rows. The
+        # digests were recorded when forests grew their trees together,
+        # several to a split search here (7 times extra, 10 bagging), and
+        # checked then to equal each tree grown alone.
         rng = np.random.default_rng(77)
         n = 4000
         X = rng.choice([-1.0, 0.0, 1.0], size=(n, 6))
         X[:, 0] = rng.random(n) < 0.9
         y = np.where(X[:, 0] == 1, 0.0, X[:, 1] + X[:, 2] + rng.normal(0, 0.7, n) > 0)
-        settings = dict(task="classify", max_depth=8, split_mode="random")
-        trees = []
-        search = _Bins.best_splits
+        ds = Dataset(X, y.astype(int), tuple(f"f{j}" for j in range(6)))
+        forest = train_forest(ds, n_trees=8, mode=mode, max_depth=8, seed=0)
+        text = json.dumps(model_to_dict(forest), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-        def watched(bins, *args):
-            owner = args[6]
-            trees.append(len(set(owner.tolist())))
-            return search(bins, *args)
+    @pytest.mark.parametrize("fit", [
+        lambda ds: train_forest(ds, n_trees=5, mode="bagging"),
+        lambda ds: train_forest(ds, n_trees=5, mode="extra"),
+        lambda ds: train_gbt(ds, n_rounds=5),
+    ], ids=["bagging", "extra", "gbt"])
+    def test_bins_the_matrix_once_per_fit(self, fit, monkeypatch):
+        calls = []
+        of = _Bins.of
 
-        monkeypatch.setattr(_Bins, "best_splits", watched)
-        forest = grow_trees(X, y, [np.random.default_rng(seed) for seed in range(8)], **settings)
-        monkeypatch.undo()
-        for seed, nodes in enumerate(forest):
-            [alone] = grow_trees(X, y, [np.random.default_rng(seed)], **settings)
-            for name in NODE_ARRAYS:
-                assert nodes[name].tobytes() == alone[name].tobytes(), (seed, name)
-        assert sum(count == 8 for count in trees) >= 3, trees
+        def counted(*args):
+            calls.append(None)
+            return of(*args)
+
+        monkeypatch.setattr(_Bins, "of", counted)
+        fit(make_ternary_dataset(n=300, seed=6))
+        assert len(calls) == 1
 
     def test_extra_trees_fit_nan_cells(self):
         ds = make_ternary_dataset(n=300, seed=3)
