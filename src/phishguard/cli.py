@@ -16,7 +16,8 @@ import time
 from itertools import zip_longest
 from pathlib import Path
 
-# No phishguard matrix is wider than 32 columns, so OpenBLAS threads buy
+# A cold-start choice only, as no model file depends on the thread count:
+# no phishguard matrix is wider than 32 columns, so OpenBLAS threads buy
 # nothing and starting their pool costs 60-70 ms; a value the user set
 # is kept. It is read when numpy loads, which the package `__init__` does
 # not do.
@@ -290,6 +291,14 @@ def cmd_robustness(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A `--seed` for numpy's generators, which take no negative seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phishguard")
     parser.add_argument("--version", action="version", version=__version__)
@@ -314,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--method", choices=("ig", "shap", "lime"), required=True)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_explain)
 
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--pcs-k", type=int, default=5)
     p.add_argument("--pcs-threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
     p.add_argument("--port", type=int, default=7878)
     p.set_defaults(func=cmd_serve)
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contexts", type=int, default=200)
     p.add_argument("--pcs-k", type=int, default=5)
     p.add_argument("--pcs-threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_robustness)
 

@@ -138,6 +138,8 @@ class PcsConfig:
             raise EmptyReferenceSet("PCS reference set is empty")
         if not 1 <= self.k <= len(self.reference):
             raise PhishguardError("k must be in [1, reference size]")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise PhishguardError("threshold must be in [0, 1]")
         self._standardizer = Standardizer().fit(self.reference.X)
         self._held = Counter(self.reference.provenance)  # rows per provenance
         # with one provenance every claim scores 0 or 1 without a scan,

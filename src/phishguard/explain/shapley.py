@@ -47,15 +47,14 @@ def shap_exact(scorer, x, background) -> np.ndarray:
     values = np.asarray(scorer(rows), dtype=float)
 
     fact = [factorial(i) for i in range(n + 1)]
+    # the Shapley weight of a subset of s features that lacks feature j
+    by_size = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
     size = masks.sum(axis=1)
     phis = np.zeros(n)
     for j in range(n):
         bit = 1 << j
         without = np.flatnonzero((np.arange(n_subsets) & bit) == 0)
-        s = size[without]
-        weight = np.array(
-            [fact[si] * fact[n - si - 1] / fact[n] for si in s]
-        )
+        weight = by_size[size[without]]
         phis[j] = float(np.sum(weight * (values[without | bit] - values[without])))
     return phis
 

@@ -1,8 +1,8 @@
 """A small feed-forward network trained with Adam on binary cross-entropy.
 
 Hidden layers use ReLU, the output is a single sigmoid unit. Training is
-full-batch and deterministic per seed, with early stopping on a held-out
-10% split.
+full-batch and deterministic per seed at any BLAS thread count, with
+early stopping on a held-out 10% split.
 """
 
 from __future__ import annotations
@@ -49,25 +49,20 @@ class MlpModel(Scorer):
         return self.weights[0].shape[0]
 
     def _forward(self, X):
-        """Returns (activations, pre_activations) for backprop."""
-        activations = [X]
-        pre = []
-        h = X
-        last = len(self.weights) - 1
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
-            pre.append(z)
-            h = sigmoid(z) if l == last else np.maximum(z, 0.0)
-            activations.append(h)
-        return activations, pre
+        """Each layer's input, X first, and its pre-activation. Hidden
+        layers apply ReLU; the output unit's sigmoid is left to the
+        caller. einsum reduces each row on its own, so a row's bits do
+        not depend on its batch or on the BLAS thread count."""
+        inputs, pre = [X], []
+        for W, b in zip(self.weights, self.biases):
+            if pre:
+                inputs.append(np.maximum(pre[-1], 0.0))
+            pre.append(np.einsum("ij,jk->ik", inputs[-1], W) + b)
+        return inputs, pre
 
     def _logits(self, X):
-        """The output unit's pre-activation. Training's `_forward` keeps
-        `@`; scoring reduces each row on its own with einsum."""
-        h = (X - self.mean) / self.scale
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(np.einsum("ij,jk->ik", h, W) + b, 0.0)
-        return np.einsum("ij,jk->ik", h, self.weights[-1])[:, 0] + self.biases[-1][0]
+        """The output unit's pre-activation."""
+        return self._forward((X - self.mean) / self.scale)[1][-1][:, 0]
 
 
 def bce_loss(y_true, y_prob) -> float:
@@ -85,8 +80,8 @@ def loss_and_gradients(model: MlpModel, X, y):
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    activations, pre = model._forward(np.asarray(X, dtype=float))
-    p = activations[-1][:, 0]
+    inputs, pre = model._forward(np.asarray(X, dtype=float))
+    p = sigmoid(pre[-1][:, 0])
     loss = bce_loss(y, p)
 
     grads_W = [None] * len(model.weights)
@@ -94,10 +89,10 @@ def loss_and_gradients(model: MlpModel, X, y):
     # output delta: dL/dz = (p - y) / n for sigmoid + BCE
     delta = ((p - y) / n)[:, None]
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_W[l] = activations[l].T @ delta
+        grads_W[l] = np.einsum("ni,nk->ik", inputs[l], delta)
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (pre[l - 1] > 0)
+            delta = np.einsum("nk,ik->ni", delta, model.weights[l]) * (pre[l - 1] > 0)
     return loss, grads_W, grads_b
 
 
@@ -135,11 +130,10 @@ def train_mlp(
     X_train, y_train = X[train_idx], y[train_idx]
     X_val, y_val = X[val_idx], y[val_idx]
 
-    # Adam state
-    m_W = [np.zeros_like(W) for W in weights]
-    v_W = [np.zeros_like(W) for W in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # Adam state, one moment array per parameter array
+    params = [*weights, *biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     best_val = np.inf
@@ -149,26 +143,18 @@ def train_mlp(
         loss, grads_W, grads_b = loss_and_gradients(model, X_train, y_train)
         if not np.isfinite(loss):
             raise NonFiniteLoss("MLP training loss became non-finite")
-        for l in range(len(weights)):
-            m_W[l] = beta1 * m_W[l] + (1 - beta1) * grads_W[l]
-            v_W[l] = beta2 * v_W[l] + (1 - beta2) * grads_W[l] ** 2
-            m_b[l] = beta1 * m_b[l] + (1 - beta1) * grads_b[l]
-            v_b[l] = beta2 * v_b[l] + (1 - beta2) * grads_b[l] ** 2
-            m_hat_W = m_W[l] / (1 - beta1 ** epoch)
-            v_hat_W = v_W[l] / (1 - beta2 ** epoch)
-            m_hat_b = m_b[l] / (1 - beta1 ** epoch)
-            v_hat_b = v_b[l] / (1 - beta2 ** epoch)
-            weights[l] -= cfg.learning_rate * m_hat_W / (np.sqrt(v_hat_W) + eps)
-            biases[l] -= cfg.learning_rate * m_hat_b / (np.sqrt(v_hat_b) + eps)
+        for i, (p, g) in enumerate(zip(params, [*grads_W, *grads_b])):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+            m_hat = m[i] / (1 - beta1 ** epoch)
+            v_hat = v[i] / (1 - beta2 ** epoch)
+            p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
         if len(val_idx):
-            val_loss = bce_loss(y_val, model._forward(X_val)[0][-1][:, 0])
+            val_loss = bce_loss(y_val, sigmoid(model._forward(X_val)[1][-1][:, 0]))
             if val_loss < best_val - 1e-9:
                 best_val = val_loss
-                best_params = (
-                    [W.copy() for W in weights],
-                    [b.copy() for b in biases],
-                )
+                best_params = [p.copy() for p in params]
                 stale = 0
             else:
                 stale += 1
@@ -176,6 +162,7 @@ def train_mlp(
                     break
 
     if best_params is not None:
-        model.weights, model.biases = best_params
+        layers = len(weights)
+        model.weights, model.biases = best_params[:layers], best_params[layers:]
     model.mean, model.scale = scaler.mean, scaler.scale
     return model

@@ -60,6 +60,39 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == 2
 
+    @pytest.fixture
+    def model_path(self, csv_path, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(_train_model(load_csv(csv_path), "logistic", 0), path)
+        return path
+
+    def argv(self, subcommand, csv_path, model_path, *flags):
+        """`subcommand` on the CSV and the model, each where it takes them."""
+        return {"train": ["train", str(csv_path), "--model", "logistic", "--folds", "2",
+                          "--out", str(model_path.with_name("out.json"))],
+                "explain": ["explain", str(csv_path), "--model", str(model_path),
+                            "--method", "lime", "--out-dir", str(model_path.parent)],
+                "serve": ["serve", "--model", str(model_path), "--dataset", str(csv_path)],
+                "robustness": ["robustness", str(csv_path), "--model", str(model_path),
+                               "--contexts", "20", "--out-dir", str(model_path.parent)],
+                }[subcommand] + list(flags)
+
+    @pytest.mark.parametrize("subcommand", ["train", "explain", "serve", "robustness"])
+    def test_negative_seed_is_usage_error(self, csv_path, model_path, capsys, subcommand):
+        # numpy's generators take no negative seed
+        with pytest.raises(SystemExit) as err:
+            main(self.argv(subcommand, csv_path, model_path, "--seed", "-1"))
+        assert err.value.code == 2
+        assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
+    @pytest.mark.parametrize("subcommand", ["serve", "robustness"])
+    def test_pcs_threshold_outside_the_unit_interval_is_input_error(
+            self, csv_path, model_path, capsys, subcommand, threshold):
+        argv = self.argv(subcommand, csv_path, model_path, "--pcs-threshold", threshold)
+        assert main(argv) == 2
+        assert "threshold must be in [0, 1]" in capsys.readouterr().err
+
     def test_success_is_zero(self, csv_path, tmp_path):
         assert main(["ingest", str(csv_path),
                      "--out", str(tmp_path / "out.csv")]) == 0

@@ -240,16 +240,34 @@ def test_the_library_leaves_the_blas_settings_alone():
     assert blas_threads_after("import phishguard.datasets") == "None"
 
 
-def test_an_mlp_file_does_not_follow_the_cpu_count(tmp_path):
-    # an MLP's bits follow the BLAS thread count, which the CLI fixes
-    # unless the user sets it; 2,000 rows are enough for OpenBLAS to
-    # split a product over threads where the machine has several CPUs
-    save_csv(make_ternary_dataset(n=2000, seed=1), tmp_path / "d.csv")
-    files = []
-    for env in (fresh_env(), fresh_env(OPENBLAS_NUM_THREADS="1")):
-        out = tmp_path / f"mlp{len(files)}.json"
-        subprocess.run([sys.executable, "-m", "phishguard.cli", "train", str(tmp_path / "d.csv"),
-                        "--model", "mlp", "--folds", "2", "--out", str(out)],
-                       capture_output=True, check=True, env=env)
-        files.append(out.read_bytes())
-    assert files[0] == files[1]
+# Trains every `train --model` kind as `cli.TRAINERS` does, with fewer
+# trees, rounds and epochs, and prints each model file's sha256.
+TRAIN_EVERY_KIND = """
+import hashlib, sys
+from pathlib import Path
+from conftest import make_ternary_dataset
+from phishguard import cli
+from phishguard.models import save_model
+
+ds = make_ternary_dataset(n=2000, seed=1)
+forest, gbt, config = cli.train_forest, cli.train_gbt, cli.TrainConfig
+cli.train_forest = lambda ds, **kw: forest(ds, **{**kw, "n_trees": 5})
+cli.train_gbt = lambda ds, **kw: gbt(ds, **{**kw, "n_rounds": 20})
+out = Path(sys.argv[1])
+for kind in cli.MODEL_KINDS:
+    epochs = {"sgd": 3, "mlp": 60}.get(kind)
+    cli.TrainConfig = (lambda **kw: config(**{**kw, "max_epochs": epochs})) if epochs else config
+    save_model(cli._train_model(ds, kind, 0), out)
+    print(kind, hashlib.sha256(out.read_bytes()).hexdigest())
+"""
+
+
+def test_every_kind_trains_the_same_file_at_one_and_two_blas_threads(tmp_path):
+    # 2,000 rows are enough for OpenBLAS to split a product over two
+    # threads where the machine has several CPUs
+    printed = [subprocess.run([sys.executable, "-c", TRAIN_EVERY_KIND, str(tmp_path / f"{n}.json")],
+                              capture_output=True, text=True, check=True,
+                              env=fresh_env(OPENBLAS_NUM_THREADS=n)).stdout
+               for n in ("1", "2")]
+    assert [line.split()[0] for line in printed[0].splitlines()] == list(cli.MODEL_KINDS)
+    assert printed[0] == printed[1]

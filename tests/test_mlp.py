@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,30 @@ class TestGradients:
             down = loss_at()
             b[0] = orig
             assert grads_b[l][0] == pytest.approx((up - down) / (2 * eps), abs=1e-4)
+
+
+class TestScoring:
+    # recorded when scoring ran a layer loop of its own, apart from
+    # training's forward pass
+    @pytest.mark.parametrize("seed, hidden, proba_sha256, logit_sha256", [
+        (0, [32], "69e3fbf587916f909187c678e27d47251835ed73ca7e6911abbbd6fa09f14bdd",
+         "476c34ca97b1ed8d85c769cfc30fcd9be08e08259e5134c5d47cecec8a828767"),
+        (1, [16, 8], "9e73166c644c87621e189807ccfb1ae88bbbdcb0ecfa79323ee5a2a329411c41",
+         "4319441c469bd4b58c53be0dd81e2d9623d257ddc97e6e81a28a058026664e11"),
+        (2, [], "d00e66f7498ea3020e3304158b2545549f1a9c7cc65711b293414e0e0404d0d8",
+         "3f8035b933b9b4b5c7d8578944384f0edfcab4ea9bb9c841d474a7c315acf67c"),
+    ])
+    def test_a_fixed_model_scores_to_the_same_bits(self, seed, hidden, proba_sha256,
+                                                   logit_sha256):
+        rng = np.random.default_rng(seed)
+        sizes = [23, *hidden, 1]
+        weights = [rng.normal(0, 1 / np.sqrt(a), size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+        biases = [rng.normal(0, 0.1, size=k) for k in sizes[1:]]
+        model = MlpModel(weights, biases, mean=rng.normal(0, 0.2, 23),
+                         scale=rng.uniform(0.5, 1.5, 23))
+        X = np.random.default_rng(99).integers(-1, 2, size=(64, 23)).astype(float)
+        assert hashlib.sha256(model.predict_proba(X).tobytes()).hexdigest() == proba_sha256
+        assert hashlib.sha256(model.decision_function(X).tobytes()).hexdigest() == logit_sha256
 
 
 class TestTrainMlp:

@@ -1103,6 +1103,15 @@ class TestProvenanceScore:
         with pytest.raises(PhishguardError):
             PcsConfig(self.reference(), k=9)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, float("nan")])
+    def test_threshold_outside_the_unit_interval(self, threshold):
+        with pytest.raises(PhishguardError, match=r"threshold must be in \[0, 1\]"):
+            PcsConfig(self.reference(), k=3, threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_at_the_ends(self, threshold):
+        assert PcsConfig(self.reference(), k=3, threshold=threshold).threshold == threshold
+
 
 def uniform_fusion(names, weight=1.0):
     names = frozenset(names)
