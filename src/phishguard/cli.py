@@ -299,6 +299,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _port(text: str) -> int:
+    """A `--port` that a socket can bind: 0 (any free port) to 65535."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {port}")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phishguard")
     parser.add_argument("--version", action="version", version=__version__)
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcs-threshold", type=float, default=0.5)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--transport", choices=("stdio", "tcp"), default="stdio")
-    p.add_argument("--port", type=int, default=7878)
+    p.add_argument("--port", type=_port, default=7878)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("robustness", help="attack/mitigation metrics")

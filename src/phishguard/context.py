@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,14 @@ FEATURE_DESCRIPTIONS = {
 _FLOAT64 = np.dtype(np.float64)  # native byte order
 
 
+class Outcome(NamedTuple):
+    """A model's verdict on one vector, as `classify_with_fusion` gives it:
+    the fields a context records, under a context's names."""
+    label: int
+    probability: float
+    rationale: tuple[str, ...]
+
+
 @dataclass(frozen=True, slots=True)
 class IsolatedContext:
     context_id: str
@@ -89,12 +98,6 @@ class IsolatedContext:
                                   f"not one entry per name ({len(names)})")
         if type(self.provenance) is not str:
             object.__setattr__(self, "provenance", _frozen(self.provenance))
-
-    @classmethod
-    def from_outcome(cls, outcome: dict, **fields) -> "IsolatedContext":
-        """A context of `fields`, scored as `outcome` (from `classify_with_fusion`)."""
-        return cls(probability=outcome["probability"], label=outcome["y_hat"],
-                   rationale=tuple(outcome["rationale"]), **fields)
 
     @property
     def features(self) -> MappingProxyType:
@@ -186,7 +189,7 @@ def provenance_score(x, pcs: PcsConfig, claimed: str = "Unknown") -> tuple[float
     return score, bool(score < pcs.threshold)
 
 
-def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
+def classify_with_fusion(x, model, fusion: FusionWeights | None) -> Outcome:
     """Score the raw vector x, as the model was trained. The rationale names
     up to three features whose value x > 0 is the phishing-leaning one
     that FEATURE_DESCRIPTIONS describes, ranked by the signed score w * x
@@ -204,14 +207,6 @@ def classify_with_fusion(x, model, fusion: FusionWeights | None) -> dict:
     # so no NaN upsets the order: an extracted vector is, and
     # NonFiniteReference guards the reference set that robustness scores
     # and that fusion weights come from.
-    rationale = []
-    for j in np.argsort(-scores, kind="stable")[:3]:
-        if scores[j] <= 0:
-            continue
-        name = names[j]
-        rationale.append(FEATURE_DESCRIPTIONS.get(name, name))
-    return {
-        "y_hat": label,
-        "probability": probability,
-        "rationale": rationale,
-    }
+    rationale = tuple(FEATURE_DESCRIPTIONS.get(names[j], names[j])
+                      for j in np.argsort(-scores, kind="stable")[:3] if scores[j] > 0)
+    return Outcome(label, probability, rationale)

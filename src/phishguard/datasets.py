@@ -217,30 +217,23 @@ def _non_numeric(row_idx: int, row: list[str], header: list[str]) -> NonNumericC
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset back out with the label as the final column and a
-    whole-number cell as an int; int64 holds one below 2**53 exactly."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + ["label"])
-        X = ds.X
-        if np.all((np.abs(X) < 2**53) & (X == np.trunc(X))):
-            table = np.column_stack([X.astype(np.int64), ds.y])
-            # in blocks of rows, so that the text's temporaries stay small
-            for start in range(0, len(table), 4096):
-                fh.write(_joined(table[start : start + 4096]))
-            return
-        for row, label in zip(X.tolist(), ds.y.tolist()):
-            writer.writerow([int(v) if v.is_integer() else v for v in row] + [int(label)])
+    whole-number cell as an int."""
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow([*ds.feature_names, "label"])
+        table = np.column_stack([ds.X, ds.y])
+        # in blocks of rows, so that the text's temporaries stay small
+        for start in range(0, len(table), 4096):
+            fh.write(_joined(table[start : start + 4096]))
 
 
 def _joined(table: np.ndarray) -> str:
-    """Rows of ints as `csv.writer` writes them, through one join: each
-    distinct value becomes text once, with the comma after it, or the
-    line end when it ends a row."""
+    """Rows of floats as `csv.writer` writes them, a whole number as an
+    int, through one join: each distinct value becomes text once, with
+    the comma after it, or the line end when it ends a row."""
     values, inverse = np.unique(table, return_inverse=True)
     codes = inverse.reshape(table.shape)
     codes[:, -1] += len(values)
-    texts = [str(v) for v in values.tolist()]
+    texts = [str(int(v)) if v.is_integer() else str(v) for v in values.tolist()]
     tokens = np.array([t + "," for t in texts] + [t + "\r\n" for t in texts], dtype=object)
     return "".join(tokens[codes].ravel().tolist())
 

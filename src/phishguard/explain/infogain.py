@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..datasets import Dataset
-from ..errors import UnknownFeature
+from ..errors import PhishguardError, UnknownFeature
 
 
 def entropy(labels) -> float:
@@ -34,12 +34,17 @@ def information_gain(ds: Dataset, feature: str) -> float:
     """IG(Y, X) = H(Y) - sum_x P(x) H(Y | X = x), log base 2."""
     if feature not in ds.feature_names:
         raise UnknownFeature(feature)
-    column = _discretize(ds.X[:, ds.feature_names.index(feature)])
+    column = ds.X[:, ds.feature_names.index(feature)]
+    # a NaN has no place among a column's levels or terciles; an infinity does
+    nan = np.isnan(column)
+    if nan.any():
+        raise PhishguardError(f"information gain of {feature!r} is undefined: "
+                              f"NaN at row {int(np.argmax(nan))}")
+    column = _discretize(column)
     h_y = entropy(ds.y)
     conditional = 0.0
     n = len(ds)
     for value, count in zip(*np.unique(column, return_counts=True)):
-        # a NaN value matches no row, and an empty group has entropy 0
         conditional += (count / n) * entropy(ds.y[column == value])
     return h_y - conditional
 

@@ -24,6 +24,9 @@ from .datasets import Dataset
 from .errors import IdMismatch, PhishguardError
 from .features import TERNARY_VALUES
 
+# -1, 0, 1: where two are nearest, argmin takes the lower
+_LEVELS = np.array(TERNARY_VALUES, dtype=float)
+
 
 @dataclass
 class AttackSpec:
@@ -73,10 +76,9 @@ def build_contexts(ds: Dataset, model, n: int = 200, seed: int = 0) -> ContextSe
     for i, row in enumerate(rows):
         vector = ds.X[row]
         outcome = classify_with_fusion(vector, model, None)
-        contexts.append(IsolatedContext.from_outcome(
-            outcome, context_id=f"ctx-{i:04d}", request_ref=f"row-{int(row)}",
-            names=ds.feature_names, vector=vector, provenance=ds.provenance[row],
-        ))
+        contexts.append(IsolatedContext(f"ctx-{i:04d}", f"row-{int(row)}", ds.feature_names,
+                                        vector, **outcome._asdict(),
+                                        provenance=ds.provenance[row]))
     return ContextSet(contexts)
 
 
@@ -108,19 +110,15 @@ def inject_attack(pre: ContextSet, spec: AttackSpec, model,
             src = pre.contexts[source]
             vector[copy_mask] = src.vector[copy_mask]
             links.append((ctx.context_id, src.context_id))
-        # bounded noise on ternary features, re-clamped to the nearest value
+        # bounded noise on ternary features, re-clamped to the nearest level
         if spec.delta > 0:
-            noise = rng.uniform(-spec.delta, spec.delta, size=len(ternary))
-            for offset, i in enumerate(ternary):
-                noisy = vector[i] + noise[offset]
-                vector[i] = min(TERNARY_VALUES, key=lambda t: abs(t - noisy))
+            noisy = vector[ternary] + rng.uniform(-spec.delta, spec.delta, size=len(ternary))
+            vector[ternary] = _LEVELS[np.abs(noisy[:, None] - _LEVELS).argmin(axis=1)]
         if not block_cross_copies or spec.delta > 0:
             outcome = classify_with_fusion(vector, model, None)
-            post_contexts[v] = IsolatedContext.from_outcome(
-                outcome, context_id=ctx.context_id, request_ref=ctx.request_ref,
-                names=names, vector=vector, provenance=ctx.provenance,
-                created_at=ctx.created_at,
-            )
+            post_contexts[v] = IsolatedContext(ctx.context_id, ctx.request_ref, names, vector,
+                                               **outcome._asdict(), provenance=ctx.provenance,
+                                               created_at=ctx.created_at)
     return ContextSet(post_contexts, tuple(links))
 
 

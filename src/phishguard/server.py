@@ -42,11 +42,10 @@ import time
 import traceback
 import uuid
 from collections import deque
-from types import MappingProxyType
 
 import numpy as np
 
-from .context import IsolatedContext, PcsConfig, classify_with_fusion, provenance_score
+from .context import IsolatedContext, Outcome, PcsConfig, classify_with_fusion, provenance_score
 from .errors import MalformedUrl, PhishguardError, UnservableModel, UnservableReference
 from .explain import FusionWeights, lime_explain, shap_linear
 from .features import (
@@ -137,8 +136,8 @@ class PhishingServer:
         # `bytes` object, uncopied
         context = IsolatedContext(
             f"{self._id_prefix}-{next(self._serials)}", request_id, CANONICAL_FEATURES,
-            np.frombuffer(key), outcome["probability"], outcome["y_hat"], provenance,
-            time.time(), outcome["rationale"],
+            np.frombuffer(key), outcome.probability, outcome.label, provenance,
+            time.time(), outcome.rationale,
         )
         self.audit_log.append(context)
         return context
@@ -166,11 +165,9 @@ class PhishingServer:
     def _tool_explain_url(self, arguments, request_id):
         return self._explanations(self._vector_of(_require_url(arguments)))
 
-    def _score(self, key: bytes) -> MappingProxyType:
-        """The read-only `classify_with_fusion` outcome of the float64
-        vector `key`, its rationale a tuple."""
-        outcome = classify_with_fusion(np.frombuffer(key), self.model, self.fusion)
-        return MappingProxyType({**outcome, "rationale": tuple(outcome["rationale"])})
+    def _score(self, key: bytes) -> Outcome:
+        """The `classify_with_fusion` outcome of the float64 vector `key`."""
+        return classify_with_fusion(np.frombuffer(key), self.model, self.fusion)
 
     def _classify_text(self, key: bytes, claimed) -> str:
         """`classify_url`'s result for the float64 vector `key` and the
@@ -181,9 +178,9 @@ class PhishingServer:
         else:
             pcs_value, flagged = 1.0, False
         return json.dumps({
-            "label": LABEL_NAMES[outcome["y_hat"]],
-            "probability": f"{outcome['probability']:.6f}",
-            "rationale": outcome["rationale"],
+            "label": LABEL_NAMES[outcome.label],
+            "probability": f"{outcome.probability:.6f}",
+            "rationale": outcome.rationale,
             "pcs": f"{pcs_value:.6f}",
             "flagged": flagged,
         }, sort_keys=True)

@@ -93,6 +93,19 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "threshold must be in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_port_outside_the_tcp_range_is_usage_error(self, model_path, capsys, port):
+        # refused by the parser, not found by bind() as an internal error
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--model", str(model_path), "--transport", "tcp", "--port", port])
+        assert err.value.code == 2
+        assert f"argument --port: port must be in [0, 65535], got {port}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", [0, 7878, 65535])
+    def test_ports_in_range_parse(self, port):
+        assert cli.build_parser().parse_args(["serve", "--model", "m.json",
+                                              "--port", str(port)]).port == port
+
     def test_success_is_zero(self, csv_path, tmp_path):
         assert main(["ingest", str(csv_path),
                      "--out", str(tmp_path / "out.csv")]) == 0
@@ -295,6 +308,16 @@ class TestExplain:
         assert "#" in out
         assert len(out.strip().splitlines()) == 23
 
+    def test_ig_refuses_a_nan_cell(self, tmp_path, capsys):
+        ds = make_ternary_dataset(n=300, seed=1)
+        ds.X[7, CANONICAL_FEATURES.index("Prefix_Suffix")] = np.nan
+        save_csv(ds, tmp_path / "nan.csv")
+        assert main(["explain", str(tmp_path / "nan.csv"), "--method", "ig",
+                     "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "information gain of 'Prefix_Suffix' is undefined: NaN at row" in captured.err
+
     def test_shap_for_saved_linear_model(self, csv_path, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         assert main(["train", str(csv_path), "--model", "logistic",
@@ -429,6 +452,25 @@ class TestRobustnessCommand:
         assert set(payload) == {"isolation", "validation", "hybrid"}
         assert payload["isolation"]["mre"] is None
         assert payload["validation"]["cis"] == 1.0
+
+    # the sha256 of one seeded run's robustness.json without its wall-clock
+    # times, as `json.dumps(..., indent=2, sort_keys=True)` writes it
+    PINNED_ROBUSTNESS_SHA256 = (
+        "b81dc34a9dcb0ecd5ee42ab268acd451698e49a855d9073758f60f6d12a08729")
+
+    def test_a_seeded_run_writes_the_pinned_report(self, csv_path, tmp_path):
+        model_path = tmp_path / "m.json"
+        assert main(["train", str(csv_path), "--model", "logistic",
+                     "--folds", "2", "--out", str(model_path)]) == 0
+        out_dir = tmp_path / "rob"
+        assert main(["robustness", str(csv_path), "--model", str(model_path),
+                     "--provenance", "UCI", "--contexts", "100", "--seed", "3",
+                     "--delta", "0.75", "--out-dir", str(out_dir)]) == 0
+        payload = json.loads((out_dir / "robustness.json").read_text())
+        for row in payload.values():
+            del row["wall_clock_s"]
+        text = json.dumps(payload, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_ROBUSTNESS_SHA256
 
     @pytest.mark.parametrize("flags, message", [
         (["--contexts", "1"], "it needs at least two"),

@@ -328,3 +328,13 @@ def test_save_csv_agrees_with_the_reference(tmp_path, data, n, d, integral):
     ds = Dataset(X, y, tuple(f"f{i}" for i in range(d)))
     assert (save_text(save_csv, ds, tmp_path / "a.csv")
             == save_text(csv_reference.save_csv, ds, tmp_path / "b.csv"))
+
+
+def test_save_csv_agrees_with_the_reference_across_blocks(tmp_path):
+    # rows are written 4,096 at a time; whole and fractional cells mixed
+    rng = np.random.default_rng(0)
+    X = rng.choice([-1.0, 0.0, 1.0, 0.25, -0.0, 2.0**60, float("nan")], size=(9000, 3))
+    X[::7, 1] = rng.normal(size=len(X[::7]))
+    ds = Dataset(X, rng.integers(0, 2, size=len(X)), ("a", "b", "c"))
+    assert (save_text(save_csv, ds, tmp_path / "a.csv")
+            == save_text(csv_reference.save_csv, ds, tmp_path / "b.csv"))

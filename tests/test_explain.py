@@ -86,6 +86,29 @@ class TestEntropyAndIg:
         with pytest.raises(UnknownFeature):
             information_gain(ds, "nope")
 
+    @pytest.mark.parametrize("feature", ["Prefix_Suffix", "Abnormal_URL"])
+    def test_a_nan_cell_is_refused_by_name_and_row(self, feature):
+        # NaN was counted as a fourth level: the quantiles came out NaN,
+        # every row fell in one bin and the gain read 0
+        ds = make_ternary_dataset(n=300, seed=1)
+        assert information_gain(ds, feature) > 0.02
+        j = ds.feature_names.index(feature)
+        ds.X[[7, 9], j] = np.nan
+        with pytest.raises(PhishguardError, match=f"'{feature}' is undefined: NaN at row 7"):
+            information_gain(ds, feature)
+        with pytest.raises(PhishguardError, match=f"'{feature}'"):
+            information_gain_all(ds)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_an_infinite_cell_is_binned_as_any_extreme_value(self, value):
+        # an infinity is an ordered value, and terciles depend on order only
+        ds = make_ternary_dataset(n=300, seed=1)
+        j = ds.feature_names.index("Prefix_Suffix")
+        ds.X[7, j] = 2 * np.sign(value)
+        expected = information_gain(ds, "Prefix_Suffix")
+        ds.X[7, j] = value
+        assert information_gain(ds, "Prefix_Suffix") == expected > 0
+
 
 def linear_logit_scorer(weights, bias=0.0):
     w = np.asarray(weights, dtype=float)

@@ -17,7 +17,7 @@ from phishguard.robustness import (
     report_table,
     run_strategy,
 )
-from phishguard.context import IsolatedContext
+from phishguard.context import IsolatedContext, Outcome
 
 
 def fixed_model(n_features=23):
@@ -34,9 +34,8 @@ def small_world(n=60, seed=0):
 def make_ctx(cid, features, prob, label, provenance="UCI"):
     names = sorted(features)
     vector = np.array([float(features[k]) for k in names])
-    outcome = {"probability": prob, "y_hat": label, "rationale": []}
-    return IsolatedContext.from_outcome(outcome, context_id=cid, request_ref=cid,
-                                        names=names, vector=vector, provenance=provenance)
+    outcome = Outcome(label, prob, ())
+    return IsolatedContext(cid, cid, names, vector, **outcome._asdict(), provenance=provenance)
 
 
 class TestAttackSpec:

@@ -28,6 +28,11 @@ from phishguard.features import (
     extract_features,
     to_canonical_vector,
 )
+from phishguard.generate import (
+    GenerationConfig,
+    generate_feature_rich_domains,
+    generate_synthetic_urls,
+)
 from phishguard.models import (
     LinearModel,
     TrainConfig,
@@ -42,6 +47,7 @@ from phishguard.models import (
 from phishguard.context import (
     FEATURE_DESCRIPTIONS,
     IsolatedContext,
+    Outcome,
     PcsConfig,
     classify_with_fusion,
     provenance_score,
@@ -108,9 +114,9 @@ class TestProtocol:
                       {"url": "http://secure-paypal.bit.ly//redirect@evil"})["result"]
         assert len(outcomes) == 1
         (outcome,) = outcomes
-        assert result["label"] == ("legitimate", "phishing")[outcome["y_hat"]]
-        assert result["probability"] == f"{outcome['probability']:.6f}"
-        assert result["rationale"] == outcome["rationale"]
+        assert result["label"] == ("legitimate", "phishing")[outcome.label]
+        assert result["probability"] == f"{outcome.probability:.6f}"
+        assert result["rationale"] == list(outcome.rationale)
 
     def test_explain_url_ranked_attributions(self):
         response = call(make_server(), "explain_url", {"url": "http://a.com/x"})
@@ -849,8 +855,7 @@ class TestOutcomeMemo:
             # single row against single row, as TestServedProbability
             assert context.probability == float(model.predict_proba(vector))
             outcome = classify_with_fusion(vector, model, None)
-            assert (context.label, context.rationale) == (outcome["y_hat"],
-                                                          tuple(outcome["rationale"]))
+            assert (context.label, context.rationale) == (outcome.label, outcome.rationale)
         # a hit per repeated vector, and one per reply-text miss, as above
         info = server._outcomes.cache_info()
         assert (info.misses, info.hits) == (4, 2 * len(MEMO_URLS) - 4 + 4)
@@ -892,12 +897,12 @@ class TestOutcomeMemo:
         hits = server._outcomes.cache_info().hits
         outcome = server._outcomes(key)
         assert server._outcomes.cache_info().hits == hits + 1
-        assert outcome["rationale"]
-        with pytest.raises(TypeError):
-            outcome["probability"] = 0.0
+        assert type(outcome) is Outcome and outcome.rationale
         with pytest.raises(AttributeError):
-            outcome["rationale"].append("tampered")
-        assert server.audit_log[-1].rationale is outcome["rationale"]
+            outcome.probability = 0.0
+        with pytest.raises(AttributeError):
+            outcome.rationale.append("tampered")
+        assert server.audit_log[-1].rationale is outcome.rationale
         text = server._classify_texts(key, "Unknown")
         assert type(text) is str and json.loads(text) == first["result"]
         assert call(server, "classify_url", {"url": url}) == first
@@ -993,10 +998,9 @@ class TestRepeatedRequests:
 
 class TestIsolatedContext:
     def make(self, prob=0.9):
-        outcome = {"probability": prob, "y_hat": 1, "rationale": []}
-        return IsolatedContext.from_outcome(outcome, context_id="c1", request_ref="r1",
-                                            names=("URL_Length",), vector=[20.0],
-                                            provenance="UCI")
+        outcome = Outcome(1, prob, ())
+        return IsolatedContext("c1", "r1", ("URL_Length",), [20.0], **outcome._asdict(),
+                               provenance="UCI")
 
     def test_digest_stable(self):
         assert self.make().seal_digest() == self.make().seal_digest()
@@ -1124,7 +1128,7 @@ class TestClassifyWithFusion:
         model = trained_model()
         x = np.ones(23)
         outcome = classify_with_fusion(x, model, None)
-        assert outcome["probability"] == float(model.predict_proba(x))
+        assert outcome.probability == float(model.predict_proba(x))
 
     def test_zero_weights_zero_embedding(self):
         # zero weights empty the rationale; the model still scores x itself
@@ -1132,14 +1136,14 @@ class TestClassifyWithFusion:
                             feature_names=("a", "b"))
         x = np.array([3.0, -2.0])
         outcome = classify_with_fusion(x, model, uniform_fusion(("a", "b"), 0.0))
-        assert outcome["probability"] == float(model.predict_proba(x))
-        assert outcome["probability"] == pytest.approx(0.7310585786300049)
-        assert outcome["rationale"] == []
+        assert outcome.probability == float(model.predict_proba(x))
+        assert outcome.probability == pytest.approx(0.7310585786300049)
+        assert outcome.rationale == ()
 
     def test_rationale_names_are_human_readable(self):
         model = trained_model()
         outcome = classify_with_fusion(np.ones(23), model, None)
-        for sentence in outcome["rationale"]:
+        for sentence in outcome.rationale:
             assert sentence in FEATURE_DESCRIPTIONS.values()
 
     def test_rationale_names_only_phishing_leaning_values(self):
@@ -1157,7 +1161,7 @@ class TestClassifyWithFusion:
         model = LinearModel(weights=np.array([2.0, -3.0, 1.0, 4.0]), bias=0.0,
                             feature_names=("a", "b", "c", "d"))
         outcome = classify_with_fusion(np.array([-1.0, 1.0, 1.0, 0.5]), model, None)
-        assert outcome["rationale"] == ["d", "c"]
+        assert outcome.rationale == ("d", "c")
 
     def test_argmax_invariant_to_uniform_scaling(self):
         # scaling every fusion weight by the same constant must not change
@@ -1166,15 +1170,15 @@ class TestClassifyWithFusion:
         x = np.ones(23)
         base = classify_with_fusion(x, model, None)
         scaled = classify_with_fusion(x, model, uniform_fusion(model.feature_names, 2.0))
-        assert scaled["rationale"] == base["rationale"]
+        assert scaled.rationale == base.rationale
 
     def test_label_threshold(self):
         model = LinearModel(weights=np.array([10.0]), bias=0.0,
                             feature_names=("a",))
         up = classify_with_fusion(np.array([1.0]), model, None)
         down = classify_with_fusion(np.array([-1.0]), model, None)
-        assert up["y_hat"] == 1
-        assert down["y_hat"] == 0
+        assert up.label == 1
+        assert down.label == 0
 
 
 PARITY_URLS = (
@@ -1226,6 +1230,55 @@ class TestServedProbability:
             if fusion is not None:  # the rationale names fused features only
                 fused = {FEATURE_DESCRIPTIONS[name] for name in fusion.f_final}
                 assert set(reply["rationale"]) <= fused
+
+
+# each `phishguard train --model` kind, as TRAINERS builds it, the slow
+# ones at sizes small enough to fit in a test
+SMALL_TRAINERS = {
+    **cli.TRAINERS,
+    "sgd": lambda ds, seed: train_linear(ds, loss="logistic", sgd=True, cfg=TrainConfig(
+        seed=seed, max_epochs=3, learning_rate=0.05)),
+    "forest": lambda ds, seed: train_forest(ds, n_trees=5, mode="bagging", seed=seed),
+    "extra": lambda ds, seed: train_forest(ds, n_trees=5, mode="extra", seed=seed),
+    "gbt": lambda ds, seed: train_gbt(ds, n_rounds=20, learning_rate=0.1, max_depth=4),
+    "mlp": lambda ds, seed: train_mlp(ds, [32, 1], TrainConfig(
+        seed=seed, max_epochs=60, learning_rate=0.01)),
+}
+
+
+@functools.cache
+def generated_urls():
+    """Generated phishing URLs and a few legitimate ones, and the dataset
+    of their extracted, encoded vectors under seeded two-class labels."""
+    legit = ["https://www.paypal.com/signin", "https://example.com/login",
+             "http://news.example.org/2024/03/update", "https://docs.python.org/3/"]
+    cfg = GenerationConfig(legit_urls=legit, target_count=60, seed=0)
+    urls = legit + generate_synthetic_urls(cfg) + generate_feature_rich_domains(cfg)[0]
+    X = np.stack([to_canonical_vector(extract_features(url)) for url in urls])
+    y = np.random.default_rng(0).permutation(np.arange(len(urls)) % 2)
+    return urls, Dataset(X, y, CANONICAL_FEATURES)
+
+
+class TestEndToEndParity:
+    """Generated URLs, extracted and encoded into a dataset, train each
+    model kind; served, each URL's audit-log probability is its row's
+    `predict_proba` inside the batch of every row, bit for bit."""
+
+    @pytest.mark.parametrize("kind", cli.MODEL_KINDS)
+    def test_served_probability_is_the_batch_row(self, kind):
+        urls, ds = generated_urls()
+        model = SMALL_TRAINERS[kind](ds, 0)
+        batch = model.predict_proba(ds.X)
+        server = PhishingServer(model)
+        # twice, so that the second pass answers from the memos
+        for i, url in enumerate(urls * 2):
+            reply = call(server, "classify_url", {"url": url}, f"r{i}")["result"]
+            expected = batch[i % len(urls)]
+            context = server.audit_log[-1]
+            assert np.float64(context.probability).tobytes() == expected.tobytes()
+            assert context.label == int(expected >= 0.5)
+            assert reply["label"] == ("legitimate", "phishing")[context.label]
+            assert reply["probability"] == f"{expected:.6f}"
 
 
 class TestUnservableModel:
